@@ -62,6 +62,25 @@ class Quiver:
             inc[a.target].append(a)
         return {v: tuple(sorted(lst, key=lambda a: _natural_key(a.name))) for v, lst in inc.items()}
 
+    @cached_property
+    def rooted_parents(self) -> dict[int, tuple[int, Arrow] | None]:
+        """Spanning structure rooted at the smallest vertex: child -> (parent,
+        connecting arrow).  Requires a tree."""
+        root = self.vertices[0]
+        parents: dict[int, tuple[int, Arrow] | None] = {root: None}
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for a in self._out[v]:
+                if a.target not in parents:
+                    parents[a.target] = (v, a)
+                    stack.append(a.target)
+            for a in self._in[v]:
+                if a.source not in parents:
+                    parents[a.source] = (v, a)
+                    stack.append(a.source)
+        return parents
+
     def has_vertex(self, v: int) -> bool:
         return v in self._out
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .algebra import BoundQuiverAlgebra
-from .linalg import SpanBuilder
+from .linalg import Mat, SpanBuilder
 from .modules import (ModuleMap, Representation, compose, direct_sum, hom_space,
-                      is_epimorphism, kernel, string_module)
+                      is_epimorphism, kernel, module_map, representation, string_module)
 from .strings import StringWalk, enumerate_strings, injective_walk, projective_walk, radical_walks
 
 
@@ -91,6 +91,8 @@ class ARQuiver:
     tau_inv: dict[int, int]
     _hom: dict[tuple[int, int], list[ModuleMap]] = field(default_factory=dict)
     _node_by_walk: dict[StringWalk, int] = field(default_factory=dict)
+    _node_by_support: dict[frozenset[int], int] = field(default_factory=dict)
+    _radical: dict[int, ModuleMap] = field(default_factory=dict)
 
     def hom(self, a: int, b: int) -> list[ModuleMap]:
         key = (a, b)
@@ -105,50 +107,30 @@ class ARQuiver:
         return self.node_of_walk(projective_walk(self.algebra, v))
 
     def identify(self, rep: Representation) -> int | None:
-        """Index of the node isomorphic to rep, or None.  Works for arbitrary
-        representations via an explicit invertible hom element."""
-        dims = {v: d for v, d in rep.dims.items() if d}
-        for node in self.nodes:
-            if {v: d for v, d in node.rep.dims.items() if d} != dims:
-                continue
-            if _iso_exists(rep, node.rep):
-                return node.index
-        return None
+        """Index of the node isomorphic to rep, or None.  Over a tree every
+        indecomposable is a string module, thin and fixed by its support, so
+        rep is a node exactly when it is thin, carries a non-zero scalar on
+        every arrow inside its support, and has a node's support."""
+        if any(d > 1 for d in rep.dims.values()):
+            return None
+        support = frozenset(v for v, d in rep.dims.items() if d)
+        for a in self.algebra.quiver.arrows:
+            if a.source in support and a.target in support and rep.maps[a.name].is_zero():
+                return None
+        return self._node_by_support.get(support)
 
-
-def _iso_exists(a: Representation, b: Representation) -> bool:
-    """True iff some element of Hom(a, b) is invertible.  Requires equal
-    dimension vectors; invertibility is generic, so it holds exactly when no
-    vertex block is forced to zero across the whole hom space, verified by an
-    explicit combination."""
-    if a.dims != b.dims:
-        return False
-    basis = hom_space(a, b)
-    if not basis:
-        return a.total_dim == 0
-    support = [v for v, d in a.dims.items() if d]
-    for v in support:
-        if all(f.blocks[v].is_zero() for f in basis):
-            return False
-    # find an explicit combination with every block invertible
-    t = 1
-    while True:
-        coeffs = [t ** k for k in range(len(basis))]
-        blocks = {}
-        ok = True
-        for v in sorted(a.dims):
-            acc = basis[0].blocks[v].scale(coeffs[0])
-            for f, c in zip(basis[1:], coeffs[1:]):
-                acc = acc + f.blocks[v].scale(c)
-            blocks[v] = acc
-            if a.dims[v] and acc.rank() != a.dims[v]:
-                ok = False
-                break
-        if ok:
-            return True
-        t += 1
-        if t > len(basis) * sum(a.dims.values()) + 2:
-            return False
+    def radical_inclusion(self, v: int) -> ModuleMap:
+        """Inclusion of rad P(v) into the node P(v), built once per vertex.
+        P(v) is thin with top v, so its radical is P(v) with v dropped and the
+        inclusion is the identity on that support."""
+        if v not in self._radical:
+            proj = self.nodes[self.projective_node(v)].rep
+            support = [u for u in proj.support() if u != v]
+            maps = {a.name: proj.maps[a.name] for a in self.algebra.quiver.arrows
+                    if v not in (a.source, a.target)}
+            rad = representation(self.algebra, {u: 1 for u in support}, maps)
+            self._radical[v] = module_map(rad, proj, {u: Mat([[1]]) for u in support})
+        return self._radical[v]
 
 
 def ar_quiver(algebra: BoundQuiverAlgebra, max_nodes: int | None = None) -> ARQuiver:
@@ -164,6 +146,9 @@ def ar_quiver(algebra: BoundQuiverAlgebra, max_nodes: int | None = None) -> ARQu
     nodes = [ArNode(i, w, string_module(algebra, w)) for i, w in enumerate(strings)]
     ar = ARQuiver(algebra, nodes, [], [], {}, {})
     ar._node_by_walk = {n.walk: n.index for n in nodes}
+    ar._node_by_support = {frozenset(n.rep.support()): n.index for n in nodes}
+    if len(ar._node_by_support) != len(nodes):
+        raise OracleError("two strings share a support")
 
     for v in algebra.quiver.vertices:
         pw = projective_walk(algebra, v)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from typing import Sequence
 
 from .algebra import (Arrow, BoundQuiverAlgebra, Quiver, RelationSet, serialize,
                       validate)
@@ -213,18 +214,9 @@ def _directed_paths(arrows: list[tuple[str, int, int]]) -> list[tuple[str, ...]]
 
 def _antichains(paths: list[tuple[str, ...]]):
     """All subsets in which no path contains another as a consecutive run."""
-    def contains(long: tuple[str, ...], short: tuple[str, ...]) -> bool:
-        return any(long[i:i + len(short)] == short
-                   for i in range(len(long) - len(short) + 1))
-
     for r in range(len(paths) + 1):
         for combo in itertools.combinations(paths, r):
-            ok = True
-            for a, b in itertools.permutations(combo, 2):
-                if len(a) > len(b) and contains(a, b):
-                    ok = False
-                    break
-            if ok:
+            if not _violates_antichain(combo):
                 yield list(combo)
 
 
@@ -268,14 +260,10 @@ def random_tree_algebra(rng: random.Random, n: int) -> BoundQuiverAlgebra:
             return alg
 
 
-def _violates_antichain(paths: list[tuple[str, ...]]) -> bool:
-    def contains(long, short):
-        return any(long[i:i + len(short)] == short
-                   for i in range(len(long) - len(short) + 1))
-    for a, b in itertools.permutations(paths, 2):
-        if len(a) > len(b) and contains(a, b):
-            return True
-    return False
+def _violates_antichain(paths: Sequence[tuple[str, ...]]) -> bool:
+    """True iff some path contains a shorter one as a consecutive run."""
+    return any(RelationSet(tuple(b for b in paths if len(b) < len(a))).contains_path(a)
+               for a in paths)
 
 
 GENERATORS = {

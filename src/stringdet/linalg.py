@@ -56,6 +56,12 @@ class Mat:
     def from_columns(cols: Sequence[Sequence], nrows: int) -> "Mat":
         return Mat([[_frac(col[i]) for col in cols] for i in range(nrows)], ncols=len(cols))
 
+    @staticmethod
+    def row_major(values: Sequence, start: int, nrows: int, ncols: int) -> "Mat":
+        """The nrows x ncols matrix stored row-major in values from index start."""
+        return Mat([values[start + r * ncols:start + (r + 1) * ncols] for r in range(nrows)],
+                   ncols=ncols)
+
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
@@ -218,21 +224,15 @@ class SpanBuilder:
         return all(self.contains(v) for v in vecs)
 
 
-def quotient_projection(sub_basis: list[Vector], ambient_dim: int) -> Mat:
-    """Projection K^n -> K^(n-r) whose kernel is exactly span(sub_basis).
-
-    Sections through the free coordinates: composing with the embedding of a
-    free-coordinate unit vector gives the identity.
+def quotient_projection(sub_basis: list[Vector], ambient_dim: int) -> tuple[Mat, Mat]:
+    """Projection K^n -> K^(n-r) whose kernel is exactly span(sub_basis), and
+    its section through the free coordinates: the embedding of the free-
+    coordinate unit vectors, so that projection @ section is the identity.
     """
     span = SpanBuilder(ambient_dim)
     for v in sub_basis:
         span.add(v)
     free_cols = [c for c in range(ambient_dim) if c not in span._rows]
-    rows = []
-    for c in free_cols:
-        unit = [F0] * ambient_dim
-        unit[c] = F1
-        rows.append(unit)
     # projection of e_i = coordinates of (e_i reduced mod span) on the free columns
     cols = []
     for i in range(ambient_dim):
@@ -240,4 +240,6 @@ def quotient_projection(sub_basis: list[Vector], ambient_dim: int) -> Mat:
         unit[i] = F1
         red = span.reduce(unit)
         cols.append([red[c] for c in free_cols])
-    return Mat.from_columns(cols, nrows=len(free_cols))
+    section = Mat.from_columns([[F1 if i == c else F0 for i in range(ambient_dim)]
+                                for c in free_cols], nrows=ambient_dim)
+    return Mat.from_columns(cols, nrows=len(free_cols)), section

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .algebra import BoundQuiverAlgebra
-from .linalg import F0, F1, Mat, _eliminate, nullspace, quotient_projection, solve
+from .linalg import F0, F1, Mat, nullspace, quotient_projection, solve
 from .strings import (StringWalk, injective_walk, projective_walk, radical_walks,
                       walk_vertices)
 
@@ -167,57 +167,58 @@ def is_epimorphism(f: ModuleMap) -> bool:
 # --------------------------------------------------------------------------
 # hom spaces
 
+def intertwining_rows(x_at: int, m: Mat, n: Mat, y_at: int, nvars: int) -> list[list]:
+    """Rows, over nvars unknowns, of the linear system X @ m - n @ Y = 0.  The
+    unknown blocks X (n.nrows x m.nrows) and Y (n.ncols x m.ncols) are stored
+    row-major from columns x_at and y_at; identically zero rows are skipped."""
+    rows = []
+    for i in range(n.nrows):
+        for j in range(m.ncols):
+            row = [F0] * nvars
+            hit = False
+            for k in range(m.nrows):
+                if m.rows[k][j]:
+                    row[x_at + i * m.nrows + k] += m.rows[k][j]
+                    hit = True
+            for k in range(n.ncols):
+                if n.rows[i][k]:
+                    row[y_at + k * m.ncols + j] -= n.rows[i][k]
+                    hit = True
+            if hit:
+                rows.append(row)
+    return rows
+
+
+def block_columns(rows: dict[int, int], cols: dict[int, int],
+                  start: int) -> tuple[dict[int, int], int]:
+    """First column of each vertex's unknown rows[v] x cols[v] block, with the
+    blocks stored row-major in sorted vertex order from column start, and the
+    column after the last block."""
+    at = {}
+    for v in sorted(rows):
+        at[v] = start
+        start += rows[v] * cols[v]
+    return at, start
+
+
 def hom_space(source: Representation, target: Representation) -> list[ModuleMap]:
     """Basis of the space of module maps source -> target, from the exact
     nullspace of the intertwining constraints."""
     if source.algebra is not target.algebra and source.algebra != target.algebra:
         raise ValueError("representations live over different algebras")
-    verts = sorted(source.dims)
-    index: dict[tuple[int, int, int], int] = {}
-    for v in verts:
-        for r in range(target.dims[v]):
-            for c in range(source.dims[v]):
-                index[(v, r, c)] = len(index)
-    nvars = len(index)
+    at, nvars = block_columns(target.dims, source.dims, 0)
     if nvars == 0:
         return []
 
     rows = []
     for a in source.algebra.quiver.arrows:
-        s, e = a.source, a.target
-        ms, mt = source.maps[a.name], target.maps[a.name]
-        # block[e] @ ms == mt @ block[s], entry (i, j)
-        for i in range(target.dims[e]):
-            for j in range(source.dims[s]):
-                row = [F0] * nvars
-                hit = False
-                for k in range(source.dims[e]):
-                    cf = ms.rows[k][j]
-                    if cf:
-                        row[index[(e, i, k)]] += cf
-                        hit = True
-                for k in range(target.dims[s]):
-                    cf = mt.rows[i][k]
-                    if cf:
-                        row[index[(s, k, j)]] -= cf
-                        hit = True
-                if hit:
-                    rows.append(row)
-
-    if rows:
-        basis_vecs = nullspace(Mat(rows, ncols=nvars))
-    else:
-        basis_vecs = [tuple(1 if i == j else 0 for i in range(nvars)) for j in range(nvars)]
-
-    out = []
-    for vecb in basis_vecs:
-        blocks = {}
-        for v in verts:
-            rs = [[vecb[index[(v, r, c)]] for c in range(source.dims[v])]
-                  for r in range(target.dims[v])]
-            blocks[v] = Mat(rs, ncols=source.dims[v])
-        out.append(ModuleMap(source, target, blocks))
-    return out
+        # block[target] @ source map == target map @ block[source]
+        rows += intertwining_rows(at[a.target], source.maps[a.name], target.maps[a.name],
+                                  at[a.source], nvars)
+    return [ModuleMap(source, target,
+                      {v: Mat.row_major(vec, at[v], target.dims[v], source.dims[v])
+                       for v in at})
+            for vec in nullspace(Mat(rows, ncols=nvars))]
 
 
 # --------------------------------------------------------------------------
@@ -246,45 +247,23 @@ def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     """Vertex-wise cokernel with induced arrow maps and its projection."""
     algebra = f.target.algebra
     proj_blocks: dict[int, Mat] = {}
+    sections: dict[int, Mat] = {}
     dims: dict[int, int] = {}
     for v, b in f.blocks.items():
-        proj = quotient_projection(b.columns(), ambient_dim=f.target.dims[v])
-        proj_blocks[v] = proj
-        dims[v] = proj.nrows
+        proj_blocks[v], sections[v] = quotient_projection(b.columns(),
+                                                          ambient_dim=f.target.dims[v])
+        dims[v] = proj_blocks[v].nrows
     maps = {}
     for a in algebra.quiver.arrows:
-        # induced map: factor proj_e @ target_map through proj_s via a section
-        s, e = a.source, a.target
-        carried = proj_blocks[e] @ f.target.maps[a.name]
-        if dims[s] == 0:
-            maps[a.name] = Mat.zeros(dims[e], 0)
-            continue
-        section = _right_inverse(proj_blocks[s])
-        induced = carried @ section
-        if induced @ proj_blocks[s] != carried:
+        # induced map: factor proj_e @ target_map through proj_s via its section
+        carried = proj_blocks[a.target] @ f.target.maps[a.name]
+        induced = carried @ sections[a.source]
+        if induced @ proj_blocks[a.source] != carried:
             raise ValueError("cokernel maps are not well defined")
         maps[a.name] = induced
     cok = representation(algebra, dims, maps)
     proj = ModuleMap(f.target, cok, proj_blocks)
     return cok, proj
-
-
-def _right_inverse(p: Mat) -> Mat:
-    """Section of a surjective matrix: columns solve p @ x = e_i."""
-    return solve_right(p, Mat.identity(p.nrows))
-
-
-def solve_right(a: Mat, b: Mat) -> Mat:
-    """Any solution x of a @ x = b for surjective a (minimal fuss: solve on a
-    column basis of a's row space pivots)."""
-    aug = a.hstack(b)
-    rows, pivots = _eliminate([list(r) for r in aug.rows])
-    if any(p >= a.ncols for p in pivots):
-        raise ValueError("inconsistent system")
-    out = [[F0] * b.ncols for _ in range(a.ncols)]
-    for r, pc in enumerate(pivots):
-        out[pc] = list(rows[r][a.ncols:])
-    return Mat(out, ncols=b.ncols)
 
 
 def socle(rep: Representation) -> Counter:
@@ -300,9 +279,6 @@ def socle(rep: Representation) -> Counter:
             out[v] = d
             continue
         stacked = [list(row) for a in outgoing for row in rep.maps[a.name].rows]
-        if not stacked:
-            out[v] = d
-            continue
         dim = len(nullspace(Mat(stacked, ncols=d)))
         if dim:
             out[v] = dim

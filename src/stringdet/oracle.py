@@ -17,10 +17,8 @@ from .algebra import BoundQuiverAlgebra
 from .arquiver import (ArArrow, ARQuiver, MiddleKind, OracleError, ar_quiver,
                        single_middle_count)
 from .linalg import F0, Mat, SpanBuilder, nullspace
-from .modules import (ModuleMap, Representation, cokernel, compose, is_epimorphism,
-                      is_monomorphism, kernel, module_map, representation, socle,
-                      string_module)
-from .strings import projective_walk, radical_walks, walk_vertices
+from .modules import (ModuleMap, block_columns, cokernel, compose, intertwining_rows,
+                      is_epimorphism, is_monomorphism, kernel, socle)
 
 
 class MapKind(Enum):
@@ -51,99 +49,33 @@ class OracleResult:
         return len(self.determiner_nodes)
 
 
-def _projective_with_radical(algebra: BoundQuiverAlgebra, v: int
-                             ) -> tuple[Representation, Representation, ModuleMap]:
-    """(P, rad P, inclusion).  Both are multiplicity-free, so the inclusion is
-    the identity on the radical's support."""
-    proj = string_module(algebra, projective_walk(algebra, v))
-    arm_walks = radical_walks(algebra, v)
-    support: set[int] = set()
-    used: set[str] = set()
-    for w in arm_walks:
-        support.update(walk_vertices(algebra, w))
-        used.update(l.arrow for l in w.letters)
-    rad = representation(algebra, {u: 1 for u in support},
-                         {name: Mat([[1]]) for name in used})
-    incl = module_map(rad, proj, {u: Mat([[1]]) for u in support})
-    return proj, rad, incl
-
-
-def almost_factors_through(algebra: BoundQuiverAlgebra, v: int, f: ModuleMap) -> bool:
+def almost_factors_through(ar: ARQuiver, v: int, f: ModuleMap) -> bool:
     """Does the projective at v almost factor through f: M -> N?  Solves the
     space of pairs (h: P -> N, g: rad P -> M) with h restricted to the radical
     equal to f g, and asks whether some solution's h has image outside the
     image of f (checked after quotienting by that image, where the condition
     is linear)."""
-    proj, rad, incl = _projective_with_radical(algebra, v)
+    incl = ar.radical_inclusion(v)
+    rad, proj = incl.source, incl.target
     src, tgt = f.source, f.target
-    verts = sorted(proj.dims)
-
-    index: dict[tuple[str, int, int, int], int] = {}
-    for u in verts:
-        for r in range(tgt.dims[u]):
-            for c in range(proj.dims[u]):
-                index[("h", u, r, c)] = len(index)
-    for u in verts:
-        for r in range(src.dims[u]):
-            for c in range(rad.dims[u]):
-                index[("g", u, r, c)] = len(index)
-    nvars = len(index)
+    h_at, g_start = block_columns(tgt.dims, proj.dims, 0)
+    g_at, nvars = block_columns(src.dims, rad.dims, g_start)
     if nvars == 0:
         return False
 
     rows: list[list] = []
-
-    def _intertwine(tag: str, smod: Representation, tmod: Representation) -> None:
-        for a in algebra.quiver.arrows:
-            s, e = a.source, a.target
-            ms, mt = smod.maps[a.name], tmod.maps[a.name]
-            for i in range(tmod.dims[e]):
-                for j in range(smod.dims[s]):
-                    row = [F0] * nvars
-                    hit = False
-                    for k in range(smod.dims[e]):
-                        if ms.rows[k][j]:
-                            row[index[(tag, e, i, k)]] += ms.rows[k][j]
-                            hit = True
-                    for k in range(tmod.dims[s]):
-                        if mt.rows[i][k]:
-                            row[index[(tag, s, k, j)]] -= mt.rows[i][k]
-                            hit = True
-                    if hit:
-                        rows.append(row)
-
-    _intertwine("h", proj, tgt)
-    _intertwine("g", rad, src)
-
+    for a in ar.algebra.quiver.arrows:
+        s, e = a.source, a.target
+        rows += intertwining_rows(h_at[e], proj.maps[a.name], tgt.maps[a.name], h_at[s], nvars)
+        rows += intertwining_rows(g_at[e], rad.maps[a.name], src.maps[a.name], g_at[s], nvars)
     # commutation: h . incl == f . g on the radical
-    for u in verts:
-        for i in range(tgt.dims[u]):
-            for j in range(rad.dims[u]):
-                row = [F0] * nvars
-                hit = False
-                for k in range(proj.dims[u]):
-                    if incl.blocks[u].rows[k][j]:
-                        row[index[("h", u, i, k)]] += incl.blocks[u].rows[k][j]
-                        hit = True
-                for k in range(src.dims[u]):
-                    if f.blocks[u].rows[i][k]:
-                        row[index[("g", u, k, j)]] -= f.blocks[u].rows[i][k]
-                        hit = True
-                if hit:
-                    rows.append(row)
-
-    solutions = nullspace(Mat(rows, ncols=nvars)) if rows else \
-        [tuple(1 if i == j else 0 for i in range(nvars)) for j in range(nvars)]
-    if not solutions:
-        return False
+    for u in h_at:
+        rows += intertwining_rows(h_at[u], incl.blocks[u], f.blocks[u], g_at[u], nvars)
 
     _, proj_map = cokernel(f)
-    for sol in solutions:
-        for u in verts:
-            if tgt.dims[u] == 0 or proj.dims[u] == 0 or proj_map.blocks[u].nrows == 0:
-                continue
-            h_block = Mat([[sol[index[("h", u, r, c)]] for c in range(proj.dims[u])]
-                           for r in range(tgt.dims[u])], ncols=proj.dims[u])
+    for sol in nullspace(Mat(rows, ncols=nvars)):
+        for u in h_at:
+            h_block = Mat.row_major(sol, h_at[u], tgt.dims[u], proj.dims[u])
             if not (proj_map.blocks[u] @ h_block).is_zero():
                 return True
     return False
@@ -173,7 +105,7 @@ def minimal_right_determiner(ar: ARQuiver, arrow: ArArrow,
         almost = ()
         if cross_check:
             almost = tuple(v for v in algebra.quiver.vertices
-                           if almost_factors_through(algebra, v, f))
+                           if almost_factors_through(ar, v, f))
             if almost != (target_vertex,):
                 raise OracleError(
                     f"mono arrow {arrow.index}: socle route gives P({target_vertex}) but "
@@ -195,7 +127,7 @@ def minimal_right_determiner(ar: ARQuiver, arrow: ArArrow,
     almost = ()
     if cross_check:
         almost = tuple(v for v in algebra.quiver.vertices
-                       if almost_factors_through(algebra, v, f))
+                       if almost_factors_through(ar, v, f))
         if almost:
             raise OracleError(
                 f"epi arrow {arrow.index}: projectives {almost} almost factor through it")
@@ -266,11 +198,7 @@ def is_right_determined(ar: ARQuiver, f: ModuleMap, src_node: int, tgt_node: int
                         residuals.extend(through.reduce(compose(h, phi).vec()))
                     rows.append(residuals)
                 cols = list(zip(*rows))
-                if cols:
-                    sol = nullspace(Mat(cols, ncols=len(hom_xn)))
-                else:
-                    sol = [tuple(1 if i == j else 0 for i in range(len(hom_xn)))
-                           for j in range(len(hom_xn))]
+                sol = nullspace(Mat(cols, ncols=len(hom_xn)))
                 candidate_vecs = []
                 for lam in sol:
                     acc = [F0] * veclen

@@ -152,7 +152,8 @@ def _grow_path(algebra: BoundQuiverAlgebra, first: str, outgoing: bool) -> list[
                    if not algebra.relations.contains_path(tuple(path) + (a.name,))]
             if not ext:
                 return path
-            assert len(ext) == 1, "branching continuation survived both relations"
+            if len(ext) != 1:
+                raise InvalidStringError("branching continuation survived both relations")
             path.append(ext[0])
         else:
             tip = q.arrow_map[path[0]].source
@@ -160,7 +161,8 @@ def _grow_path(algebra: BoundQuiverAlgebra, first: str, outgoing: bool) -> list[
                    if not algebra.relations.contains_path((a.name,) + tuple(path))]
             if not ext:
                 return path
-            assert len(ext) == 1, "branching continuation survived both relations"
+            if len(ext) != 1:
+                raise InvalidStringError("branching continuation survived both relations")
             path.insert(0, ext[0])
 
 

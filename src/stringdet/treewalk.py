@@ -9,7 +9,6 @@ induced subquivers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .algebra import Arrow, BoundQuiverAlgebra
 
@@ -50,27 +49,6 @@ class NeighbourhoodSubquiver:
         return frozenset(a.name for a in self.arrows)
 
 
-@lru_cache(maxsize=512)
-def _rooted_parents(algebra: BoundQuiverAlgebra) -> dict[int, tuple[int, Arrow] | None]:
-    """Spanning structure rooted at the smallest vertex: child -> (parent,
-    connecting arrow).  Built once per algebra; requires a valid tree."""
-    q = algebra.quiver
-    root = q.vertices[0]
-    parents: dict[int, tuple[int, Arrow] | None] = {root: None}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for a in q.out_arrows(v):
-            if a.target not in parents:
-                parents[a.target] = (v, a)
-                stack.append(a.target)
-        for a in q.in_arrows(v):
-            if a.source not in parents:
-                parents[a.source] = (v, a)
-                stack.append(a.source)
-    return parents
-
-
 def walk_between(algebra: BoundQuiverAlgebra, start: int, end: int) -> TreeWalk:
     """The unique simple undirected path from start to end, with orientation
     flags per step.  start == end yields the empty walk."""
@@ -78,7 +56,7 @@ def walk_between(algebra: BoundQuiverAlgebra, start: int, end: int) -> TreeWalk:
     for v in (start, end):
         if not q.has_vertex(v):
             raise ValueError(f"unknown vertex {v}")
-    parents = _rooted_parents(algebra)
+    parents = q.rooted_parents
 
     def chain(v: int) -> list[int]:
         out = [v]

@@ -96,6 +96,24 @@ def test_identify_rejects_decomposable():
     assert ar.identify(total) is None
 
 
+def test_identify_rescaled_projective():
+    from stringdet.linalg import Mat
+    from stringdet.modules import representation
+    alg = linear_algebra(3)
+    ar = ar_quiver(alg)
+    p1 = ar.projective_node(1)
+    copy = representation(alg, {1: 1, 2: 1, 3: 1}, {"a1": Mat([[3]]), "a2": Mat([[-2]])})
+    assert ar.identify(copy) == p1
+
+
+def test_identify_rejects_non_thin():
+    from stringdet.modules import direct_sum, simple
+    alg = linear_algebra(2)
+    ar = ar_quiver(alg)
+    total, _ = direct_sum([simple(alg, 1), simple(alg, 1)])
+    assert ar.identify(total) is None
+
+
 def test_requires_valid_algebra():
     alg = linear_algebra(3)
     bare = alg.__class__(alg.quiver, alg.relations, None)

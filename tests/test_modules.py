@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stringdet import (cokernel, enumerate_strings, hom_space, injective, kernel,
+from stringdet import (ar_quiver, cokernel, enumerate_strings, hom_space, injective, kernel,
                        projective, radical_summands, simple, socle, string_module)
-from stringdet.families import fan5_algebra, linear_algebra, random_tree_algebra
+from stringdet.families import (crossing6_algebra, fan5_algebra, linear_algebra,
+                                random_tree_algebra)
 from stringdet.linalg import Mat, SpanBuilder, nullspace, quotient_projection, solve
 from stringdet.modules import (compose, identity_map, is_epimorphism, is_monomorphism,
                                module_map, zero_map)
-from stringdet.strings import Letter, make_string
+from stringdet.strings import Letter, make_string, radical_walks, walk_vertices
 
 
 def test_mat_basics():
@@ -40,10 +41,11 @@ def test_nullspace_and_solve():
 
 
 def test_quotient_projection():
-    proj = quotient_projection([(Fraction(1), Fraction(1), Fraction(0))], 3)
+    proj, section = quotient_projection([(Fraction(1), Fraction(1), Fraction(0))], 3)
     assert proj.shape == (2, 3)
     assert (proj @ Mat.from_columns([(1, 1, 0)], nrows=3)).is_zero()
     assert proj.rank() == 2
+    assert proj @ section == Mat.identity(2)
 
 
 def test_span_builder():
@@ -92,6 +94,18 @@ def test_radical_line():
     rads = radical_summands(alg, 1)
     assert len(rads) == 1
     assert rads[0] == simple(alg, 2)
+
+
+def test_memoised_radical_inclusion_crossing6():
+    alg = crossing6_algebra()
+    ar = ar_quiver(alg)
+    for v in alg.quiver.vertices:
+        incl = ar.radical_inclusion(v)
+        assert incl is ar.radical_inclusion(v)
+        assert incl.target is ar.nodes[ar.projective_node(v)].rep
+        expected = {u for w in radical_walks(alg, v) for u in walk_vertices(alg, w)}
+        assert set(incl.source.support()) == expected
+        assert is_monomorphism(incl)
 
 
 def test_hom_dimensions():

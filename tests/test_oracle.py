@@ -12,7 +12,7 @@ def test_almost_factors_identity():
     p1 = next(nd for nd in ar.nodes if nd.projective_vertex == 1)
     ident = identity_map(p1.rep)
     for v in alg.quiver.vertices:
-        assert not almost_factors_through(alg, v, ident)
+        assert not almost_factors_through(ar, v, ident)
 
 
 def test_almost_factors_line2_inclusion():
@@ -20,8 +20,8 @@ def test_almost_factors_line2_inclusion():
     ar = ar_quiver(alg)
     incl = next(a.map for a in ar.arrows
                 if ar.nodes[a.target].projective_vertex == 1)
-    assert almost_factors_through(alg, 1, incl)
-    assert not almost_factors_through(alg, 2, incl)
+    assert almost_factors_through(ar, 1, incl)
+    assert not almost_factors_through(ar, 2, incl)
 
 
 def test_determiners_line2():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stringdet import enumerate_strings
+from stringdet import enumerate_strings, parse_algebra, projective
 from stringdet.families import (crossing_tree_algebra, fan5_algebra, linear_algebra,
                                 random_tree_algebra)
 from stringdet.strings import (InvalidStringError, Letter, StringWalk, injective_walk,
@@ -132,6 +132,14 @@ def test_radical_walks():
     rads = radical_walks(alg, 4)
     assert [set(walk_vertices(alg, w)) for w in rads] == [{3}, {5}]
     assert radical_walks(alg, 1) == []
+
+
+def test_grow_path_rejects_unbroken_branching():
+    # vertex 2 has two outgoing arrows and no relation kills either
+    # continuation of a, so the arm out of 1 is not a path
+    alg = parse_algebra("vertices: 4\narrow a: 1 -> 2\narrow b: 2 -> 3\narrow c: 2 -> 4\n")
+    with pytest.raises(InvalidStringError):
+        projective(alg, 1)
 
 
 @settings(max_examples=25, deadline=None)
