@@ -197,6 +197,8 @@ def _build_arrows(ar: ARQuiver) -> None:
                 for f in through:
                     for g in out:
                         square.add(compose(g, f).vec())
+                if square.dim == len(hom_ab):
+                    break  # the square already spans Hom(a, b): nothing is irreducible
             for h in hom_ab:
                 if square.add(h.vec()):
                     if ar.nodes[a].rep.total_dim == dim_b:

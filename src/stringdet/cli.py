@@ -227,7 +227,7 @@ def _cmd_determiners(config: RunConfig) -> int:
     if alg is None:
         return 2
     report = determiner_report(alg)
-    shape = dynkin_type(alg)
+    shape = dynkin_type(alg, report)
     if config.fmt == "json":
         payload = report.to_dict()
         payload["dynkin"] = shape.to_dict()

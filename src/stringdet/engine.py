@@ -96,7 +96,9 @@ def is_projective_determiner(algebra: BoundQuiverAlgebra, v: int) -> VertexDecis
         return VertexDecision(v, cls, ideal, True, "single outgoing arrow: always a determiner")
     if cls is VertexClass.FORK_SOURCE:
         return VertexDecision(v, cls, ideal, False, "never a determiner")
-    assert ideal is not None
+    if ideal is None:
+        raise ValueError(f"vertex {v} ({cls.value}) reached the ideal rule without "
+                         "a vertex ideal")
     if ideal.is_zero:
         return VertexDecision(v, cls, ideal, True, "vertex ideal vanishes")
     return VertexDecision(v, cls, ideal, False, "vertex ideal is non-zero")
@@ -218,10 +220,13 @@ def _limb_lengths(algebra: BoundQuiverAlgebra, branch: int) -> list[int]:
     return sorted(lengths)
 
 
-def dynkin_type(algebra: BoundQuiverAlgebra) -> DynkinReport:
+def dynkin_type(algebra: BoundQuiverAlgebra,
+                report: DeterminerReport | None) -> DynkinReport:
     """Detect whether the underlying tree is a path, a fork-ended path or one
     of the three exceptional shapes, and report the specialized counting
-    parameters for those families."""
+    parameters for those families.  report is determiner_report(algebra),
+    computed once by the caller; p and q are taken from it, and stay None on
+    fewer than two vertices, where no report exists."""
     if not algebra.is_valid:
         raise ValueError("algebra must be validated and valid")
     q = algebra.quiver
@@ -231,7 +236,9 @@ def dynkin_type(algebra: BoundQuiverAlgebra) -> DynkinReport:
 
     p_val = q_val = None
     if n >= 2:
-        report = determiner_report(algebra)
+        if report is None or report.n != n:
+            raise ValueError(f"dynkin_type needs the determiner report of this "
+                             f"{n}-vertex algebra")
         p_val, q_val = report.p, report.q
 
     if not branches and max(degrees.values(), default=0) <= 2:

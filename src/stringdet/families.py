@@ -200,15 +200,12 @@ def _directed_paths(arrows: list[tuple[str, int, int]]) -> list[tuple[str, ...]]
     for name, s, t in arrows:
         by_source.setdefault(s, []).append((name, t))
     paths: list[tuple[str, ...]] = []
-
-    def grow(path: list[str], end: int) -> None:
+    stack = [((name,), t) for name, _, t in arrows]
+    while stack:
+        path, end = stack.pop()
         if len(path) >= 2:
-            paths.append(tuple(path))
-        for name, t in by_source.get(end, []):
-            grow(path + [name], t)
-
-    for name, _, t in arrows:
-        grow([name], t)
+            paths.append(path)
+        stack.extend((path + (name,), t) for name, t in by_source.get(end, []))
     return sorted(paths, key=lambda p: (len(p), p))
 
 

@@ -49,19 +49,22 @@ class OracleResult:
         return len(self.determiner_nodes)
 
 
-def almost_factors_through(ar: ARQuiver, v: int, f: ModuleMap) -> bool:
-    """Does the projective at v almost factor through f: M -> N?  Solves the
-    space of pairs (h: P -> N, g: rad P -> M) with h restricted to the radical
+def almost_factors_through(ar: ARQuiver, v: int, f: ModuleMap,
+                           quotient: ModuleMap) -> bool:
+    """Does the projective at v almost factor through f: M -> N?  quotient is
+    the projection N -> Cok f, as returned by cokernel(f).  Solves the space
+    of pairs (h: P -> N, g: rad P -> M) with h restricted to the radical
     equal to f g, and asks whether some solution's h has image outside the
-    image of f (checked after quotienting by that image, where the condition
-    is linear)."""
+    image of f (checked after the projection, where the condition is
+    linear)."""
     incl = ar.radical_inclusion(v)
     rad, proj = incl.source, incl.target
+    if not any(quotient.target.dims[u] for u in proj.support()):
+        # every h: P -> N projects to zero wherever P is non-zero
+        return False
     src, tgt = f.source, f.target
     h_at, g_start = block_columns(tgt.dims, proj.dims, 0)
     g_at, nvars = block_columns(src.dims, rad.dims, g_start)
-    if nvars == 0:
-        return False
 
     rows: list[list] = []
     for a in ar.algebra.quiver.arrows:
@@ -72,19 +75,25 @@ def almost_factors_through(ar: ARQuiver, v: int, f: ModuleMap) -> bool:
     for u in h_at:
         rows += intertwining_rows(h_at[u], incl.blocks[u], f.blocks[u], g_at[u], nvars)
 
-    _, proj_map = cokernel(f)
     for sol in nullspace(Mat(rows, ncols=nvars)):
         for u in h_at:
             h_block = Mat.row_major(sol, h_at[u], tgt.dims[u], proj.dims[u])
-            if not (proj_map.blocks[u] @ h_block).is_zero():
+            if not (quotient.blocks[u] @ h_block).is_zero():
                 return True
     return False
+
+
+def _arrow_text(ar: ARQuiver, arrow: ArArrow) -> str:
+    return (f"arrow {arrow.index} ({ar.nodes[arrow.source].walk.render_text()} -> "
+            f"{ar.nodes[arrow.target].walk.render_text()})")
 
 
 def minimal_right_determiner(ar: ARQuiver, arrow: ArArrow,
                              cross_check: bool = True) -> DeterminerEntry:
     """Minimal right determiner of one irreducible map, with the independent
-    routes compared when cross_check is on."""
+    routes compared when cross_check is on.  The cokernel of the map is built
+    at most once: always for a monomorphism, only under cross_check for an
+    epimorphism."""
     f = arrow.map
     algebra = ar.algebra
     dim_s = f.source.total_dim
@@ -95,7 +104,10 @@ def minimal_right_determiner(ar: ARQuiver, arrow: ArArrow,
     if dim_s < dim_t:
         if not is_monomorphism(f):
             raise OracleError(f"arrow {arrow.index} has smaller source but is not mono")
-        cok, _ = cokernel(f)
+        cok, quotient = cokernel(f)
+        if cok.total_dim != dim_t - dim_s:
+            raise OracleError(f"mono {_arrow_text(ar, arrow)} has a cokernel of dimension "
+                              f"{cok.total_dim}, expected {dim_t - dim_s}")
         soc = socle(cok)
         if sum(soc.values()) != 1:
             raise OracleError(
@@ -105,7 +117,7 @@ def minimal_right_determiner(ar: ARQuiver, arrow: ArArrow,
         almost = ()
         if cross_check:
             almost = tuple(v for v in algebra.quiver.vertices
-                           if almost_factors_through(ar, v, f))
+                           if almost_factors_through(ar, v, f, quotient))
             if almost != (target_vertex,):
                 raise OracleError(
                     f"mono arrow {arrow.index}: socle route gives P({target_vertex}) but "
@@ -126,8 +138,14 @@ def minimal_right_determiner(ar: ARQuiver, arrow: ArArrow,
         raise OracleError(f"epi arrow {arrow.index} got a projective determiner")
     almost = ()
     if cross_check:
+        cok, quotient = cokernel(f)
+        if cok.total_dim:
+            # a zero cokernel is what lets every almost-factoring test below
+            # return False without a solve
+            raise OracleError(f"epi {_arrow_text(ar, arrow)} has a non-zero cokernel "
+                              f"of dimension {cok.total_dim}")
         almost = tuple(v for v in algebra.quiver.vertices
-                       if almost_factors_through(ar, v, f))
+                       if almost_factors_through(ar, v, f, quotient))
         if almost:
             raise OracleError(
                 f"epi arrow {arrow.index}: projectives {almost} almost factor through it")

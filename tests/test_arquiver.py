@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from stringdet import ar_quiver, enumerate_strings
 from stringdet.arquiver import GuardExceeded, MiddleKind, single_middle_count
-from stringdet.families import (crossing_tree_algebra, fan5_algebra, linear_algebra,
-                                random_tree_algebra)
+from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
+                                linear_algebra, random_tree_algebra)
 from stringdet.modules import is_epimorphism, is_monomorphism
 
 
@@ -78,6 +78,34 @@ def test_arrows_strictly_mono_or_epi():
             assert is_monomorphism(arrow.map) and not is_epimorphism(arrow.map)
         else:
             assert is_epimorphism(arrow.map) and not is_monomorphism(arrow.map)
+
+
+# irreducible maps as (source walk, target walk), sorted
+CROSSING6_ARROWS = [
+    ("(3)", "a1"), ("(3)", "a2"), ("(4)", "a3^- a4"), ("(5)", "a3^- a4"), ("(5)", "a5"),
+    ("a1", "a1 a2^-"), ("a1 a2^-", "(1)"), ("a1 a2^-", "(2)"), ("a1 a4", "a1 a4 a5^-"),
+    ("a1 a4 a5^-", "(6)"), ("a1 a4 a5^-", "a1"), ("a2", "a1 a2^-"), ("a2 a3", "a2"),
+    ("a3", "(3)"), ("a3", "a2 a3"), ("a3^- a4", "a3^- a4 a5^-"), ("a3^- a4", "a4"),
+    ("a3^- a4 a5^-", "a3"), ("a3^- a4 a5^-", "a4 a5^-"), ("a4", "a1 a4"),
+    ("a4", "a4 a5^-"), ("a4 a5^-", "(3)"), ("a4 a5^-", "a1 a4 a5^-"),
+    ("a5", "a3^- a4 a5^-"),
+]
+FAN5_BOTH_ARROWS = [
+    ("(1)", "a1^- a2"), ("(2)", "a1^- a2"), ("(3)", "a3^- a4"), ("(5)", "a3^- a4"),
+    ("a1", "(3)"), ("a1^- a2", "a1"), ("a1^- a2", "a2"), ("a2", "(3)"), ("a3", "(4)"),
+    ("a3^- a4", "a3"), ("a3^- a4", "a4"), ("a4", "(4)"),
+]
+
+
+@pytest.mark.parametrize("alg, expected", [
+    (crossing6_algebra(), CROSSING6_ARROWS),
+    (fan5_algebra("both"), FAN5_BOTH_ARROWS),
+])
+def test_pinned_irreducible_maps(alg, expected):
+    ar = ar_quiver(alg)
+    walks = sorted((ar.nodes[a.source].walk.render_text(), ar.nodes[a.target].walk.render_text())
+                   for a in ar.arrows)
+    assert walks == expected
 
 
 def test_guard():

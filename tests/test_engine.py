@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from stringdet import (check_unique_sink_characterization, determiner_report,
@@ -98,19 +99,32 @@ def test_unique_sink_check_wrong_vertex():
 
 
 def test_dynkin_shapes():
-    assert dynkin_type(zigzag4_algebra()).shape == "A"
-    fan = dynkin_type(fan5_algebra("both"))
+    zigzag, fan5, tree = zigzag4_algebra(), fan5_algebra("both"), crossing_tree_algebra(1)
+    assert dynkin_type(zigzag, determiner_report(zigzag)).shape == "A"
+    fan = dynkin_type(fan5, determiner_report(fan5))
     assert fan.shape == "D"
     assert fan.n == 5
     assert fan.limb_lengths == (1, 1, 2)
     assert fan.branch_ideal_nonzero
-    assert dynkin_type(crossing_tree_algebra(1)).shape == "other"
+    assert dynkin_type(tree, determiner_report(tree)).shape == "other"
 
 
 def test_dynkin_fork():
-    rep = dynkin_type(fork_algebra(6))
+    alg = fork_algebra(6)
+    rep = dynkin_type(alg, determiner_report(alg))
     assert rep.shape == "D"
     assert rep.n == 6
+
+
+def test_dynkin_report_argument():
+    single = linear_algebra(1)
+    rep = dynkin_type(single, None)
+    assert rep.shape == "A"
+    assert (rep.p, rep.q) == (None, None)
+    with pytest.raises(ValueError):
+        dynkin_type(linear_algebra(4), None)
+    with pytest.raises(ValueError):
+        dynkin_type(linear_algebra(4), determiner_report(linear_algebra(5)))
 
 
 def test_dynkin_exceptional():
@@ -119,7 +133,7 @@ def test_dynkin_exceptional():
             "arrow a4: 4 -> 5\narrow a5: 6 -> 3\nrelation: a2 a3\n")
     alg = validate(parse_algebra(base))
     assert alg.is_valid
-    rep = dynkin_type(alg)
+    rep = dynkin_type(alg, determiner_report(alg))
     assert rep.shape == "E6"
     assert rep.branch_ideal_nonzero
 
@@ -163,7 +177,7 @@ def test_line_shape_parameters(seed, n):
     if not alg.is_valid:
         return
     rep = determiner_report(alg)
-    shape = dynkin_type(alg)
+    shape = dynkin_type(alg, determiner_report(alg))
     assert shape.shape == "A"
     interior_sources = sum(
         1 for v in alg.quiver.vertices

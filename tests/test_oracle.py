@@ -1,8 +1,11 @@
+import pytest
+
 from stringdet import (almost_factors_through, ar_quiver, brute_force_det,
-                       determiner_report)
+                       determiner_report, oracle)
+from stringdet.arquiver import OracleError
 from stringdet.families import (crossing6_algebra, crossing_tree_algebra,
                                 linear_algebra)
-from stringdet.modules import identity_map
+from stringdet.modules import cokernel, identity_map
 from stringdet.oracle import MapKind, is_right_determined, minimal_right_determiner
 
 
@@ -12,7 +15,7 @@ def test_almost_factors_identity():
     p1 = next(nd for nd in ar.nodes if nd.projective_vertex == 1)
     ident = identity_map(p1.rep)
     for v in alg.quiver.vertices:
-        assert not almost_factors_through(ar, v, ident)
+        assert not almost_factors_through(ar, v, ident, cokernel(ident)[1])
 
 
 def test_almost_factors_line2_inclusion():
@@ -20,8 +23,22 @@ def test_almost_factors_line2_inclusion():
     ar = ar_quiver(alg)
     incl = next(a.map for a in ar.arrows
                 if ar.nodes[a.target].projective_vertex == 1)
-    assert almost_factors_through(ar, 1, incl)
-    assert not almost_factors_through(ar, 2, incl)
+    assert almost_factors_through(ar, 1, incl, cokernel(incl)[1])
+    assert not almost_factors_through(ar, 2, incl, cokernel(incl)[1])
+
+
+def test_almost_factors_zero_cokernel_on_support():
+    # S(3) -> P(2) on 1 -> 2 -> 3 has cokernel S(2): P(2) almost factors
+    # through it, while P(3) = S(3) meets the cokernel nowhere and is
+    # decided without a solve
+    alg = linear_algebra(3)
+    ar = ar_quiver(alg)
+    incl = next(a.map for a in ar.arrows
+                if ar.nodes[a.target].projective_vertex == 2)
+    assert incl.source.support() == (3,)
+    _, quotient = cokernel(incl)
+    assert almost_factors_through(ar, 2, incl, quotient)
+    assert not almost_factors_through(ar, 3, incl, quotient)
 
 
 def test_determiners_line2():
@@ -99,3 +116,28 @@ def test_epi_kernels_match_translate():
             assert ar.tau[entry.determiner_node] == entry.kernel_node
             assert entry.determiner_node in {m.right for m in ar.meshes
                                              if len(m.middles) == 1}
+
+
+def test_one_cokernel_per_arrow(monkeypatch):
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return cokernel(f)
+
+    monkeypatch.setattr(oracle, "cokernel", counting)
+    res = brute_force_det(crossing6_algebra())
+    assert len(calls) == len(res.ar.arrows)
+
+
+def test_cokernel_checks_name_the_walks(monkeypatch):
+    # a cokernel of the wrong size trips the named checks on both routes
+    ar = ar_quiver(linear_algebra(2))
+    mono = next(a for a in ar.arrows if a.map.source.total_dim < a.map.target.total_dim)
+    epi = next(a for a in ar.arrows if a.map.source.total_dim > a.map.target.total_dim)
+    monkeypatch.setattr(oracle, "cokernel", lambda f: cokernel(identity_map(f.target)))
+    with pytest.raises(OracleError, match=r"mono arrow \d+ \(\(2\) -> a1\)"):
+        minimal_right_determiner(ar, mono)
+    monkeypatch.setattr(oracle, "cokernel", lambda f: cokernel(mono.map))
+    with pytest.raises(OracleError, match=r"epi arrow \d+ \(a1 -> \(1\)\)"):
+        minimal_right_determiner(ar, epi)
