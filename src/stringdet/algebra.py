@@ -194,12 +194,13 @@ def parse_algebra(text: str) -> BoundQuiverAlgebra:
     Returns an algebra with an unvalidated certificate; run validate() to
     fill it.  Arrow ids are kept verbatim, relation paths in traversal order.
     """
-    vertices: list[int] | None = None
+    vertices: set[int] | None = None
+    lines = text.splitlines()
     arrows: list[Arrow] = []
     arrow_names: set[str] = set()
     pending_relations: list[tuple[int, list[str]]] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -209,7 +210,7 @@ def parse_algebra(text: str) -> BoundQuiverAlgebra:
             if vertices is not None:
                 raise ParseError("duplicate vertices declaration", lineno)
             body = m.group(1).strip()
-            vertices = _parse_vertices(body, lineno)
+            vertices = _parse_vertices(body, lineno, len(lines))
             continue
 
         m = _ARROW_RE.match(line)
@@ -258,14 +259,20 @@ def parse_algebra(text: str) -> BoundQuiverAlgebra:
     return BoundQuiverAlgebra(quiver, _reduce_generators(generators), certificate=None)
 
 
-def _parse_vertices(body: str, lineno: int) -> list[int]:
+def _parse_vertices(body: str, lineno: int, doc_lines: int) -> set[int]:
+    """Vertex ids of a declaration; doc_lines bounds the count shorthand."""
     if "," not in body:
         if not body.isdigit():
             raise ParseError(f"bad vertex count {body!r}", lineno)
         k = int(body)
         if k < 1:
             raise ParseError("vertex count must be positive", lineno)
-        return list(range(1, k + 1))
+        # a tree on k vertices needs k - 1 arrow lines besides this one
+        if k > doc_lines:
+            raise ParseError(f"vertex count {k} is more than the document's line count "
+                             f"{doc_lines}: a tree on {k} vertices needs {k - 1} arrow "
+                             "lines", lineno)
+        return set(range(1, k + 1))
     out = []
     for part in body.split(","):
         part = part.strip()
@@ -274,7 +281,7 @@ def _parse_vertices(body: str, lineno: int) -> list[int]:
         out.append(int(part))
     if len(set(out)) != len(out):
         raise ParseError("duplicate vertex id", lineno)
-    return out
+    return set(out)
 
 
 def _reduce_generators(generators: list[tuple[str, ...]]) -> RelationSet:

@@ -217,7 +217,7 @@ def _build_meshes(ar: ARQuiver) -> None:
         if len(comps) > 2:
             raise OracleError(
                 f"node {node.index} has {len(comps)} middle summands, expected 1 or 2")
-        total, _ = direct_sum([ar.nodes[c.source].rep for c in comps])
+        total = direct_sum([ar.nodes[c.source].rep for c in comps])
         blocks = {}
         for v in sorted(total.dims):
             acc = None

@@ -1,9 +1,13 @@
 """Exact linear algebra over the rationals for small dense systems.
 
-Everything here works on `fractions.Fraction` entries.  The systems that come
-up (intertwining constraints, kernels, quotients) rarely exceed a few dozen
-unknowns, so plain Gaussian elimination is both fast enough and exactly
-verifiable.  No floating point anywhere.
+Entries are stored as given and must be exact: Python ints and
+`fractions.Fraction`s, which mix exactly; the only division (`F1 / x`, which
+normalises a pivot) yields a Fraction.  The systems that come up
+(intertwining constraints, kernels, quotients) rarely exceed a few dozen
+unknowns.  There is one elimination routine: `SpanBuilder` keeps a row space
+in reduced row echelon form, and `nullspace`, `Mat.rank`, `kernel_inclusion`
+and `quotient_projection` all read its pivot rows.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -17,17 +21,13 @@ F1 = Fraction(1)
 Vector = tuple[Fraction, ...]
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 class Mat:
     """Immutable dense matrix.  Zero-row and zero-column shapes are legal."""
 
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
-        rs = tuple(tuple(_frac(x) for x in row) for row in rows)
+        rs = tuple(tuple(row) for row in rows)
         if rs:
             width = len(rs[0])
             if any(len(r) != width for r in rs):
@@ -50,11 +50,11 @@ class Mat:
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat([[F1 if i == j else F0 for j in range(n)] for i in range(n)], ncols=n)
+        return Mat(_unit_rows(range(n), n), ncols=n)
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence], nrows: int) -> "Mat":
-        return Mat([[_frac(col[i]) for col in cols] for i in range(nrows)], ncols=len(cols))
+        return Mat([[col[i] for col in cols] for i in range(nrows)], ncols=len(cols))
 
     @staticmethod
     def row_major(values: Sequence, start: int, nrows: int, ncols: int) -> "Mat":
@@ -78,30 +78,10 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        ot = list(zip(*other.rows)) if other.rows and other.ncols else []
-        out = []
-        for row in self.rows:
-            if other.ncols and self.ncols:
-                out.append([sum(a * b for a, b in zip(row, col)) for col in ot])
-            else:
-                out.append([F0] * other.ncols)
-        return Mat(out, ncols=other.ncols)
-
-    def __add__(self, other: "Mat") -> "Mat":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return Mat([[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-                   ncols=self.ncols)
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return Mat([[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-                   ncols=self.ncols)
-
-    def scale(self, c) -> "Mat":
-        c = _frac(c)
-        return Mat([[c * x for x in r] for r in self.rows], ncols=self.ncols)
+        # an empty sum is the exact 0, so zero-size shapes need no branch
+        cols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
+        return Mat([[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows],
+                   ncols=other.ncols)
 
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.rows)
@@ -113,7 +93,7 @@ class Mat:
         return all(x == 0 for r in self.rows for x in r)
 
     def rank(self) -> int:
-        return len(_eliminate([list(r) for r in self.rows])[1])
+        return _echelon(self).dim
 
     def hstack(self, other: "Mat") -> "Mat":
         if self.nrows != other.nrows:
@@ -122,62 +102,9 @@ class Mat:
                    ncols=self.ncols + other.ncols)
 
 
-def _eliminate(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = F1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def nullspace(m: Mat) -> list[Vector]:
-    """Basis of {x : m @ x = 0}, one vector per free column."""
-    rows, pivots = _eliminate([list(r) for r in m.rows])
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.ncols):
-        if free in pivot_set:
-            continue
-        vec = [F0] * m.ncols
-        vec[free] = F1
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][free]
-        basis.append(tuple(vec))
-    return basis
-
-
-def solve(a: Mat, b: Mat) -> Mat:
-    """Solve a @ x = b exactly.  Raises ValueError if inconsistent or
-    underdetermined (a must have full column rank)."""
-    if a.nrows != b.nrows:
-        raise ValueError("row count mismatch")
-    aug = a.hstack(b)
-    rows, pivots = _eliminate([list(r) for r in aug.rows])
-    if any(p >= a.ncols for p in pivots):
-        raise ValueError("inconsistent system")
-    if len(pivots) != a.ncols:
-        raise ValueError("matrix does not have full column rank")
-    out = [[F0] * b.ncols for _ in range(a.ncols)]
-    for r, pc in enumerate(pivots):
-        out[pc] = rows[r][a.ncols:]
-    return Mat(out, ncols=b.ncols)
+def _unit_rows(cols: Iterable[int], n: int) -> list[list[Fraction]]:
+    """The unit vectors e_c of length n, one per c in cols."""
+    return [[F1 if i == c else F0 for i in range(n)] for c in cols]
 
 
 class SpanBuilder:
@@ -192,10 +119,14 @@ class SpanBuilder:
     def dim(self) -> int:
         return len(self._rows)
 
+    def free_columns(self) -> list[int]:
+        """Columns without a pivot, in increasing order."""
+        return [c for c in range(self.length) if c not in self._rows]
+
     def reduce(self, vec: Sequence) -> list[Fraction]:
-        v = [_frac(x) for x in vec]
-        if len(v) != self.length:
+        if len(vec) != self.length:
             raise ValueError("length mismatch")
+        v = list(vec)
         for piv, row in self._rows.items():
             c = v[piv]
             if c != 0:
@@ -220,8 +151,44 @@ class SpanBuilder:
         self._rows[piv] = v
         return True
 
-    def contains_all(self, vecs: Iterable[Sequence]) -> bool:
-        return all(self.contains(v) for v in vecs)
+
+def _echelon(m: Mat) -> SpanBuilder:
+    """The row space of m in reduced row echelon form."""
+    span = SpanBuilder(m.ncols)
+    for row in m.rows:
+        if span.dim == m.ncols:
+            break
+        span.add(row)
+    return span
+
+
+def _kernel(m: Mat) -> tuple[list[Vector], list[int]]:
+    """Basis of {x : m @ x = 0} and the free columns it is indexed by: the
+    vector of free column c is 1 at c and 0 at the other free columns."""
+    span = _echelon(m)
+    free = span.free_columns()
+    basis = []
+    for c in free:
+        vec = [F0] * m.ncols
+        vec[c] = F1
+        for p, row in span._rows.items():
+            vec[p] = -row[c]
+        basis.append(tuple(vec))
+    return basis, free
+
+
+def nullspace(m: Mat) -> list[Vector]:
+    """Basis of {x : m @ x = 0}, one vector per free column."""
+    return _kernel(m)[0]
+
+
+def kernel_inclusion(m: Mat) -> tuple[Mat, Mat]:
+    """Inclusion of {x : m @ x = 0}, the nullspace basis as its columns, and
+    its retraction onto the free coordinates, so that retraction @ inclusion
+    is the identity."""
+    basis, free = _kernel(m)
+    return (Mat.from_columns(basis, nrows=m.ncols),
+            Mat(_unit_rows(free, m.ncols), ncols=m.ncols))
 
 
 def quotient_projection(sub_basis: list[Vector], ambient_dim: int) -> tuple[Mat, Mat]:
@@ -232,14 +199,11 @@ def quotient_projection(sub_basis: list[Vector], ambient_dim: int) -> tuple[Mat,
     span = SpanBuilder(ambient_dim)
     for v in sub_basis:
         span.add(v)
-    free_cols = [c for c in range(ambient_dim) if c not in span._rows]
+    free = span.free_columns()
     # projection of e_i = coordinates of (e_i reduced mod span) on the free columns
     cols = []
-    for i in range(ambient_dim):
-        unit = [F0] * ambient_dim
-        unit[i] = F1
+    for unit in _unit_rows(range(ambient_dim), ambient_dim):
         red = span.reduce(unit)
-        cols.append([red[c] for c in free_cols])
-    section = Mat.from_columns([[F1 if i == c else F0 for i in range(ambient_dim)]
-                                for c in free_cols], nrows=ambient_dim)
-    return Mat.from_columns(cols, nrows=len(free_cols)), section
+        cols.append([red[c] for c in free])
+    section = Mat.from_columns(_unit_rows(free, ambient_dim), nrows=ambient_dim)
+    return Mat.from_columns(cols, nrows=len(free)), section

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .algebra import BoundQuiverAlgebra
-from .linalg import F0, F1, Mat, nullspace, quotient_projection, solve
+from .linalg import F0, Mat, kernel_inclusion, nullspace, quotient_projection
 from .strings import (StringWalk, injective_walk, projective_walk, radical_walks,
                       walk_vertices)
 
@@ -228,16 +228,20 @@ def kernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     """Vertex-wise kernel with induced arrow maps and its inclusion."""
     algebra = f.source.algebra
     incl_blocks: dict[int, Mat] = {}
+    retractions: dict[int, Mat] = {}
     dims: dict[int, int] = {}
     for v, b in f.blocks.items():
-        basis = nullspace(b)
-        dims[v] = len(basis)
-        incl_blocks[v] = Mat.from_columns(basis, nrows=f.source.dims[v])
+        incl_blocks[v], retractions[v] = kernel_inclusion(b)
+        dims[v] = incl_blocks[v].ncols
     maps = {}
     for a in algebra.quiver.arrows:
+        # induced map: carry the kernel along the arrow, read it back through
+        # the target's retraction
         carried = f.source.maps[a.name] @ incl_blocks[a.source]
-        maps[a.name] = solve(incl_blocks[a.target], carried) if dims[a.target] else \
-            Mat.zeros(0, dims[a.source])
+        induced = retractions[a.target] @ carried
+        if incl_blocks[a.target] @ induced != carried:
+            raise ValueError("kernel maps are not well defined")
+        maps[a.name] = induced
     ker = representation(algebra, dims, maps)
     incl = ModuleMap(ker, f.source, incl_blocks)
     return ker, incl
@@ -285,8 +289,8 @@ def socle(rep: Representation) -> Counter:
     return out
 
 
-def direct_sum(reps: list[Representation]) -> tuple[Representation, list[ModuleMap]]:
-    """Direct sum with the component inclusions."""
+def direct_sum(reps: list[Representation]) -> Representation:
+    """Direct sum, the summands' bases concatenated in order."""
     if not reps:
         raise ValueError("empty direct sum")
     algebra = reps[0].algebra
@@ -309,15 +313,4 @@ def direct_sum(reps: list[Representation]) -> tuple[Representation, list[ModuleM
                 for j in range(r.dims[s]):
                     rows[off[e] + i][off[s] + j] = block.rows[i][j]
         maps[a.name] = Mat(rows, ncols=dims[s])
-    total = representation(algebra, dims, maps, check=False)
-
-    inclusions = []
-    for r, off in zip(reps, offsets):
-        blocks = {}
-        for v in verts:
-            rows = [[F1 if i == off[v] + j else F0 for j in range(r.dims[v])]
-                    for i in range(dims[v])]
-            blocks[v] = Mat(rows, ncols=r.dims[v]) if dims[v] or r.dims[v] else \
-                Mat.zeros(0, 0)
-        inclusions.append(ModuleMap(r, total, blocks))
-    return total, inclusions
+    return representation(algebra, dims, maps, check=False)

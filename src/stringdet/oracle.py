@@ -88,12 +88,11 @@ def _arrow_text(ar: ARQuiver, arrow: ArArrow) -> str:
             f"{ar.nodes[arrow.target].walk.render_text()})")
 
 
-def minimal_right_determiner(ar: ARQuiver, arrow: ArArrow,
-                             cross_check: bool = True) -> DeterminerEntry:
+def minimal_right_determiner(ar: ARQuiver, arrow: ArArrow) -> DeterminerEntry:
     """Minimal right determiner of one irreducible map, with the independent
-    routes compared when cross_check is on.  The cokernel of the map is built
-    at most once: always for a monomorphism, only under cross_check for an
-    epimorphism."""
+    routes compared: the socle route (mono) or the inverse-translate route
+    (epi) against the almost-factoring projectives.  The cokernel of the map
+    is built once and shared by the routes."""
     f = arrow.map
     algebra = ar.algebra
     dim_s = f.source.total_dim
@@ -114,14 +113,12 @@ def minimal_right_determiner(ar: ARQuiver, arrow: ArArrow,
                 f"cokernel of mono arrow {arrow.index} has non-simple socle {dict(soc)}")
         (target_vertex,) = soc.keys()
         det = ar.projective_node(target_vertex)
-        almost = ()
-        if cross_check:
-            almost = tuple(v for v in algebra.quiver.vertices
-                           if almost_factors_through(ar, v, f, quotient))
-            if almost != (target_vertex,):
-                raise OracleError(
-                    f"mono arrow {arrow.index}: socle route gives P({target_vertex}) but "
-                    f"almost-factoring projectives are {almost}")
+        almost = tuple(v for v in algebra.quiver.vertices
+                       if almost_factors_through(ar, v, f, quotient))
+        if almost != (target_vertex,):
+            raise OracleError(
+                f"mono arrow {arrow.index}: socle route gives P({target_vertex}) but "
+                f"almost-factoring projectives are {almost}")
         return DeterminerEntry(arrow.index, MapKind.MONO, det, target_vertex, None, almost)
 
     if not is_epimorphism(f):
@@ -136,28 +133,26 @@ def minimal_right_determiner(ar: ARQuiver, arrow: ArArrow,
     det = ar.tau_inv[ker_node]
     if ar.nodes[det].is_projective:
         raise OracleError(f"epi arrow {arrow.index} got a projective determiner")
-    almost = ()
-    if cross_check:
-        cok, quotient = cokernel(f)
-        if cok.total_dim:
-            # a zero cokernel is what lets every almost-factoring test below
-            # return False without a solve
-            raise OracleError(f"epi {_arrow_text(ar, arrow)} has a non-zero cokernel "
-                              f"of dimension {cok.total_dim}")
-        almost = tuple(v for v in algebra.quiver.vertices
-                       if almost_factors_through(ar, v, f, quotient))
-        if almost:
-            raise OracleError(
-                f"epi arrow {arrow.index}: projectives {almost} almost factor through it")
+    cok, quotient = cokernel(f)
+    if cok.total_dim:
+        # a zero cokernel is what lets every almost-factoring test below
+        # return False without a solve
+        raise OracleError(f"epi {_arrow_text(ar, arrow)} has a non-zero cokernel "
+                          f"of dimension {cok.total_dim}")
+    almost = tuple(v for v in algebra.quiver.vertices
+                   if almost_factors_through(ar, v, f, quotient))
+    if almost:
+        raise OracleError(
+            f"epi arrow {arrow.index}: projectives {almost} almost factor through it")
     return DeterminerEntry(arrow.index, MapKind.EPI, det, None, ker_node, almost)
 
 
-def brute_force_det(algebra: BoundQuiverAlgebra, max_nodes: int | None = None,
-                    cross_check: bool = True) -> OracleResult:
-    """Determiners of every irreducible map, deduplicated by node."""
+def brute_force_det(algebra: BoundQuiverAlgebra,
+                    max_nodes: int | None = None) -> OracleResult:
+    """Determiners of every irreducible map, each cross-checked against the
+    almost-factoring projectives, deduplicated by node."""
     ar = ar_quiver(algebra, max_nodes=max_nodes)
-    entries = [minimal_right_determiner(ar, arrow, cross_check=cross_check)
-               for arrow in ar.arrows]
+    entries = [minimal_right_determiner(ar, arrow) for arrow in ar.arrows]
     det_nodes = frozenset(e.determiner_node for e in entries)
 
     epi_dets = {e.determiner_node for e in entries if e.kind is MapKind.EPI}

@@ -22,7 +22,7 @@ from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_a
 from stringdet.linalg import Mat
 from stringdet.modules import (cokernel, is_monomorphism, module_map, projective,
                                radical_summands, simple, socle)
-from stringdet.oracle import MapKind, is_right_determined, minimal_right_determiner
+from stringdet.oracle import MapKind, is_right_determined
 from stringdet.strings import StringWalk
 from stringdet.taxonomy import VertexClass
 
@@ -242,7 +242,7 @@ def test_criterion_9_right_determination(sweep_records):
         arrows = list(ar.arrows)
         chosen = arrows if len(arrows) <= 3 else rng.sample(arrows, 3)
         for arrow in chosen:
-            entry = minimal_right_determiner(ar, arrow, cross_check=False)
+            entry = rec.oracle.entries[arrow.index]
             determined = is_right_determined(ar, arrow.map, arrow.source, arrow.target,
                                              entry.determiner_node)
             undetermined_without = not is_right_determined(

@@ -120,7 +120,7 @@ def test_identify_rejects_decomposable():
     ar = ar_quiver(alg)
     # S(1) + S(2) has the same dimension vector as the projective cover but
     # is not isomorphic to any node
-    total, _ = direct_sum([simple(alg, 1), simple(alg, 2)])
+    total = direct_sum([simple(alg, 1), simple(alg, 2)])
     assert ar.identify(total) is None
 
 
@@ -138,7 +138,7 @@ def test_identify_rejects_non_thin():
     from stringdet.modules import direct_sum, simple
     alg = linear_algebra(2)
     ar = ar_quiver(alg)
-    total, _ = direct_sum([simple(alg, 1), simple(alg, 1)])
+    total = direct_sum([simple(alg, 1), simple(alg, 1)])
     assert ar.identify(total) is None
 
 

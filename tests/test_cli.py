@@ -99,6 +99,15 @@ def test_gen_example_to_file(tmp_path):
     assert main(["validate", str(out)]) == 0
 
 
+def test_vertex_count_beyond_document_rejected(tmp_path, capsys):
+    # rejected from the line count before any vertex list is built
+    path = write(tmp_path, "huge.txt", "vertices: 100000000000\narrow a: 1 -> 2\n")
+    assert main(["validate", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line count 2" in err
+    assert "Traceback" not in err
+
+
 def test_usage_errors(capsys):
     assert main([]) == 1
     assert main(["gen-example", "nonesuch"]) == 1

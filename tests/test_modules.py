@@ -9,9 +9,10 @@ from stringdet import (ar_quiver, cokernel, enumerate_strings, hom_space, inject
                        projective, radical_summands, simple, socle, string_module)
 from stringdet.families import (crossing6_algebra, fan5_algebra, linear_algebra,
                                 random_tree_algebra)
-from stringdet.linalg import Mat, SpanBuilder, nullspace, quotient_projection, solve
-from stringdet.modules import (compose, identity_map, is_epimorphism, is_monomorphism,
-                               module_map, zero_map)
+from stringdet.linalg import (Mat, SpanBuilder, kernel_inclusion, nullspace,
+                              quotient_projection)
+from stringdet.modules import (ModuleMap, compose, identity_map, is_epimorphism,
+                               is_monomorphism, module_map, zero_map)
 from stringdet.strings import Letter, make_string, radical_walks, walk_vertices
 
 
@@ -25,19 +26,36 @@ def test_mat_basics():
     assert (Mat.zeros(2, 0) @ Mat.zeros(0, 3)).shape == (2, 3)
 
 
-def test_nullspace_and_solve():
+def test_nullspace_basis():
     m = Mat([[1, 2, 3], [2, 4, 6]])
     basis = nullspace(m)
     assert len(basis) == 2
     for v in basis:
         col = Mat.from_columns([v], nrows=3)
         assert (m @ col).is_zero()
-    a = Mat([[1, 0], [1, 1], [0, 1]])
-    b = Mat([[1], [3], [2]])
-    x = solve(a, b)
-    assert a @ x == b
-    with pytest.raises(ValueError):
-        solve(a, Mat([[1], [0], [1]]))  # inconsistent
+
+
+_small_matrices = st.integers(1, 5).flatmap(lambda r: st.integers(0, 6).flatmap(
+    lambda c: st.lists(st.lists(st.integers(-3, 3), min_size=c, max_size=c),
+                       min_size=r, max_size=r).map(lambda rows: Mat(rows, ncols=c))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=_small_matrices, data=st.data())
+def test_echelon_properties(m, data):
+    """nullspace, rank and the kernel retraction all read one echelon form."""
+    basis = nullspace(m)
+    for v in basis:
+        assert (m @ Mat.from_columns([v], nrows=m.ncols)).is_zero()
+    assert len(basis) + m.rank() == m.ncols
+    # the reduced echelon form, hence the basis, depends on the row space only
+    order = data.draw(st.permutations(range(m.nrows)))
+    extra = data.draw(st.lists(st.integers(0, m.nrows - 1), max_size=3))
+    reordered = Mat([m.rows[i] for i in list(order) + extra], ncols=m.ncols)
+    assert nullspace(reordered) == basis
+    inclusion, retraction = kernel_inclusion(m)
+    assert inclusion.columns() == basis
+    assert retraction @ inclusion == Mat.identity(len(basis))
 
 
 def test_quotient_projection():
@@ -129,6 +147,16 @@ def test_kernel_cokernel_of_identity_and_zero():
     c, _ = cokernel(z)
     assert k.dims == p.dims
     assert c.dims == simple(alg, 1).dims
+
+
+def test_kernel_rejects_non_intertwining_map():
+    # S(2) <- P(1) nonzero only at 2: the kernel at 1 is carried by the arrow
+    # to a vector outside the kernel at 2
+    alg = linear_algebra(2)
+    p1, s2 = projective(alg, 1), simple(alg, 2)
+    f = ModuleMap(p1, s2, {1: Mat.zeros(0, 1), 2: Mat([[1]])})
+    with pytest.raises(ValueError, match="kernel maps are not well defined"):
+        kernel(f)
 
 
 def test_cokernel_of_inclusion():
