@@ -1,26 +1,31 @@
 """Auslander-Reiten quiver of a valid algebra, built from first principles.
 
 Nodes are the string modules (all indecomposables, since tree quivers carry
-no band modules).  Arrow multiplicities come from exact hom-space linear
-algebra: the irreducible maps from M to N form the quotient of the radical
-of Hom(M, N) by its square, and on a tree every endomorphism ring is trivial,
-so the radical is the whole hom space between non-isomorphic nodes.  For each
-non-projective node the chosen irreducible representatives assemble into a
-surjection whose kernel is the translate; the construction verifies
-surjectivity, kernel indecomposability, mesh sizes and the translate
-bijection, and raises OracleError on any breach.
+no band modules).  Maps come from supports, which are paths in the tree: by
+Crawley-Boevey's graph maps (1989), Hom(M, N) has at most one basis map, the
+identity on C = supp M & supp N, and it exists exactly when no arrow of M
+enters C and no arrow of N leaves C.  M -> N is irreducible when that map is
+non-zero and no third node X gives maps M -> X -> N with overlapping images.
+Exact linear algebra verifies: every basis map intertwines, End = k is an
+exact hom-space solve, and the irreducible maps into each non-projective node
+form a surjection whose exact kernel is its translate.  Mesh sizes, the
+translate bijection and the arrows into each projective are checked too; any
+breach raises OracleError naming the modules by their walks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property, reduce
+from itertools import islice
 
 from .algebra import BoundQuiverAlgebra
-from .linalg import Mat, SpanBuilder
-from .modules import (ModuleMap, Representation, compose, direct_sum, hom_space,
-                      is_epimorphism, kernel, module_map, representation, string_module)
-from .strings import StringWalk, enumerate_strings, injective_walk, projective_walk, radical_walks
+from .linalg import Mat
+from .modules import (ModuleMap, Representation, direct_sum, hom_space, is_epimorphism,
+                      kernel, module_map, representation, string_module)
+from .strings import (StringWalk, _iter_strings, _sorted_strings, injective_walk,
+                      projective_walk, radical_walks)
 
 
 class OracleError(RuntimeError):
@@ -52,6 +57,10 @@ class ArNode:
     @property
     def is_injective(self) -> bool:
         return self.injective_vertex is not None
+
+    @cached_property
+    def support(self) -> frozenset[int]:
+        return frozenset(self.rep.support())
 
     def label(self) -> str:
         tags = []
@@ -89,16 +98,31 @@ class ARQuiver:
     meshes: list[Mesh]
     tau: dict[int, int]       # right end -> left end (non-projective -> node)
     tau_inv: dict[int, int]
-    _hom: dict[tuple[int, int], list[ModuleMap]] = field(default_factory=dict)
+    _image: dict[tuple[int, int], frozenset[int]] = field(default_factory=dict)
     _node_by_walk: dict[StringWalk, int] = field(default_factory=dict)
     _node_by_support: dict[frozenset[int], int] = field(default_factory=dict)
     _radical: dict[int, ModuleMap] = field(default_factory=dict)
 
-    def hom(self, a: int, b: int) -> list[ModuleMap]:
+    def image(self, a: int, b: int) -> frozenset[int]:
+        """Support of the basis map of Hom(a, b), empty when Hom(a, b) = 0: the
+        overlap C of the supports, unless an arrow of node a enters C or an
+        arrow of node b leaves C."""
         key = (a, b)
-        if key not in self._hom:
-            self._hom[key] = hom_space(self.nodes[a].rep, self.nodes[b].rep)
-        return self._hom[key]
+        if key not in self._image:
+            c = self.nodes[a].support & self.nodes[b].support
+            arrows = self.algebra.quiver.arrow_map
+            enters = any(arrows[l.arrow].target in c and arrows[l.arrow].source not in c
+                         for l in self.nodes[a].walk.letters)
+            leaves = any(arrows[l.arrow].source in c and arrows[l.arrow].target not in c
+                         for l in self.nodes[b].walk.letters)
+            self._image[key] = frozenset() if enters or leaves else c
+        return self._image[key]
+
+    def hom(self, a: int, b: int) -> list[ModuleMap]:
+        """Basis of Hom(a, b): none, or the identity on image(a, b)."""
+        c = self.image(a, b)
+        identity = {v: Mat([[1]]) for v in c}
+        return [module_map(self.nodes[a].rep, self.nodes[b].rep, identity)] if c else []
 
     def node_of_walk(self, walk: StringWalk) -> int:
         return self._node_by_walk[walk]
@@ -138,23 +162,22 @@ def ar_quiver(algebra: BoundQuiverAlgebra, max_nodes: int | None = None) -> ARQu
     translate pairing and almost split sequences."""
     if not algebra.is_valid:
         raise ValueError("algebra must be validated and valid")
-    strings = enumerate_strings(algebra)
-    if max_nodes is not None and len(strings) > max_nodes:
-        raise GuardExceeded(
-            f"algebra has {len(strings)} indecomposables, guard allows {max_nodes}")
+    found = _iter_strings(algebra)
+    if max_nodes is not None:
+        found = list(islice(found, max_nodes + 1))
+        if len(found) > max_nodes:
+            raise GuardExceeded(f"algebra has more than {max_nodes} indecomposables")
 
-    nodes = [ArNode(i, w, string_module(algebra, w)) for i, w in enumerate(strings)]
+    nodes = [ArNode(i, w, string_module(algebra, w)) for i, w in enumerate(_sorted_strings(found))]
     ar = ARQuiver(algebra, nodes, [], [], {}, {})
     ar._node_by_walk = {n.walk: n.index for n in nodes}
-    ar._node_by_support = {frozenset(n.rep.support()): n.index for n in nodes}
+    ar._node_by_support = {n.support: n.index for n in nodes}
     if len(ar._node_by_support) != len(nodes):
         raise OracleError("two strings share a support")
 
     for v in algebra.quiver.vertices:
-        pw = projective_walk(algebra, v)
-        iw = injective_walk(algebra, v)
-        nodes[ar._node_by_walk[pw]].projective_vertex = v
-        nodes[ar._node_by_walk[iw]].injective_vertex = v
+        nodes[ar._node_by_walk[projective_walk(algebra, v)]].projective_vertex = v
+        nodes[ar._node_by_walk[injective_walk(algebra, v)]].injective_vertex = v
     n_proj = sum(1 for nd in nodes if nd.is_projective)
     n_inj = sum(1 for nd in nodes if nd.is_injective)
     nvert = algebra.quiver.vertex_count()
@@ -163,8 +186,8 @@ def ar_quiver(algebra: BoundQuiverAlgebra, max_nodes: int | None = None) -> ARQu
                           f"found {n_proj} and {n_inj}")
 
     for nd in nodes:
-        if len(ar.hom(nd.index, nd.index)) != 1:
-            raise OracleError(f"endomorphism ring at node {nd.index} is not trivial")
+        if len(hom_space(nd.rep, nd.rep)) != 1:
+            raise OracleError(f"endomorphism ring of {nd.label()} is not trivial")
 
     _build_arrows(ar)
     _build_meshes(ar)
@@ -174,37 +197,22 @@ def ar_quiver(algebra: BoundQuiverAlgebra, max_nodes: int | None = None) -> ARQu
 
 
 def _build_arrows(ar: ARQuiver) -> None:
-    """Pick irreducible representatives: hom basis elements that extend the
-    square of the radical to the whole radical."""
+    """Irreducible maps: a non-zero Hom(a, b) that no composite a -> c -> b
+    reaches.  That composite is the identity on the overlap of the two images,
+    so it is non-zero, and spans Hom(a, b), exactly when they overlap."""
     count = len(ar.nodes)
+    maps_out = [[c for c in range(count) if c != a and ar.image(a, c)] for a in range(count)]
     for b in range(count):
-        dim_b = ar.nodes[b].rep.total_dim
         for a in range(count):
-            if a == b:
+            if a == b or not ar.image(a, b):
                 continue
-            hom_ab = ar.hom(a, b)
-            if not hom_ab:
+            if any(c != b and ar.image(a, c) & ar.image(c, b) for c in maps_out[a]):
                 continue
-            veclen = len(hom_ab[0].vec())
-            square = SpanBuilder(veclen)
-            for c in range(count):
-                if c == a or c == b:
-                    continue
-                through = ar.hom(a, c)
-                if not through:
-                    continue
-                out = ar.hom(c, b)
-                for f in through:
-                    for g in out:
-                        square.add(compose(g, f).vec())
-                if square.dim == len(hom_ab):
-                    break  # the square already spans Hom(a, b): nothing is irreducible
-            for h in hom_ab:
-                if square.add(h.vec()):
-                    if ar.nodes[a].rep.total_dim == dim_b:
-                        raise OracleError(
-                            f"irreducible map between equal-dimension nodes {a} -> {b}")
-                    ar.arrows.append(ArArrow(len(ar.arrows), a, b, h))
+            if ar.nodes[a].rep.total_dim == ar.nodes[b].rep.total_dim:
+                raise OracleError(f"irreducible map between equal-dimension nodes "
+                                  f"{ar.nodes[a].label()} -> {ar.nodes[b].label()}")
+            (h,) = ar.hom(a, b)
+            ar.arrows.append(ArArrow(len(ar.arrows), a, b, h))
 
 
 def _build_meshes(ar: ARQuiver) -> None:
@@ -213,30 +221,24 @@ def _build_meshes(ar: ARQuiver) -> None:
             continue
         comps = [arr for arr in ar.arrows if arr.target == node.index]
         if not comps:
-            raise OracleError(f"non-projective node {node.index} has no incoming arrows")
+            raise OracleError(f"non-projective node {node.label()} has no incoming arrows")
         if len(comps) > 2:
             raise OracleError(
-                f"node {node.index} has {len(comps)} middle summands, expected 1 or 2")
+                f"node {node.label()} has {len(comps)} middle summands, expected 1 or 2")
         total = direct_sum([ar.nodes[c.source].rep for c in comps])
-        blocks = {}
-        for v in sorted(total.dims):
-            acc = None
-            for arr in comps:
-                # concatenation order matches the direct-sum offsets
-                piece = arr.map.blocks[v]
-                acc = piece if acc is None else acc.hstack(piece)
-            blocks[v] = acc
+        # concatenation order matches the direct-sum offsets
+        blocks = {v: reduce(Mat.hstack, [arr.map.blocks[v] for arr in comps]) for v in total.dims}
         g = ModuleMap(total, node.rep, blocks)
         if not is_epimorphism(g):
-            raise OracleError(f"sink map candidate into node {node.index} is not onto")
+            raise OracleError(f"sink map candidate into node {node.label()} is not onto")
         ker, _ = kernel(g)
         left = ar.identify(ker)
         if left is None:
             raise OracleError(
-                f"kernel of the sink map into node {node.index} is not indecomposable")
+                f"kernel of the sink map into node {node.label()} is not indecomposable")
         kind = MiddleKind.SINGLE if len(comps) == 1 else MiddleKind.DOUBLE
         if ker.total_dim + node.rep.total_dim != total.total_dim:
-            raise OracleError(f"mesh at node {node.index} violates dimension additivity")
+            raise OracleError(f"mesh at node {node.label()} violates dimension additivity")
         ar.meshes.append(Mesh(left, tuple(c.source for c in comps), node.index, kind,
                               tuple(c.index for c in comps)))
         ar.tau[node.index] = left
@@ -246,7 +248,7 @@ def _check_translate(ar: ARQuiver) -> None:
     seen: dict[int, int] = {}
     for right, left in ar.tau.items():
         if left in seen:
-            raise OracleError(f"translate hits node {left} twice")
+            raise OracleError(f"translate hits node {ar.nodes[left].label()} twice")
         seen[left] = right
     ar.tau_inv.update(seen)
     non_inj = {n.index for n in ar.nodes if not n.is_injective}
@@ -265,8 +267,9 @@ def _check_radicals(ar: ARQuiver) -> None:
             for w in radical_walks(ar.algebra, node.projective_vertex))
         actual = sorted(arr.source for arr in ar.arrows if arr.target == node.index)
         if expected != actual:
-            raise OracleError(
-                f"arrows into projective node {node.index} do not match its radical")
+            raise OracleError(f"arrows into projective {node.label()} come from "
+                              f"{[ar.nodes[i].label() for i in actual]}, not from its "
+                              f"radical summands {[ar.nodes[i].label() for i in expected]}")
 
 
 def single_middle_count(ar: ARQuiver) -> int:

@@ -142,14 +142,17 @@ class SinkOrientationCheck:
         return self.determiners_cover_all_but_sink == self.unique_sink
 
 
-def check_unique_sink_characterization(algebra: BoundQuiverAlgebra,
-                                       j: int) -> SinkOrientationCheck:
+def check_unique_sink_characterization(algebra: BoundQuiverAlgebra, j: int,
+                                       report: DeterminerReport | None) -> SinkOrientationCheck:
     """Evaluate both sides of the equivalence 'the projective determiners are
     everything except P(j)' <-> 'j is the unique sink'.  Only applicable when
-    the quiver has no crossing vertex and j is a sink (leaf or meet)."""
+    the quiver has no crossing vertex and j is a sink (leaf or meet).  report
+    is determiner_report(algebra), computed once by the caller."""
     if not algebra.is_valid:
         raise ValueError("algebra must be validated and valid")
     q = algebra.quiver
+    if report is None or report.n != q.vertex_count():
+        raise ValueError("the unique-sink check needs this algebra's determiner report")
     if not q.has_vertex(j):
         return SinkOrientationCheck(j, False, f"unknown vertex {j}", None, None)
     if any(classify_vertex(algebra, v) is VertexClass.CROSSING for v in q.vertices):
@@ -158,7 +161,6 @@ def check_unique_sink_characterization(algebra: BoundQuiverAlgebra,
     if cls not in (VertexClass.SINK_LEAF, VertexClass.MEET_SINK):
         return SinkOrientationCheck(j, False, f"vertex {j} is not a sink ({cls.value})",
                                     None, None)
-    report = determiner_report(algebra)
     left = set(report.projective_determiners) == set(q.vertices) - {j}
     right = q.sinks() == (j,)
     return SinkOrientationCheck(j, True, None, left, right)

@@ -98,11 +98,11 @@ def minimal_right_determiner(ar: ARQuiver, arrow: ArArrow) -> DeterminerEntry:
     dim_s = f.source.total_dim
     dim_t = f.target.total_dim
     if dim_s == dim_t:
-        raise OracleError(f"arrow {arrow.index} joins equal-dimension nodes")
+        raise OracleError(f"{_arrow_text(ar, arrow)} joins equal-dimension nodes")
 
     if dim_s < dim_t:
         if not is_monomorphism(f):
-            raise OracleError(f"arrow {arrow.index} has smaller source but is not mono")
+            raise OracleError(f"{_arrow_text(ar, arrow)} has smaller source but is not mono")
         cok, quotient = cokernel(f)
         if cok.total_dim != dim_t - dim_s:
             raise OracleError(f"mono {_arrow_text(ar, arrow)} has a cokernel of dimension "
@@ -110,29 +110,29 @@ def minimal_right_determiner(ar: ARQuiver, arrow: ArArrow) -> DeterminerEntry:
         soc = socle(cok)
         if sum(soc.values()) != 1:
             raise OracleError(
-                f"cokernel of mono arrow {arrow.index} has non-simple socle {dict(soc)}")
+                f"cokernel of mono {_arrow_text(ar, arrow)} has non-simple socle {dict(soc)}")
         (target_vertex,) = soc.keys()
         det = ar.projective_node(target_vertex)
         almost = tuple(v for v in algebra.quiver.vertices
                        if almost_factors_through(ar, v, f, quotient))
         if almost != (target_vertex,):
             raise OracleError(
-                f"mono arrow {arrow.index}: socle route gives P({target_vertex}) but "
+                f"mono {_arrow_text(ar, arrow)}: socle route gives P({target_vertex}) but "
                 f"almost-factoring projectives are {almost}")
         return DeterminerEntry(arrow.index, MapKind.MONO, det, target_vertex, None, almost)
 
     if not is_epimorphism(f):
-        raise OracleError(f"arrow {arrow.index} has larger source but is not epi")
+        raise OracleError(f"{_arrow_text(ar, arrow)} has larger source but is not epi")
     ker, _ = kernel(f)
     ker_node = ar.identify(ker)
     if ker_node is None:
-        raise OracleError(f"kernel of epi arrow {arrow.index} is not indecomposable")
+        raise OracleError(f"kernel of epi {_arrow_text(ar, arrow)} is not indecomposable")
     if ker_node not in ar.tau_inv:
-        raise OracleError(f"kernel of epi arrow {arrow.index} is injective; "
+        raise OracleError(f"kernel of epi {_arrow_text(ar, arrow)} is injective; "
                           "no inverse translate")
     det = ar.tau_inv[ker_node]
     if ar.nodes[det].is_projective:
-        raise OracleError(f"epi arrow {arrow.index} got a projective determiner")
+        raise OracleError(f"epi {_arrow_text(ar, arrow)} got a projective determiner")
     cok, quotient = cokernel(f)
     if cok.total_dim:
         # a zero cokernel is what lets every almost-factoring test below
@@ -143,7 +143,7 @@ def minimal_right_determiner(ar: ARQuiver, arrow: ArArrow) -> DeterminerEntry:
                    if almost_factors_through(ar, v, f, quotient))
     if almost:
         raise OracleError(
-            f"epi arrow {arrow.index}: projectives {almost} almost factor through it")
+            f"epi {_arrow_text(ar, arrow)}: projectives {almost} almost factor through it")
     return DeterminerEntry(arrow.index, MapKind.EPI, det, None, ker_node, almost)
 
 

@@ -11,6 +11,8 @@ representative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .algebra import BoundQuiverAlgebra, path_in_ideal
 from .treewalk import TreeWalk, walk_between
@@ -124,17 +126,21 @@ def string_from_tree_walk(algebra: BoundQuiverAlgebra,
 def enumerate_strings(algebra: BoundQuiverAlgebra) -> tuple[StringWalk, ...]:
     """All strings up to inversion: one trivial string per vertex plus every
     surviving simple path.  Finite because the quiver is a tree."""
+    return _sorted_strings(_iter_strings(algebra))
+
+
+def _iter_strings(algebra: BoundQuiverAlgebra) -> Iterator[StringWalk]:
+    """The strings of enumerate_strings, unsorted and built one at a time."""
     if not algebra.is_valid:
         raise ValueError("algebra must be validated and valid")
     verts = algebra.quiver.vertices
-    found = [StringWalk(v, ()) for v in verts]
-    for i, a in enumerate(verts):
-        for b in verts[i + 1:]:
-            s = string_from_tree_walk(algebra, walk_between(algebra, a, b))
-            if s is not None:
-                found.append(s)
-    found.sort(key=lambda s: (len(s), s.rendering(), s.start))
-    return tuple(found)
+    paths = (string_from_tree_walk(algebra, walk_between(algebra, a, b))
+             for i, a in enumerate(verts) for b in verts[i + 1:])
+    return chain((StringWalk(v, ()) for v in verts), (s for s in paths if s is not None))
+
+
+def _sorted_strings(found: Iterable[StringWalk]) -> tuple[StringWalk, ...]:
+    return tuple(sorted(found, key=lambda s: (len(s), s.rendering(), s.start)))
 
 
 # --------------------------------------------------------------------------

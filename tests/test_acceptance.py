@@ -221,7 +221,7 @@ def test_criterion_8_unique_sink_equivalence(sweep_records):
             continue
         for v, c in classes.items():
             if c in (VertexClass.SINK_LEAF, VertexClass.MEET_SINK):
-                out = check_unique_sink_characterization(alg, v)
+                out = check_unique_sink_characterization(alg, v, rec.report)
                 if not out.applicable or not out.sides_agree:
                     ok = False
                 checked += 1

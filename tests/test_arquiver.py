@@ -3,11 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stringdet import ar_quiver, enumerate_strings
-from stringdet.arquiver import GuardExceeded, MiddleKind, single_middle_count
+from stringdet import ar_quiver, enumerate_strings, strings
+from stringdet.arquiver import (GuardExceeded, MiddleKind, OracleError, _check_radicals,
+                                single_middle_count)
 from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
                                 linear_algebra, random_tree_algebra)
-from stringdet.modules import is_epimorphism, is_monomorphism
+from stringdet.linalg import SpanBuilder
+from stringdet.modules import compose, hom_space, is_epimorphism, is_monomorphism
 
 
 def test_line2_quiver():
@@ -112,6 +114,88 @@ def test_guard():
     alg = crossing_tree_algebra(1)
     with pytest.raises(GuardExceeded):
         ar_quiver(alg, max_nodes=5)
+
+
+@pytest.mark.parametrize("max_nodes", [10, 70])
+def test_guard_stops_enumeration_early(monkeypatch, max_nodes):
+    walks = []
+    real = strings.string_from_tree_walk
+
+    def counting(algebra, walk):
+        walks.append(walk)
+        return real(algebra, walk)
+
+    monkeypatch.setattr(strings, "string_from_tree_walk", counting)
+    with pytest.raises(GuardExceeded, match=f"more than {max_nodes} indecomposables"):
+        ar_quiver(linear_algebra(60), max_nodes=max_nodes)
+    # the 60 trivial strings come first; every later string is one tree walk,
+    # so at most max_nodes + 1 strings were built in all
+    assert min(60, max_nodes + 1) + len(walks) == max_nodes + 1
+
+
+def test_radical_check_names_the_projective():
+    ar = ar_quiver(crossing6_algebra())
+    proj = next(nd for nd in ar.nodes
+                if nd.is_projective and any(a.target == nd.index for a in ar.arrows))
+    ar.arrows.remove(next(a for a in ar.arrows if a.target == proj.index))
+    with pytest.raises(OracleError, match="arrows into projective") as exc:
+        _check_radicals(ar)
+    assert proj.walk.render_text() in str(exc.value)
+
+
+# --------------------------------------------------------------------------
+# the support rule against exact hom spaces on every sweep algebra with n <= 4
+
+@pytest.fixture(scope="module")
+def small_sweep_homs(sweep_records):
+    """(AR quiver, exact hom_space bases of every ordered node pair) for each
+    sweep algebra on at most four vertices."""
+    out = []
+    for rec in sweep_records:
+        if rec.algebra.quiver.vertex_count() > 4:
+            continue
+        ar = rec.oracle.ar
+        homs = {(a, b): hom_space(x.rep, y.rep)
+                for a, x in enumerate(ar.nodes) for b, y in enumerate(ar.nodes)}
+        out.append((ar, homs))
+    return out
+
+
+def _radical_square_arrows(ar, homs):
+    """Reference irreducible maps: the basis maps of Hom(a, b) that extend the
+    span of the composites a -> c -> b through third nodes."""
+    arrows = []
+    for b in range(len(ar.nodes)):
+        for a in range(len(ar.nodes)):
+            if a == b or not homs[a, b]:
+                continue
+            square = SpanBuilder(len(homs[a, b][0].vec()))
+            for c in range(len(ar.nodes)):
+                if c not in (a, b):
+                    for f in homs[a, c]:
+                        for g in homs[c, b]:
+                            square.add(compose(g, f).vec())
+            arrows += [(a, b, h.blocks) for h in homs[a, b] if square.add(h.vec())]
+    return arrows
+
+
+def test_support_rule_hom_matches_hom_space(small_sweep_homs):
+    assert len(small_sweep_homs) == 332
+    pairs = 0
+    for ar, homs in small_sweep_homs:
+        for (a, b), basis in homs.items():
+            assert [h.blocks for h in ar.hom(a, b)] == [h.blocks for h in basis]
+            pairs += 1
+    assert pairs == 24888
+
+
+def test_support_rule_arrows_match_radical_square(small_sweep_homs):
+    arrows = 0
+    for ar, homs in small_sweep_homs:
+        got = [(arr.source, arr.target, arr.map.blocks) for arr in ar.arrows]
+        assert got == _radical_square_arrows(ar, homs)
+        arrows += len(got)
+    assert arrows == 3076
 
 
 def test_identify_rejects_decomposable():

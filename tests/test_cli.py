@@ -129,3 +129,12 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO(generate_example("zigzag4")))
     assert main(["validate", "-"]) == 0
+
+
+def test_check_refuses_long_line_under_default_guard(tmp_path, capsys):
+    # 150 vertices give 11,325 indecomposables; the guard refuses after 101
+    path = write(tmp_path, "line.txt", generate_example("line", n=150))
+    assert main(["check", path]) == 1
+    err = capsys.readouterr().err
+    assert "max-nodes" in err and "more than 100 indecomposables" in err
+    assert "Traceback" not in err

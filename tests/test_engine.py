@@ -72,7 +72,7 @@ def test_single_vertex_rejected():
 
 def test_unique_sink_check_line():
     alg = linear_algebra(5)
-    out = check_unique_sink_characterization(alg, 5)
+    out = check_unique_sink_characterization(alg, 5, determiner_report(alg))
     assert out.applicable
     assert out.determiners_cover_all_but_sink is True
     assert out.unique_sink is True
@@ -80,7 +80,8 @@ def test_unique_sink_check_line():
 
 
 def test_unique_sink_check_zigzag():
-    out = check_unique_sink_characterization(zigzag4_algebra(), 4)
+    alg = zigzag4_algebra()
+    out = check_unique_sink_characterization(alg, 4, determiner_report(alg))
     assert out.applicable
     assert out.determiners_cover_all_but_sink is False
     assert out.unique_sink is False
@@ -88,14 +89,24 @@ def test_unique_sink_check_zigzag():
 
 
 def test_unique_sink_check_not_applicable():
-    out = check_unique_sink_characterization(crossing6_algebra(), 4)
+    alg = crossing6_algebra()
+    out = check_unique_sink_characterization(alg, 4, determiner_report(alg))
     assert not out.applicable
     assert "crossing" in out.reason
 
 
 def test_unique_sink_check_wrong_vertex():
-    out = check_unique_sink_characterization(linear_algebra(4), 1)
+    alg = linear_algebra(4)
+    out = check_unique_sink_characterization(alg, 1, determiner_report(alg))
     assert not out.applicable
+
+
+def test_unique_sink_check_report_argument():
+    alg = linear_algebra(4)
+    with pytest.raises(ValueError):
+        check_unique_sink_characterization(alg, 4, None)
+    with pytest.raises(ValueError):
+        check_unique_sink_characterization(alg, 4, determiner_report(linear_algebra(5)))
 
 
 def test_dynkin_shapes():
