@@ -19,7 +19,8 @@ from .oracle import (OracleResult, almost_factors_through, brute_force_det,
                      is_right_determined, minimal_right_determiner)
 from .strings import StringWalk, enumerate_strings
 from .taxonomy import (VertexClass, VertexIdealStatus, classify_vertex,
-                       fork_source_count, nonzero_ideal_count, vertex_ideal)
+                       fork_source_count, nonzero_ideal_count, vertex_ideal,
+                       vertex_ideals)
 from .treewalk import (NeighbourhoodSubquiver, TreeWalk, is_linear, neighbourhood,
                        restricted_ideal_nonzero, walk_between)
 
@@ -31,7 +32,7 @@ __all__ = [
     "TreeWalk", "NeighbourhoodSubquiver", "walk_between", "is_linear",
     "restricted_ideal_nonzero", "neighbourhood",
     "VertexClass", "VertexIdealStatus", "classify_vertex", "vertex_ideal",
-    "fork_source_count", "nonzero_ideal_count",
+    "vertex_ideals", "fork_source_count", "nonzero_ideal_count",
     "DeterminerReport", "determiner_report", "is_projective_determiner",
     "check_unique_sink_characterization", "dynkin_type",
     "StringWalk", "enumerate_strings",

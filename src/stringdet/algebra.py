@@ -13,6 +13,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 
 class ParseError(ValueError):
@@ -50,17 +51,11 @@ class Quiver:
 
     @cached_property
     def _out(self) -> dict[int, tuple[Arrow, ...]]:
-        out: dict[int, list[Arrow]] = {v: [] for v in self.vertices}
-        for a in self.arrows:
-            out[a.source].append(a)
-        return {v: tuple(sorted(lst, key=lambda a: _natural_key(a.name))) for v, lst in out.items()}
+        return _by_end(self.vertices, self.arrows, attrgetter("source"))
 
     @cached_property
     def _in(self) -> dict[int, tuple[Arrow, ...]]:
-        inc: dict[int, list[Arrow]] = {v: [] for v in self.vertices}
-        for a in self.arrows:
-            inc[a.target].append(a)
-        return {v: tuple(sorted(lst, key=lambda a: _natural_key(a.name))) for v, lst in inc.items()}
+        return _by_end(self.vertices, self.arrows, attrgetter("target"))
 
     @cached_property
     def rooted_parents(self) -> dict[int, tuple[int, Arrow] | None]:
@@ -110,6 +105,16 @@ class Quiver:
         return len(self.vertices)
 
 
+def _by_end(vertices, arrows, end) -> dict[int, tuple[Arrow, ...]]:
+    """Arrows grouped by one end, each group in natural name order."""
+    groups: dict[int, list[Arrow]] = {v: [] for v in vertices}
+    for a in arrows:
+        groups[end(a)].append(a)
+    # only a shared end needs the (regex) name key
+    return {v: tuple(lst if len(lst) < 2 else sorted(lst, key=lambda a: _natural_key(a.name)))
+            for v, lst in groups.items()}
+
+
 @dataclass(frozen=True)
 class RelationSet:
     """Monomial relation generators, stored reduced: no generator contains
@@ -121,18 +126,27 @@ class RelationSet:
     def is_empty(self) -> bool:
         return not self.generators
 
+    @cached_property
+    def _by_first(self) -> dict[str, list[tuple[str, ...]]]:
+        index: dict[str, list[tuple[str, ...]]] = {}
+        for gen in self.generators:
+            index.setdefault(gen[0], []).append(gen)
+        return index
+
     def contains_path(self, path: tuple[str, ...] | list[str]) -> bool:
         """True iff some generator occurs as a consecutive run inside path."""
-        path = tuple(path)
-        n = len(path)
-        for gen in self.generators:
-            g = len(gen)
-            if g > n:
-                continue
-            for i in range(n - g + 1):
-                if path[i:i + g] == gen:
-                    return True
-        return False
+        return _contains(self._by_first, tuple(path))
+
+
+def _contains(by_first: dict[str, list[tuple[str, ...]]], path: tuple[str, ...]) -> bool:
+    """True iff a generator of the first-arrow index runs inside path: only
+    the generators starting with each arrow of path are compared, so a
+    two-arrow path costs two dict lookups."""
+    for i, name in enumerate(path):
+        for gen in by_first.get(name, ()):
+            if path[i:i + len(gen)] == gen:
+                return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -205,26 +219,27 @@ def parse_algebra(text: str) -> BoundQuiverAlgebra:
         if not line:
             continue
 
+        m = _ARROW_RE.match(line)
+        if m:
+            name, src, tgt = m.groups()
+            src, tgt = int(src), int(tgt)
+            if vertices is None:
+                raise ParseError("arrow declared before vertices", lineno)
+            if name in arrow_names:
+                raise ParseError(f"duplicate arrow id {name!r}", lineno)
+            if src not in vertices or tgt not in vertices:
+                v = src if src not in vertices else tgt
+                raise ParseError(f"arrow {name!r} references unknown vertex {v}", lineno)
+            arrow_names.add(name)
+            arrows.append(Arrow(name, src, tgt))
+            continue
+
         m = _VERTICES_RE.match(line)
         if m:
             if vertices is not None:
                 raise ParseError("duplicate vertices declaration", lineno)
             body = m.group(1).strip()
             vertices = _parse_vertices(body, lineno, len(lines))
-            continue
-
-        m = _ARROW_RE.match(line)
-        if m:
-            name, src, tgt = m.group(1), int(m.group(2)), int(m.group(3))
-            if vertices is None:
-                raise ParseError("arrow declared before vertices", lineno)
-            if name in arrow_names:
-                raise ParseError(f"duplicate arrow id {name!r}", lineno)
-            for v in (src, tgt):
-                if v not in vertices:
-                    raise ParseError(f"arrow {name!r} references unknown vertex {v}", lineno)
-            arrow_names.add(name)
-            arrows.append(Arrow(name, src, tgt))
             continue
 
         m = _RELATION_RE.match(line)
@@ -276,9 +291,10 @@ def _parse_vertices(body: str, lineno: int, doc_lines: int) -> set[int]:
     out = []
     for part in body.split(","):
         part = part.strip()
-        if not part.isdigit() or int(part) < 1:
+        v = int(part) if part.isdigit() else 0
+        if v < 1:
             raise ParseError(f"bad vertex id {part!r}", lineno)
-        out.append(int(part))
+        out.append(v)
     if len(set(out)) != len(out):
         raise ParseError("duplicate vertex id", lineno)
     return set(out)
@@ -288,12 +304,13 @@ def _reduce_generators(generators: list[tuple[str, ...]]) -> RelationSet:
     uniq = sorted(set(generators), key=lambda g: (len(g), g))
     kept: list[tuple[str, ...]] = []
     dropped: list[tuple[str, ...]] = []
+    by_first: dict[str, list[tuple[str, ...]]] = {}
     for gen in uniq:
-        partial = RelationSet(tuple(kept))
-        if partial.contains_path(gen):
+        if _contains(by_first, gen):
             dropped.append(gen)
         else:
             kept.append(gen)
+            by_first.setdefault(gen[0], []).append(gen)
     if dropped:
         warnings.warn(
             f"dropped {len(dropped)} redundant relation generator(s): "
@@ -330,17 +347,19 @@ def validate(algebra: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
             f"underlying graph is not a tree: {len(q.arrows)} arrows for "
             f"{len(q.vertices)} vertices")
 
+    outs_of, ins_of = q._out, q._in
     for v in q.vertices:
-        if q.out_degree(v) > 2:
-            violations.append(f"vertex {v}: out-degree {q.out_degree(v)} exceeds 2")
-        if q.in_degree(v) > 2:
-            violations.append(f"vertex {v}: in-degree {q.in_degree(v)} exceeds 2")
+        if len(outs_of[v]) > 2:
+            violations.append(f"vertex {v}: out-degree {len(outs_of[v])} exceeds 2")
+        if len(ins_of[v]) > 2:
+            violations.append(f"vertex {v}: in-degree {len(ins_of[v])} exceeds 2")
 
     # Branching conditions.  Paths are written in traversal order, so the
     # composite "first a, then g" is the tuple (a, g).
     for v in q.vertices:
-        ins = q.in_arrows(v)
-        outs = q.out_arrows(v)
+        ins, outs = ins_of[v], outs_of[v]
+        if len(ins) < 2 and len(outs) < 2:
+            continue
         for i in range(len(ins)):
             for j in range(i + 1, len(ins)):
                 a, b = ins[i], ins[j]
@@ -372,15 +391,11 @@ def validate(algebra: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
 def _connected(q: Quiver) -> bool:
     if not q.vertices:
         return False
-    adj: dict[int, set[int]] = {v: set() for v in q.vertices}
-    for a in q.arrows:
-        if a.source in adj and a.target in adj:
-            adj[a.source].add(a.target)
-            adj[a.target].add(a.source)
     seen = {q.vertices[0]}
     stack = [q.vertices[0]]
     while stack:
-        for w in adj[stack.pop()]:
+        v = stack.pop()
+        for w in [a.target for a in q._out[v]] + [a.source for a in q._in[v]]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)

@@ -19,7 +19,7 @@ from .dot import ar_quiver_dot, quiver_dot
 from .engine import determiner_report, dynkin_type
 from .families import GENERATORS, generate_example
 from .oracle import brute_force_det
-from .taxonomy import IDEAL_BEARING, classify_vertex, vertex_ideal
+from .taxonomy import classify_vertex, vertex_ideals
 
 DEFAULT_MAX_NODES = 100
 
@@ -191,11 +191,8 @@ def _cmd_ideals(config: RunConfig) -> int:
     alg = _load_valid(config)
     if alg is None:
         return 2
-    rows = []
-    for v in alg.quiver.vertices:
-        cls = classify_vertex(alg, v)
-        status = vertex_ideal(alg, v) if cls in IDEAL_BEARING else None
-        rows.append((v, cls, status))
+    ideals = vertex_ideals(alg)
+    rows = [(v, classify_vertex(alg, v), ideals.get(v)) for v in alg.quiver.vertices]
     if config.fmt == "json":
         payload = {str(v): (None if s is None else
                             {"kind": s.kind.value, "witness": s.witness})

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .algebra import BoundQuiverAlgebra
 from .taxonomy import (IDEAL_BEARING, VertexClass, VertexIdealStatus,
-                       classify_vertex, fork_source_count, vertex_ideal)
+                       classify_vertex, vertex_ideal, vertex_ideals)
 from .treewalk import neighbourhood, restricted_ideal_nonzero
 
 
@@ -83,15 +83,7 @@ class DeterminerReport:
         return "\n".join(lines) + "\n"
 
 
-def is_projective_determiner(algebra: BoundQuiverAlgebra, v: int) -> VertexDecision:
-    """Projective-determiner criterion for one vertex.
-
-    Vertices with a single outgoing arrow always qualify; fork sources never
-    do; every other class qualifies exactly when its vertex ideal vanishes.
-    """
-    cls = classify_vertex(algebra, v)
-    ideal = vertex_ideal(algebra, v) if cls in IDEAL_BEARING else None
-
+def _decide(v: int, cls: VertexClass, ideal: VertexIdealStatus | None) -> VertexDecision:
     if cls in (VertexClass.SOURCE_LEAF, VertexClass.FLOW_THROUGH, VertexClass.MEET_FLOW):
         return VertexDecision(v, cls, ideal, True, "single outgoing arrow: always a determiner")
     if cls is VertexClass.FORK_SOURCE:
@@ -104,6 +96,16 @@ def is_projective_determiner(algebra: BoundQuiverAlgebra, v: int) -> VertexDecis
     return VertexDecision(v, cls, ideal, False, "vertex ideal is non-zero")
 
 
+def is_projective_determiner(algebra: BoundQuiverAlgebra, v: int) -> VertexDecision:
+    """Projective-determiner criterion for one vertex.
+
+    Vertices with a single outgoing arrow always qualify; fork sources never
+    do; every other class qualifies exactly when its vertex ideal vanishes.
+    """
+    cls = classify_vertex(algebra, v)
+    return _decide(v, cls, vertex_ideal(algebra, v) if cls in IDEAL_BEARING else None)
+
+
 def determiner_report(algebra: BoundQuiverAlgebra) -> DeterminerReport:
     """Full counting report for a valid algebra on at least two vertices."""
     if not algebra.is_valid:
@@ -111,8 +113,10 @@ def determiner_report(algebra: BoundQuiverAlgebra) -> DeterminerReport:
     n = algebra.quiver.vertex_count()
     if n < 2:
         raise ValueError("the counting formula needs at least two vertices")
-    decisions = tuple(is_projective_determiner(algebra, v) for v in algebra.quiver.vertices)
-    p = fork_source_count(algebra)
+    ideals = vertex_ideals(algebra)
+    decisions = tuple(_decide(v, classify_vertex(algebra, v), ideals.get(v))
+                      for v in algebra.quiver.vertices)
+    p = sum(1 for d in decisions if d.vertex_class is VertexClass.FORK_SOURCE)
     q = sum(1 for d in decisions if d.ideal is not None and d.ideal.is_nonzero)
     projective = tuple(d.vertex for d in decisions if d.is_determiner)
     return DeterminerReport(
@@ -233,7 +237,7 @@ def dynkin_type(algebra: BoundQuiverAlgebra,
         raise ValueError("algebra must be validated and valid")
     q = algebra.quiver
     n = q.vertex_count()
-    degrees = {v: len(q.neighbours(v)) for v in q.vertices}
+    degrees = {v: q.in_degree(v) + q.out_degree(v) for v in q.vertices}
     branches = [v for v, d in degrees.items() if d >= 3]
 
     p_val = q_val = None

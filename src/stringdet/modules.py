@@ -35,9 +35,12 @@ class Representation:
 
 def _check_relations(rep: Representation) -> None:
     amap = rep.algebra.quiver.arrow_map
+    dims = rep.dims
     for gen in rep.algebra.relations.generators:
         first = amap[gen[0]]
-        acc = Mat.identity(rep.dims[first.source])
+        if not dims[first.source] or not all(dims[amap[name].target] for name in gen):
+            continue  # the composite factors through a zero space
+        acc = Mat.identity(dims[first.source])
         for name in gen:
             acc = rep.maps[name] @ acc
         if not acc.is_zero():

@@ -208,6 +208,17 @@ def test_representation_relation_check():
                        {"a3": Mat([[1]]), "a1": Mat([[1]])})
 
 
+def test_relation_check_skips_only_generators_leaving_the_support():
+    # fan5 'both' kills a3 a1 and a3 a2; on the support {2, 3, 4} only a3 a2
+    # lies inside it, and it is still checked
+    alg = fan5_algebra("both")
+    from stringdet.modules import representation
+    with pytest.raises(ValueError, match="a3 a2"):
+        representation(alg, {2: 1, 3: 1, 4: 1}, {"a3": Mat([[1]]), "a2": Mat([[1]])})
+    rep = representation(alg, {3: 1, 4: 1}, {"a3": Mat([[1]])})
+    assert rep.support() == (3, 4)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10**9), n=st.integers(2, 5))
 def test_hom_from_projective_counts_dimension(seed, n):
