@@ -60,7 +60,8 @@ class Quiver:
     @cached_property
     def rooted_parents(self) -> dict[int, tuple[int, Arrow] | None]:
         """Spanning structure rooted at the smallest vertex: child -> (parent,
-        connecting arrow).  Requires a tree."""
+        connecting arrow).  It covers the root's component only, so `validate`
+        reads connectivity from its size; walks along it require a tree."""
         root = self.vertices[0]
         parents: dict[int, tuple[int, Arrow] | None] = {root: None}
         stack = [root]
@@ -340,7 +341,7 @@ def validate(algebra: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
         if a.source == a.target:
             violations.append(f"arrow {a.name!r} is a loop at vertex {a.source}")
 
-    if not _connected(q):
+    if not (q.vertices and len(q.rooted_parents) == len(q.vertices)):
         violations.append("underlying graph is not connected")
     if len(q.arrows) != len(q.vertices) - 1:
         violations.append(
@@ -386,20 +387,6 @@ def validate(algebra: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
             violations.append(f"relation {' '.join(gen)} is not a composable path")
 
     return dataclasses.replace(algebra, certificate=Certificate(tuple(violations)))
-
-
-def _connected(q: Quiver) -> bool:
-    if not q.vertices:
-        return False
-    seen = {q.vertices[0]}
-    stack = [q.vertices[0]]
-    while stack:
-        v = stack.pop()
-        for w in [a.target for a in q._out[v]] + [a.source for a in q._in[v]]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(q.vertices)
 
 
 # --------------------------------------------------------------------------

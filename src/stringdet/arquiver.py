@@ -8,9 +8,11 @@ enters C and no arrow of N leaves C.  M -> N is irreducible when that map is
 non-zero and no third node X gives maps M -> X -> N with overlapping images.
 Exact linear algebra verifies: every basis map intertwines, End = k is an
 exact hom-space solve, and the irreducible maps into each non-projective node
-form a surjection whose exact kernel is its translate.  Mesh sizes, the
-translate bijection and the arrows into each projective are checked too; any
-breach raises OracleError naming the modules by their walks.
+form a surjection whose exact kernel is its translate.  Each vertex's
+projective node and the nodes of its radical summands are found once and
+stored.  Mesh sizes, the translate bijection and the arrows into each
+projective (exactly its radical summands) are checked too; any breach raises
+OracleError naming the modules by their walks.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from itertools import islice
 from .algebra import BoundQuiverAlgebra
 from .linalg import Mat
 from .modules import (ModuleMap, Representation, direct_sum, hom_space, is_epimorphism,
-                      kernel, module_map, representation, string_module)
+                      kernel, module_map, string_module)
 from .strings import (StringWalk, _iter_strings, _sorted_strings, injective_walk,
                       projective_walk, radical_walks)
 
@@ -101,7 +103,8 @@ class ARQuiver:
     _image: dict[tuple[int, int], frozenset[int]] = field(default_factory=dict)
     _node_by_walk: dict[StringWalk, int] = field(default_factory=dict)
     _node_by_support: dict[frozenset[int], int] = field(default_factory=dict)
-    _radical: dict[int, ModuleMap] = field(default_factory=dict)
+    _projective: dict[int, int] = field(default_factory=dict)
+    _radical: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     def image(self, a: int, b: int) -> frozenset[int]:
         """Support of the basis map of Hom(a, b), empty when Hom(a, b) = 0: the
@@ -127,8 +130,20 @@ class ARQuiver:
     def node_of_walk(self, walk: StringWalk) -> int:
         return self._node_by_walk[walk]
 
+    def node_of(self, rep: Representation) -> int:
+        """Index of the node whose module equals rep; ValueError otherwise."""
+        index = self._node_by_support.get(frozenset(v for v, d in rep.dims.items() if d))
+        if index is None or self.nodes[index].rep != rep:
+            raise ValueError("module is not a node of the Auslander-Reiten quiver")
+        return index
+
     def projective_node(self, v: int) -> int:
-        return self.node_of_walk(projective_walk(self.algebra, v))
+        return self._projective[v]
+
+    def radical_nodes(self, v: int) -> tuple[int, ...]:
+        """Nodes of the indecomposable summands of rad P(v), sorted: none at a
+        sink, one per arrow out of v otherwise."""
+        return self._radical[v]
 
     def identify(self, rep: Representation) -> int | None:
         """Index of the node isomorphic to rep, or None.  Over a tree every
@@ -142,19 +157,6 @@ class ARQuiver:
             if a.source in support and a.target in support and rep.maps[a.name].is_zero():
                 return None
         return self._node_by_support.get(support)
-
-    def radical_inclusion(self, v: int) -> ModuleMap:
-        """Inclusion of rad P(v) into the node P(v), built once per vertex.
-        P(v) is thin with top v, so its radical is P(v) with v dropped and the
-        inclusion is the identity on that support."""
-        if v not in self._radical:
-            proj = self.nodes[self.projective_node(v)].rep
-            support = [u for u in proj.support() if u != v]
-            maps = {a.name: proj.maps[a.name] for a in self.algebra.quiver.arrows
-                    if v not in (a.source, a.target)}
-            rad = representation(self.algebra, {u: 1 for u in support}, maps)
-            self._radical[v] = module_map(rad, proj, {u: Mat([[1]]) for u in support})
-        return self._radical[v]
 
 
 def ar_quiver(algebra: BoundQuiverAlgebra, max_nodes: int | None = None) -> ARQuiver:
@@ -176,7 +178,9 @@ def ar_quiver(algebra: BoundQuiverAlgebra, max_nodes: int | None = None) -> ARQu
         raise OracleError("two strings share a support")
 
     for v in algebra.quiver.vertices:
-        nodes[ar._node_by_walk[projective_walk(algebra, v)]].projective_vertex = v
+        ar._projective[v] = ar._node_by_walk[projective_walk(algebra, v)]
+        ar._radical[v] = tuple(sorted(ar._node_by_walk[w] for w in radical_walks(algebra, v)))
+        nodes[ar._projective[v]].projective_vertex = v
         nodes[ar._node_by_walk[injective_walk(algebra, v)]].injective_vertex = v
     n_proj = sum(1 for nd in nodes if nd.is_projective)
     n_inj = sum(1 for nd in nodes if nd.is_injective)
@@ -262,9 +266,7 @@ def _check_radicals(ar: ARQuiver) -> None:
     for node in ar.nodes:
         if not node.is_projective:
             continue
-        expected = sorted(
-            ar._node_by_walk[w]
-            for w in radical_walks(ar.algebra, node.projective_vertex))
+        expected = list(ar.radical_nodes(node.projective_vertex))
         actual = sorted(arr.source for arr in ar.arrows if arr.target == node.index)
         if expected != actual:
             raise OracleError(f"arrows into projective {node.label()} come from "

@@ -125,6 +125,10 @@ def _write_output(config: RunConfig, text: str, path: str | None = None) -> None
         raise
 
 
+def _json(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def _load_valid(config: RunConfig) -> BoundQuiverAlgebra | None:
     """Parse and validate; on failure print the certificate and return None."""
     alg = validate(parse_algebra(_read_input(config)))
@@ -132,9 +136,7 @@ def _load_valid(config: RunConfig) -> BoundQuiverAlgebra | None:
         return alg
     cert = alg.certificate
     if config.fmt == "json":
-        _write_output(config, json.dumps(
-            {"valid": False, "violations": list(cert.violations)},
-            sort_keys=True, indent=2) + "\n")
+        _write_output(config, _json({"valid": False, "violations": list(cert.violations)}))
     else:
         lines = ["INVALID"] + [f"  - {v}" for v in cert.violations]
         _write_output(config, "\n".join(lines) + "\n")
@@ -168,8 +170,8 @@ def run(config: RunConfig) -> int:
 def _cmd_validate(config: RunConfig) -> int:
     if _load_valid(config) is None:
         return 2
-    _write_output(config, json.dumps({"valid": True, "violations": []}, sort_keys=True,
-                                     indent=2) + "\n" if config.fmt == "json" else "VALID\n")
+    _write_output(config, _json({"valid": True, "violations": []})
+                  if config.fmt == "json" else "VALID\n")
     return 0
 
 
@@ -179,8 +181,7 @@ def _cmd_classify(config: RunConfig) -> int:
         return 2
     rows = [(v, classify_vertex(alg, v)) for v in alg.quiver.vertices]
     if config.fmt == "json":
-        _write_output(config, json.dumps(
-            {"classes": {str(v): c.value for v, c in rows}}, sort_keys=True, indent=2) + "\n")
+        _write_output(config, _json({"classes": {str(v): c.value for v, c in rows}}))
     else:
         lines = [f"  {v}: {c.value}" for v, c in rows]
         _write_output(config, "vertex classes:\n" + "\n".join(lines) + "\n")
@@ -197,8 +198,7 @@ def _cmd_ideals(config: RunConfig) -> int:
         payload = {str(v): (None if s is None else
                             {"kind": s.kind.value, "witness": s.witness})
                    for v, _, s in rows}
-        _write_output(config, json.dumps({"vertex_ideals": payload},
-                                         sort_keys=True, indent=2) + "\n")
+        _write_output(config, _json({"vertex_ideals": payload}))
     else:
         lines = []
         for v, cls, s in rows:
@@ -220,7 +220,7 @@ def _cmd_determiners(config: RunConfig) -> int:
     if config.fmt == "json":
         payload = report.to_dict()
         payload["dynkin"] = shape.to_dict()
-        _write_output(config, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_output(config, _json(payload))
     else:
         _write_output(config, report.to_text() + "\n" + shape.to_text())
     return 0
@@ -239,7 +239,7 @@ def _cmd_oracle(config: RunConfig) -> int:
             "indecomposables": len(result.ar.nodes),
             "determiners": sorted(result.ar.nodes[i].label() for i in result.determiner_nodes),
         }
-        _write_output(config, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_output(config, _json(payload))
     else:
         lines = [
             f"indecomposables:            {len(result.ar.nodes)}",
@@ -265,13 +265,13 @@ def _cmd_check(config: RunConfig) -> int:
     same_total = report.formula_value == result.total
     agree = same_proj and same_total
     if config.fmt == "json":
-        _write_output(config, json.dumps({
+        _write_output(config, _json({
             "agree": agree,
             "engine": {"total": report.formula_value,
                        "projective": list(report.projective_determiners)},
             "oracle": {"total": result.total,
                        "projective": sorted(result.projective_vertices)},
-        }, sort_keys=True, indent=2) + "\n")
+        }))
     else:
         lines = [
             f"engine: total {report.formula_value}, projective "

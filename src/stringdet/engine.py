@@ -9,7 +9,6 @@ module-level verification lives in the oracle package half).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .algebra import BoundQuiverAlgebra
@@ -57,9 +56,6 @@ class DeterminerReport:
                 for d in self.decisions
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_text(self) -> str:
         lines = [

@@ -48,7 +48,7 @@ def _check_relations(rep: Representation) -> None:
 
 
 def representation(algebra: BoundQuiverAlgebra, dims: dict[int, int],
-                   maps: dict[str, Mat], check: bool = True) -> Representation:
+                   maps: dict[str, Mat]) -> Representation:
     full_dims = {v: dims.get(v, 0) for v in algebra.quiver.vertices}
     full_maps = {}
     for a in algebra.quiver.arrows:
@@ -60,8 +60,7 @@ def representation(algebra: BoundQuiverAlgebra, dims: dict[int, int],
                              f"expected {(full_dims[a.target], full_dims[a.source])}")
         full_maps[a.name] = m
     rep = Representation(algebra, full_dims, full_maps)
-    if check:
-        _check_relations(rep)
+    _check_relations(rep)
     return rep
 
 
@@ -118,7 +117,7 @@ class ModuleMap:
 
 
 def module_map(source: Representation, target: Representation,
-               blocks: dict[int, Mat], check: bool = True) -> ModuleMap:
+               blocks: dict[int, Mat]) -> ModuleMap:
     full = {}
     for v in source.algebra.quiver.vertices:
         b = blocks.get(v)
@@ -129,8 +128,7 @@ def module_map(source: Representation, target: Representation,
                              f"expected {(target.dims[v], source.dims[v])}")
         full[v] = b
     f = ModuleMap(source, target, full)
-    if check:
-        _check_intertwining(f)
+    _check_intertwining(f)
     return f
 
 
@@ -143,7 +141,7 @@ def _check_intertwining(f: ModuleMap) -> None:
 
 
 def zero_map(source: Representation, target: Representation) -> ModuleMap:
-    return module_map(source, target, {}, check=False)
+    return module_map(source, target, {})
 
 
 def identity_map(rep: Representation) -> ModuleMap:
@@ -316,4 +314,4 @@ def direct_sum(reps: list[Representation]) -> Representation:
                 for j in range(r.dims[s]):
                     rows[off[e] + i][off[s] + j] = block.rows[i][j]
         maps[a.name] = Mat(rows, ncols=dims[s])
-    return representation(algebra, dims, maps, check=False)
+    return representation(algebra, dims, maps)

@@ -3,7 +3,10 @@
 For every arrow f of the Auslander-Reiten quiver the minimal right determiner
 is assembled along three mutually checking routes: the socle of the cokernel
 (for monomorphisms), the set of projectives almost factoring through f, and
-the inverse translate of the kernel (for epimorphisms).  Any disagreement
+the inverse translate of the kernel (for epimorphisms).  The first and last
+routes use exact kernels and cokernels; the almost-factoring route poses no
+linear system, since every Hom between string modules over a tree is zero or
+spanned by the identity on a support (ARQuiver.image).  Any disagreement
 raises OracleError with a diagnostic; agreement with the combinatorial engine
 is checked by the caller.
 """
@@ -17,8 +20,8 @@ from .algebra import BoundQuiverAlgebra
 from .arquiver import (ArArrow, ARQuiver, MiddleKind, OracleError, ar_quiver,
                        single_middle_count)
 from .linalg import F0, Mat, SpanBuilder, nullspace
-from .modules import (ModuleMap, block_columns, cokernel, compose, intertwining_rows,
-                      is_epimorphism, is_monomorphism, kernel, socle)
+from .modules import (ModuleMap, cokernel, compose, is_epimorphism, is_monomorphism, kernel,
+                      socle)
 
 
 class MapKind(Enum):
@@ -49,38 +52,27 @@ class OracleResult:
         return len(self.determiner_nodes)
 
 
-def almost_factors_through(ar: ARQuiver, v: int, f: ModuleMap,
-                           quotient: ModuleMap) -> bool:
-    """Does the projective at v almost factor through f: M -> N?  quotient is
-    the projection N -> Cok f, as returned by cokernel(f).  Solves the space
-    of pairs (h: P -> N, g: rad P -> M) with h restricted to the radical
-    equal to f g, and asks whether some solution's h has image outside the
-    image of f (checked after the projection, where the condition is
-    linear)."""
-    incl = ar.radical_inclusion(v)
-    rad, proj = incl.source, incl.target
-    if not any(quotient.target.dims[u] for u in proj.support()):
-        # every h: P -> N projects to zero wherever P is non-zero
+def almost_factors_through(ar: ARQuiver, v: int, f: ModuleMap) -> bool:
+    """Does the projective P = P(v) almost factor through f: M -> N, that is,
+    is there a map h: P -> N that does not factor through f although its
+    restriction to rad P does?  M and N must be nodes of ar (ValueError
+    otherwise).  Every Hom between nodes is zero or spanned by the identity on
+    a support (ARQuiver.image), so the only candidate h is the identity on
+    C = image(P, N); it factors through f exactly when some map P -> M
+    composes with f to a non-zero map.  Hom(rad P, M) splits over the radical
+    summands r, and h restricted to r, the identity on C & supp r, factors
+    through f when it is zero or some map r -> M composes with f to a
+    non-zero map."""
+    m, n = ar.node_of(f.source), ar.node_of(f.target)
+    p = ar.projective_node(v)
+    c = ar.image(p, n)
+    if not c:
         return False
-    src, tgt = f.source, f.target
-    h_at, g_start = block_columns(tgt.dims, proj.dims, 0)
-    g_at, nvars = block_columns(src.dims, rad.dims, g_start)
-
-    rows: list[list] = []
-    for a in ar.algebra.quiver.arrows:
-        s, e = a.source, a.target
-        rows += intertwining_rows(h_at[e], proj.maps[a.name], tgt.maps[a.name], h_at[s], nvars)
-        rows += intertwining_rows(g_at[e], rad.maps[a.name], src.maps[a.name], g_at[s], nvars)
-    # commutation: h . incl == f . g on the radical
-    for u in h_at:
-        rows += intertwining_rows(h_at[u], incl.blocks[u], f.blocks[u], g_at[u], nvars)
-
-    for sol in nullspace(Mat(rows, ncols=nvars)):
-        for u in h_at:
-            h_block = Mat.row_major(sol, h_at[u], tgt.dims[u], proj.dims[u])
-            if not (quotient.blocks[u] @ h_block).is_zero():
-                return True
-    return False
+    supp_f = {u for u, b in f.blocks.items() if not b.is_zero()}
+    if not supp_f.isdisjoint(ar.image(p, m)):
+        return False
+    return all(c.isdisjoint(ar.nodes[r].support) or not supp_f.isdisjoint(ar.image(r, m))
+               for r in ar.radical_nodes(v))
 
 
 def _arrow_text(ar: ARQuiver, arrow: ArArrow) -> str:
@@ -91,19 +83,21 @@ def _arrow_text(ar: ARQuiver, arrow: ArArrow) -> str:
 def minimal_right_determiner(ar: ARQuiver, arrow: ArArrow) -> DeterminerEntry:
     """Minimal right determiner of one irreducible map, with the independent
     routes compared: the socle route (mono) or the inverse-translate route
-    (epi) against the almost-factoring projectives.  The cokernel of the map
-    is built once and shared by the routes."""
+    (epi) against the almost-factoring projectives, which are decided from
+    supports once, before the branch.  The cokernel of the map is built once:
+    its socle is the mono route, and an epi must have a zero one."""
     f = arrow.map
     algebra = ar.algebra
     dim_s = f.source.total_dim
     dim_t = f.target.total_dim
     if dim_s == dim_t:
         raise OracleError(f"{_arrow_text(ar, arrow)} joins equal-dimension nodes")
+    almost = tuple(v for v in algebra.quiver.vertices if almost_factors_through(ar, v, f))
 
     if dim_s < dim_t:
         if not is_monomorphism(f):
             raise OracleError(f"{_arrow_text(ar, arrow)} has smaller source but is not mono")
-        cok, quotient = cokernel(f)
+        cok, _ = cokernel(f)
         if cok.total_dim != dim_t - dim_s:
             raise OracleError(f"mono {_arrow_text(ar, arrow)} has a cokernel of dimension "
                               f"{cok.total_dim}, expected {dim_t - dim_s}")
@@ -113,8 +107,6 @@ def minimal_right_determiner(ar: ARQuiver, arrow: ArArrow) -> DeterminerEntry:
                 f"cokernel of mono {_arrow_text(ar, arrow)} has non-simple socle {dict(soc)}")
         (target_vertex,) = soc.keys()
         det = ar.projective_node(target_vertex)
-        almost = tuple(v for v in algebra.quiver.vertices
-                       if almost_factors_through(ar, v, f, quotient))
         if almost != (target_vertex,):
             raise OracleError(
                 f"mono {_arrow_text(ar, arrow)}: socle route gives P({target_vertex}) but "
@@ -133,14 +125,10 @@ def minimal_right_determiner(ar: ARQuiver, arrow: ArArrow) -> DeterminerEntry:
     det = ar.tau_inv[ker_node]
     if ar.nodes[det].is_projective:
         raise OracleError(f"epi {_arrow_text(ar, arrow)} got a projective determiner")
-    cok, quotient = cokernel(f)
+    cok, _ = cokernel(f)
     if cok.total_dim:
-        # a zero cokernel is what lets every almost-factoring test below
-        # return False without a solve
         raise OracleError(f"epi {_arrow_text(ar, arrow)} has a non-zero cokernel "
                           f"of dimension {cok.total_dim}")
-    almost = tuple(v for v in algebra.quiver.vertices
-                   if almost_factors_through(ar, v, f, quotient))
     if almost:
         raise OracleError(
             f"epi {_arrow_text(ar, arrow)}: projectives {almost} almost factor through it")

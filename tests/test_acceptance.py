@@ -4,8 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
 
 The crossing-tree totals of criterion 4 (8, 31 and 99 at depths 1-3) are
 pinned absolutely and each is backed by module-level evidence that does not
-come from the vertex-ideal taxonomy: the brute-force oracle at depths 1 and
-2, and at depth 3 Auslander's formula C(f) = P(soc Cok f) applied to the
+come from the vertex-ideal taxonomy: the brute-force oracle at every depth,
+and at depth 3 also Auslander's formula C(f) = P(soc Cok f) applied to the
 irreducible monos that make the six crossings 8, 11, 13, 14, 16 and 17
 projective determiners.
 """
@@ -131,14 +131,16 @@ def test_criterion_4_crossing_tree_level2_pinned_total(crossing_tree2_oracle):
 
 
 def test_criterion_4_crossing_tree_level3_pinned_total():
-    # The full oracle is too slow here (N = 171).  Instead, for each crossing
-    # w fed by a vertex u with two outgoing arrows u -> w and u -> o, check
-    # that rad P(u) = S(w) + S(o), so S(o) -> P(u) is irreducible, and that
-    # its cokernel u -> w has socle S(w): by Auslander's formula P(w) is the
+    # The full oracle (N = 171) must find the engine's total and projective
+    # determiners.  Beside it, for each crossing w fed by a vertex u with two
+    # outgoing arrows u -> w and u -> o, check by hand that
+    # rad P(u) = S(w) + S(o), so S(o) -> P(u) is irreducible, and that its
+    # cokernel u -> w has socle S(w): by Auslander's formula P(w) is the
     # minimal right determiner of that mono.
     alg = crossing_tree_algebra(3)
     q = alg.quiver
     rep = determiner_report(alg)
+    res = brute_force_det(alg, max_nodes=200)
     witnessed = []
     for w in (8, 11, 13, 14, 16, 17):
         (u,) = [a.source for a in q.in_arrows(w) if q.out_degree(a.source) == 2]
@@ -151,12 +153,15 @@ def test_criterion_4_crossing_tree_level3_pinned_total():
             witnessed.append(w)
     ok = (rep.formula_value == 99 and len(rep.projective_determiners) == 47
           and rep.epi_determiner_count == 52
+          and len(res.ar.nodes) == 171 and res.total == 99
+          and set(res.projective_vertices) == set(rep.projective_determiners)
           and witnessed == [8, 11, 13, 14, 16, 17]
           and set(witnessed) <= set(rep.projective_determiners))
     _verdict("criterion 4d: crossing tree depth 3, pinned total 99 = 47 + 52", ok,
              f"engine {rep.formula_value} = {len(rep.projective_determiners)} + "
-             f"{rep.epi_determiner_count}; P(w) determines an irreducible mono "
-             f"S(o) -> P(u) for w in {witnessed}")
+             f"{rep.epi_determiner_count}, oracle {res.total} over "
+             f"{len(res.ar.nodes)} indecomposables; P(w) determines an irreducible "
+             f"mono S(o) -> P(u) for w in {witnessed}")
 
 
 def test_criterion_5_single_sink_lines():

@@ -58,7 +58,6 @@ def test_report_serialization():
     assert d["formula_value"] == 8
     text = rep.to_text()
     assert "P(3)" in text
-    assert rep.to_json().endswith("\n")
 
 
 def test_single_vertex_rejected():

@@ -13,7 +13,7 @@ from stringdet.linalg import (Mat, SpanBuilder, kernel_inclusion, nullspace,
                               quotient_projection)
 from stringdet.modules import (ModuleMap, compose, identity_map, is_epimorphism,
                                is_monomorphism, module_map, zero_map)
-from stringdet.strings import Letter, make_string, radical_walks, walk_vertices
+from stringdet.strings import Letter, make_string, radical_walks
 
 
 def test_mat_basics():
@@ -114,16 +114,18 @@ def test_radical_line():
     assert rads[0] == simple(alg, 2)
 
 
-def test_memoised_radical_inclusion_crossing6():
+def test_stored_radical_nodes_crossing6():
     alg = crossing6_algebra()
     ar = ar_quiver(alg)
     for v in alg.quiver.vertices:
-        incl = ar.radical_inclusion(v)
-        assert incl is ar.radical_inclusion(v)
-        assert incl.target is ar.nodes[ar.projective_node(v)].rep
-        expected = {u for w in radical_walks(alg, v) for u in walk_vertices(alg, w)}
-        assert set(incl.source.support()) == expected
-        assert is_monomorphism(incl)
+        rads = ar.radical_nodes(v)
+        assert rads is ar.radical_nodes(v)
+        assert rads == tuple(sorted(ar.node_of_walk(w) for w in radical_walks(alg, v)))
+        proj = ar.nodes[ar.projective_node(v)]
+        assert proj.projective_vertex == v
+        # the summands' supports partition P(v) minus its top
+        covered = [u for r in rads for u in ar.nodes[r].support]
+        assert sorted(covered) == sorted(proj.support - {v})
 
 
 def test_hom_dimensions():
