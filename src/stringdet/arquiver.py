@@ -133,7 +133,9 @@ class ARQuiver:
     def node_of(self, rep: Representation) -> int:
         """Index of the node whose module equals rep; ValueError otherwise."""
         index = self._node_by_support.get(frozenset(v for v, d in rep.dims.items() if d))
-        if index is None or self.nodes[index].rep != rep:
+        own = None if index is None else self.nodes[index].rep
+        # a node's own module needs no entry-by-entry comparison
+        if own is None or (own is not rep and own != rep):
             raise ValueError("module is not a node of the Auslander-Reiten quiver")
         return index
 

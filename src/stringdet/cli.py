@@ -7,6 +7,7 @@ Exit codes: 0 success (or oracle/engine agreement), 1 usage or input problem,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -45,7 +46,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process, built on first use: parsing leaves no
+    state on it, so every main call can share it."""
     p = _Parser(prog="stringdet",
                 description="Minimal right determiners over tree string algebras")
     sub = p.add_subparsers(dest="command", required=True)

@@ -8,6 +8,12 @@ unknowns.  There is one elimination routine: `SpanBuilder` keeps a row space
 in reduced row echelon form, and `nullspace`, `Mat.rank`, `kernel_inclusion`
 and `quotient_projection` all read its pivot rows.  No floating point
 anywhere.
+
+Most blocks of a module map over a tree are empty (0 x k or k x 0): a string
+module lives on a path, its support.  Empty blocks cost no arithmetic:
+`Mat.zeros` hands out one shared instance per empty shape, a product with an
+empty result or an empty inner dimension is that zero matrix, and an empty
+shape has rank 0.  Shapes are still checked first.
 """
 
 from __future__ import annotations
@@ -46,7 +52,12 @@ class Mat:
 
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "Mat":
-        return Mat([[F0] * ncols for _ in range(nrows)], ncols=ncols)
+        if nrows and ncols:
+            return Mat([[F0] * ncols for _ in range(nrows)], ncols=ncols)
+        m = _EMPTY.get((nrows, ncols))
+        if m is None:
+            m = _EMPTY[nrows, ncols] = Mat([()] * nrows, ncols=ncols)
+        return m
 
     @staticmethod
     def identity(n: int) -> "Mat":
@@ -54,11 +65,15 @@ class Mat:
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence], nrows: int) -> "Mat":
+        if not (nrows and cols):
+            return Mat.zeros(nrows, len(cols))
         return Mat([[col[i] for col in cols] for i in range(nrows)], ncols=len(cols))
 
     @staticmethod
     def row_major(values: Sequence, start: int, nrows: int, ncols: int) -> "Mat":
         """The nrows x ncols matrix stored row-major in values from index start."""
+        if not (nrows and ncols):
+            return Mat.zeros(nrows, ncols)
         return Mat([values[start + r * ncols:start + (r + 1) * ncols] for r in range(nrows)],
                    ncols=ncols)
 
@@ -78,8 +93,9 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        # an empty sum is the exact 0, so zero-size shapes need no branch
-        cols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
+        if not (self.nrows and self.ncols and other.ncols):
+            return Mat.zeros(self.nrows, other.ncols)
+        cols = list(zip(*other.rows))
         return Mat([[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows],
                    ncols=other.ncols)
 
@@ -93,13 +109,19 @@ class Mat:
         return all(x == 0 for r in self.rows for x in r)
 
     def rank(self) -> int:
-        return _echelon(self).dim
+        return _echelon(self).dim if self.nrows and self.ncols else 0
 
     def hstack(self, other: "Mat") -> "Mat":
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch")
+        if not (self.nrows and (self.ncols or other.ncols)):
+            return Mat.zeros(self.nrows, self.ncols + other.ncols)
         return Mat([list(a) + list(b) for a, b in zip(self.rows, other.rows)],
                    ncols=self.ncols + other.ncols)
+
+
+#: The shared instance of each empty shape, handed out by Mat.zeros.
+_EMPTY: dict[tuple[int, int], Mat] = {}
 
 
 def _unit_rows(cols: Iterable[int], n: int) -> list[list[Fraction]]:
@@ -142,8 +164,9 @@ class SpanBuilder:
         piv = next((i for i, x in enumerate(v) if x != 0), None)
         if piv is None:
             return False
-        inv = F1 / v[piv]
-        v = [x * inv for x in v]
+        if v[piv] != 1:
+            inv = F1 / v[piv]
+            v = [x * inv if x else x for x in v]
         for p, row in self._rows.items():
             if row[piv] != 0:
                 c = row[piv]

@@ -6,6 +6,14 @@ every relation generator vanishes.  String modules are the special case with
 0/1 dimensions and identity linking maps; kernels and cokernels of maps
 between them can have arbitrary rational matrices, so everything downstream
 stays fully general.
+
+Every vertex and arrow is present, but the work is local to the supports: a
+block or arrow map with an empty shape is the shared zero matrix of that
+shape, produced without arithmetic.  Kernels and cokernels solve only at
+vertices where the map's source (kernel) or target (cokernel) is non-zero,
+and induce only the arrow maps that carry a non-empty matrix; each of those
+still has its well-definedness check, and every arrow whose intertwining
+square has a non-empty side is still checked.
 """
 
 from __future__ import annotations
@@ -134,6 +142,8 @@ def module_map(source: Representation, target: Representation,
 
 def _check_intertwining(f: ModuleMap) -> None:
     for a in f.source.algebra.quiver.arrows:
+        if not (f.target.dims[a.target] and f.source.dims[a.source]):
+            continue  # both sides are the empty zero matrix
         lhs = f.blocks[a.target] @ f.source.maps[a.name]
         rhs = f.target.maps[a.name] @ f.blocks[a.source]
         if lhs != rhs:
@@ -232,10 +242,15 @@ def kernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     retractions: dict[int, Mat] = {}
     dims: dict[int, int] = {}
     for v, b in f.blocks.items():
-        incl_blocks[v], retractions[v] = kernel_inclusion(b)
+        if f.source.dims[v]:
+            incl_blocks[v], retractions[v] = kernel_inclusion(b)
+        else:
+            incl_blocks[v] = retractions[v] = Mat.zeros(0, 0)
         dims[v] = incl_blocks[v].ncols
     maps = {}
     for a in algebra.quiver.arrows:
+        if not (f.source.dims[a.target] and dims[a.source]):
+            continue  # nothing is carried: the induced map is zero
         # induced map: carry the kernel along the arrow, read it back through
         # the target's retraction
         carried = f.source.maps[a.name] @ incl_blocks[a.source]
@@ -255,11 +270,16 @@ def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     sections: dict[int, Mat] = {}
     dims: dict[int, int] = {}
     for v, b in f.blocks.items():
-        proj_blocks[v], sections[v] = quotient_projection(b.columns(),
-                                                          ambient_dim=f.target.dims[v])
+        if f.target.dims[v]:
+            proj_blocks[v], sections[v] = quotient_projection(b.columns(),
+                                                              ambient_dim=f.target.dims[v])
+        else:
+            proj_blocks[v] = sections[v] = Mat.zeros(0, 0)
         dims[v] = proj_blocks[v].nrows
     maps = {}
     for a in algebra.quiver.arrows:
+        if not (dims[a.target] and f.target.dims[a.source]):
+            continue  # nothing is carried: the induced map is zero
         # induced map: factor proj_e @ target_map through proj_s via its section
         carried = proj_blocks[a.target] @ f.target.maps[a.name]
         induced = carried @ sections[a.source]
@@ -307,6 +327,8 @@ def direct_sum(reps: list[Representation]) -> Representation:
     maps = {}
     for a in algebra.quiver.arrows:
         s, e = a.source, a.target
+        if not (dims[e] and dims[s]):
+            continue  # representation fills in the empty zero map
         rows = [[F0] * dims[s] for _ in range(dims[e])]
         for r, off in zip(reps, offsets):
             block = r.maps[a.name]

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 
+import stringdet
+from stringdet import cli
 from stringdet.cli import main
 from stringdet.families import generate_example
 
@@ -138,3 +143,32 @@ def test_check_refuses_long_line_under_default_guard(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "max-nodes" in err and "more than 100 indecomposables" in err
     assert "Traceback" not in err
+
+
+def _fresh_process(argv):
+    """(exit code, stdout, stderr) of main(argv) in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(stringdet.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from stringdet.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        env=env, capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_main_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
+    """The argparse parser is built once per process and reused: a check, a
+    usage error and a determiners call in a row each print what a fresh
+    process prints."""
+    path = write(tmp_path, "q.txt", generate_example("zigzag4"))
+    calls = [["check", path], ["check", path, "--format", "yaml"],
+             ["determiners", path, "--format", "json"]]
+    results = []
+    for argv in calls:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        results.append((code, out, err))
+    assert [code for code, _, _ in results] == [0, 1, 0]
+    assert results[1][2].startswith("usage error: argument --format")
+    assert results == [_fresh_process(argv) for argv in calls]
+    assert cli._build_parser() is cli._build_parser()

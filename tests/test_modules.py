@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from stringdet.families import (crossing6_algebra, fan5_algebra, linear_algebra,
                                 random_tree_algebra)
 from stringdet.linalg import (Mat, SpanBuilder, kernel_inclusion, nullspace,
                               quotient_projection)
-from stringdet.modules import (ModuleMap, compose, identity_map, is_epimorphism,
+from stringdet.modules import (ModuleMap, compose, direct_sum, identity_map, is_epimorphism,
                                is_monomorphism, module_map, zero_map)
 from stringdet.strings import Letter, make_string, radical_walks
 
@@ -24,6 +25,34 @@ def test_mat_basics():
     assert Mat([[1, 2], [2, 4]]).rank() == 1
     assert Mat.zeros(0, 3).shape == (0, 3)
     assert (Mat.zeros(2, 0) @ Mat.zeros(0, 3)).shape == (2, 3)
+
+
+def test_empty_shapes_are_checked_first():
+    for a, b in ((Mat.zeros(2, 0), Mat.zeros(1, 3)), (Mat.zeros(0, 2), Mat.zeros(3, 0)),
+                 (Mat.zeros(0, 0), Mat([[1]])), (Mat([[1, 2]]), Mat.zeros(0, 4))):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            a @ b
+
+
+def test_empty_and_inner_zero_products_are_zero_matrices():
+    full = Mat([[1, 2], [3, 4], [5, 6]])
+    assert Mat.zeros(0, 3) @ full == Mat.zeros(0, 2)
+    assert Mat([[1], [2]]) @ Mat.zeros(1, 0) == Mat.zeros(2, 0)
+    inner = Mat.zeros(2, 0) @ Mat.zeros(0, 3)
+    assert inner == Mat.zeros(2, 3) and inner.is_zero()
+    # one shared instance per empty shape
+    assert Mat.zeros(0, 3) is Mat.zeros(0, 3)
+    assert Mat.zeros(0, 3).shape == (0, 3) and Mat.zeros(3, 0).shape == (3, 0)
+    assert Mat.from_columns([], nrows=2) == Mat.zeros(2, 0)
+    assert Mat.row_major((7, 8), 1, 0, 5) == Mat.zeros(0, 5)
+    assert Mat.zeros(0, 2).hstack(Mat.zeros(0, 1)) == Mat.zeros(0, 3)
+    assert Mat([[1], [2]]).hstack(Mat.zeros(2, 0)) == Mat([[1], [2]])
+
+
+def test_rank_of_empty_shapes_is_zero():
+    assert Mat.zeros(0, 3).rank() == 0
+    assert Mat.zeros(3, 0).rank() == 0
+    assert Mat.zeros(0, 0).rank() == 0
 
 
 def test_nullspace_basis():
@@ -74,6 +103,12 @@ def test_span_builder():
     assert sb.contains((0, 1, 0))
     assert not sb.contains((0, 0, 1))
     assert sb.dim == 2
+    # pivots are normalised exactly, whether or not the row needed rescaling
+    sb = SpanBuilder(3)
+    assert sb.add((0, 3, 2))
+    assert sb.add((1, 0, 5))
+    assert sb.reduce((0, 1, Fraction(2, 3))) == [0, 0, 0]
+    assert nullspace(Mat([[0, 3, 2], [1, 0, 5]])) == [(-5, Fraction(-2, 3), 1)]
 
 
 def test_string_module_trivial():
@@ -161,6 +196,16 @@ def test_kernel_rejects_non_intertwining_map():
         kernel(f)
 
 
+def test_cokernel_rejects_non_intertwining_map():
+    # S(1) -> P(1) nonzero at 1: the cokernel is zero at 1, but the arrow
+    # carries the target's vector at 1 to a non-zero class at 2
+    alg = linear_algebra(2)
+    s1, p1 = simple(alg, 1), projective(alg, 1)
+    f = ModuleMap(s1, p1, {1: Mat([[1]]), 2: Mat.zeros(1, 0)})
+    with pytest.raises(ValueError, match="cokernel maps are not well defined"):
+        cokernel(f)
+
+
 def test_cokernel_of_inclusion():
     alg = linear_algebra(2)
     p1 = projective(alg, 1)
@@ -237,3 +282,98 @@ def test_hom_from_projective_counts_dimension(seed, n):
             m = string_module(alg, w)
             assert len(hom_space(p, m)) == m.dims[i]
             assert len(hom_space(m, inj)) == m.dims[i]
+
+
+# --------------------------------------------------------------------------
+# support-local kernels, cokernels and intertwining checks against the
+# whole-quiver loops, with products summed entry by entry
+
+def _dense(a, b):
+    cols = list(zip(*b.rows)) if b.rows else [()] * b.ncols
+    return Mat([[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.rows],
+               ncols=b.ncols)
+
+
+def _reference_kernel(f):
+    incl, retr, dims, maps = {}, {}, {}, {}
+    for v, b in f.blocks.items():
+        incl[v], retr[v] = kernel_inclusion(b)
+        dims[v] = incl[v].ncols
+    for a in f.source.algebra.quiver.arrows:
+        carried = _dense(f.source.maps[a.name], incl[a.source])
+        induced = _dense(retr[a.target], carried)
+        if _dense(incl[a.target], induced) != carried:
+            raise ValueError("kernel maps are not well defined")
+        maps[a.name] = induced
+    return dims, maps, incl
+
+
+def _reference_cokernel(f):
+    proj, sec, dims, maps = {}, {}, {}, {}
+    for v, b in f.blocks.items():
+        proj[v], sec[v] = quotient_projection(b.columns(), ambient_dim=f.target.dims[v])
+        dims[v] = proj[v].nrows
+    for a in f.target.algebra.quiver.arrows:
+        carried = _dense(proj[a.target], f.target.maps[a.name])
+        induced = _dense(carried, sec[a.source])
+        if _dense(induced, proj[a.source]) != carried:
+            raise ValueError("cokernel maps are not well defined")
+        maps[a.name] = induced
+    return dims, maps, proj
+
+
+def _reference_intertwines(source, target, blocks):
+    return all(_dense(blocks[a.target], source.maps[a.name])
+               == _dense(target.maps[a.name], blocks[a.source])
+               for a in source.algebra.quiver.arrows)
+
+
+def _sweep_maps(ar):
+    """Every irreducible map of ar, then every mesh's sink map."""
+    maps = [arr.map for arr in ar.arrows]
+    for mesh in ar.meshes:
+        comps = [ar.arrows[i] for i in mesh.arrow_indices]
+        total = direct_sum([ar.nodes[c.source].rep for c in comps])
+        blocks = {v: reduce(Mat.hstack, [c.map.blocks[v] for c in comps]) for v in total.dims}
+        maps.append(ModuleMap(total, ar.nodes[mesh.right].rep, blocks))
+    return maps
+
+
+def test_support_local_kernels_and_cokernels_match_whole_quiver(sweep_records):
+    records = [r for r in sweep_records if r.algebra.quiver.vertex_count() <= 4]
+    assert len(records) == 332
+    checked = 0
+    for rec in records:
+        for f in _sweep_maps(rec.oracle.ar):
+            for op, reference in ((kernel, _reference_kernel), (cokernel, _reference_cokernel)):
+                rep, g = op(f)
+                assert (rep.dims, rep.maps, g.blocks) == reference(f)
+            checked += 1
+    assert checked > 3076  # every irreducible map plus the sink maps
+
+
+def test_support_local_intertwining_check_matches_whole_quiver(sweep_records):
+    """Perturb one entry of one non-empty block of each irreducible map:
+    module_map must refuse exactly the perturbations the whole-quiver loop
+    refuses."""
+    outcomes = Counter()
+    for rec in sweep_records:
+        if rec.algebra.quiver.vertex_count() > 4:
+            continue
+        for arr in rec.oracle.ar.arrows:
+            f = arr.map
+            for v, b in f.blocks.items():
+                if not (b.nrows and b.ncols):
+                    continue
+                blocks = dict(f.blocks)
+                blocks[v] = Mat([[b.rows[0][0] + 1, *b.rows[0][1:]], *b.rows[1:]], ncols=b.ncols)
+                expected = _reference_intertwines(f.source, f.target, blocks)
+                try:
+                    module_map(f.source, f.target, blocks)
+                except ValueError:
+                    outcomes["refused"] += 1
+                    assert not expected
+                else:
+                    outcomes["accepted"] += 1
+                    assert expected
+    assert outcomes["refused"] and outcomes["accepted"]
