@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import islice
 
 from .algebra import BoundQuiverAlgebra
@@ -59,10 +59,6 @@ class ArNode:
     @property
     def is_injective(self) -> bool:
         return self.injective_vertex is not None
-
-    @cached_property
-    def support(self) -> frozenset[int]:
-        return frozenset(self.rep.support())
 
     def label(self) -> str:
         tags = []
@@ -112,7 +108,7 @@ class ARQuiver:
         arrow of node b leaves C."""
         key = (a, b)
         if key not in self._image:
-            c = self.nodes[a].support & self.nodes[b].support
+            c = self.nodes[a].rep.support & self.nodes[b].rep.support
             arrows = self.algebra.quiver.arrow_map
             enters = any(arrows[l.arrow].target in c and arrows[l.arrow].source not in c
                          for l in self.nodes[a].walk.letters)
@@ -132,7 +128,7 @@ class ARQuiver:
 
     def node_of(self, rep: Representation) -> int:
         """Index of the node whose module equals rep; ValueError otherwise."""
-        index = self._node_by_support.get(frozenset(v for v, d in rep.dims.items() if d))
+        index = self._node_by_support.get(rep.support)
         own = None if index is None else self.nodes[index].rep
         # a node's own module needs no entry-by-entry comparison
         if own is None or (own is not rep and own != rep):
@@ -154,7 +150,7 @@ class ARQuiver:
         every arrow inside its support, and has a node's support."""
         if any(d > 1 for d in rep.dims.values()):
             return None
-        support = frozenset(v for v, d in rep.dims.items() if d)
+        support = rep.support
         for a in self.algebra.quiver.arrows:
             if a.source in support and a.target in support and rep.maps[a.name].is_zero():
                 return None
@@ -175,7 +171,7 @@ def ar_quiver(algebra: BoundQuiverAlgebra, max_nodes: int | None = None) -> ARQu
     nodes = [ArNode(i, w, string_module(algebra, w)) for i, w in enumerate(_sorted_strings(found))]
     ar = ARQuiver(algebra, nodes, [], [], {}, {})
     ar._node_by_walk = {n.walk: n.index for n in nodes}
-    ar._node_by_support = {n.support: n.index for n in nodes}
+    ar._node_by_support = {n.rep.support: n.index for n in nodes}
     if len(ar._node_by_support) != len(nodes):
         raise OracleError("two strings share a support")
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import BoundQuiverAlgebra
 from .linalg import F0, Mat, kernel_inclusion, nullspace, quotient_projection
@@ -37,8 +38,10 @@ class Representation:
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(v for v in sorted(self.dims) if self.dims[v])
+    @cached_property
+    def support(self) -> frozenset[int]:
+        """Vertices with a non-zero space, computed once per module."""
+        return frozenset(v for v, d in self.dims.items() if d)
 
 
 def _check_relations(rep: Representation) -> None:
@@ -114,6 +117,11 @@ class ModuleMap:
 
     def is_zero(self) -> bool:
         return all(b.is_zero() for b in self.blocks.values())
+
+    @cached_property
+    def support(self) -> frozenset[int]:
+        """Vertices with a non-zero block, computed once per map."""
+        return frozenset(v for v, b in self.blocks.items() if not b.is_zero())
 
     def vec(self) -> tuple:
         """Flatten block entries in fixed (sorted vertex, row-major) order."""

@@ -68,10 +68,9 @@ def almost_factors_through(ar: ARQuiver, v: int, f: ModuleMap) -> bool:
     c = ar.image(p, n)
     if not c:
         return False
-    supp_f = {u for u, b in f.blocks.items() if not b.is_zero()}
-    if not supp_f.isdisjoint(ar.image(p, m)):
+    if not f.support.isdisjoint(ar.image(p, m)):
         return False
-    return all(c.isdisjoint(ar.nodes[r].support) or not supp_f.isdisjoint(ar.image(r, m))
+    return all(c.isdisjoint(ar.nodes[r].rep.support) or not f.support.isdisjoint(ar.image(r, m))
                for r in ar.radical_nodes(v))
 
 

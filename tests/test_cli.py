@@ -1,12 +1,20 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 import stringdet
 from stringdet import cli
+from stringdet.arquiver import OracleError
 from stringdet.cli import main
 from stringdet.families import generate_example
+
+PINNED = Path(__file__).parent / "data" / "cli"
+CYCLE3 = "vertices: 3\narrow a: 1 -> 2\narrow b: 2 -> 3\narrow c: 3 -> 1\n"
 
 
 def write(tmp_path, name, text):
@@ -23,8 +31,7 @@ def test_validate_ok(tmp_path, capsys):
 
 
 def test_validate_cycle(tmp_path, capsys):
-    doc = "vertices: 3\narrow a: 1 -> 2\narrow b: 2 -> 3\narrow c: 3 -> 1\n"
-    path = write(tmp_path, "cycle.txt", doc)
+    path = write(tmp_path, "cycle.txt", CYCLE3)
     assert main(["validate", path]) == 2
     out = capsys.readouterr().out
     assert "INVALID" in out and "tree" in out
@@ -172,3 +179,50 @@ def test_main_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
     assert results[1][2].startswith("usage error: argument --format")
     assert results == [_fresh_process(argv) for argv in calls]
     assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("example,command,fmt", [
+    *(("zigzag4", command, fmt)
+      for command in ("validate", "classify", "ideals", "determiners", "oracle", "check")
+      for fmt in ("text", "json")),
+    ("cycle3", "validate", "text"), ("cycle3", "validate", "json")])
+def test_output_matches_pinned_file(example, command, fmt, tmp_path, capsys):
+    """stdout is byte for byte the file under tests/data/cli, and the 3-cycle
+    gets its invalid certificate with exit code 2."""
+    doc = CYCLE3 if example == "cycle3" else generate_example(example)
+    path = write(tmp_path, "q.txt", doc)
+    assert main([command, path, "--format", fmt]) == (2 if example == "cycle3" else 0)
+    pinned = (PINNED / f"{example}.{command}.{fmt}").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == pinned
+
+
+def test_check_mismatch_exits_3(tmp_path, capsys, monkeypatch):
+    """An engine report with one projective determiner dropped disagrees with
+    the oracle: MISMATCH in text, agree false in JSON, exit code 3."""
+    engine_report = cli.determiner_report
+
+    def flipped(alg):
+        report = engine_report(alg)
+        return dataclasses.replace(report,
+                                   projective_determiners=report.projective_determiners[1:])
+
+    monkeypatch.setattr(cli, "determiner_report", flipped)
+    path = write(tmp_path, "q.txt", generate_example("zigzag4"))
+    assert main(["check", path]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == "MISMATCH"
+    assert main(["check", path, "--format", "json"]) == 3
+    assert json.loads(capsys.readouterr().out)["agree"] is False
+
+
+@pytest.mark.parametrize("command", ["oracle", "check"])
+def test_oracle_breach_exits_3(command, tmp_path, capsys, monkeypatch):
+    def breach(alg, max_nodes=None):
+        raise OracleError("planted breach")
+
+    monkeypatch.setattr(cli, "brute_force_det", breach)
+    path = write(tmp_path, "q.txt", generate_example("zigzag4"))
+    assert main([command, path]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("oracle invariant breach:") and "planted breach" in err
+    assert "Traceback" not in err

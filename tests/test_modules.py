@@ -138,7 +138,7 @@ def test_projective_fan5():
     p4 = projective(alg, 4)
     assert p4.dims == {1: 0, 2: 0, 3: 1, 4: 1, 5: 1}
     rads = radical_summands(alg, 4)
-    assert [r.support() for r in rads] == [(3,), (5,)]
+    assert [r.support for r in rads] == [{3}, {5}]
     assert radical_summands(alg, 1) == []
 
 
@@ -159,8 +159,8 @@ def test_stored_radical_nodes_crossing6():
         proj = ar.nodes[ar.projective_node(v)]
         assert proj.projective_vertex == v
         # the summands' supports partition P(v) minus its top
-        covered = [u for r in rads for u in ar.nodes[r].support]
-        assert sorted(covered) == sorted(proj.support - {v})
+        covered = [u for r in rads for u in ar.nodes[r].rep.support]
+        assert sorted(covered) == sorted(proj.rep.support - {v})
 
 
 def test_hom_dimensions():
@@ -263,7 +263,7 @@ def test_relation_check_skips_only_generators_leaving_the_support():
     with pytest.raises(ValueError, match="a3 a2"):
         representation(alg, {2: 1, 3: 1, 4: 1}, {"a3": Mat([[1]]), "a2": Mat([[1]])})
     rep = representation(alg, {3: 1, 4: 1}, {"a3": Mat([[1]])})
-    assert rep.support() == (3, 4)
+    assert rep.support == {3, 4}
 
 
 @settings(max_examples=25, deadline=None)

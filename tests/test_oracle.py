@@ -37,7 +37,7 @@ def test_almost_factors_zero_cokernel_on_support():
     ar = ar_quiver(alg)
     incl = next(a.map for a in ar.arrows
                 if ar.nodes[a.target].projective_vertex == 2)
-    assert incl.source.support() == (3,)
+    assert incl.source.support == {3}
     assert almost_factors_through(ar, 2, incl)
     assert not almost_factors_through(ar, 3, incl)
 
@@ -60,9 +60,9 @@ def _joint_solve_almost_factors(ar, v, f, quotient):
     onto Cok f."""
     alg = ar.algebra
     proj = ar.nodes[ar.projective_node(v)].rep
-    if not any(quotient.target.dims[u] for u in proj.support()):
+    if not any(quotient.target.dims[u] for u in proj.support):
         return False
-    support = [u for u in proj.support() if u != v]
+    support = [u for u in proj.support if u != v]
     rad = representation(alg, {u: 1 for u in support},
                          {a.name: proj.maps[a.name] for a in alg.quiver.arrows
                           if v not in (a.source, a.target)})
