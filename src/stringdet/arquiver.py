@@ -194,7 +194,6 @@ def ar_quiver(algebra: BoundQuiverAlgebra, max_nodes: int | None = None) -> ARQu
     _build_arrows(ar)
     _build_meshes(ar)
     _check_translate(ar)
-    _check_radicals(ar)
     return ar
 
 
@@ -218,10 +217,22 @@ def _build_arrows(ar: ARQuiver) -> None:
 
 
 def _build_meshes(ar: ARQuiver) -> None:
+    """Read the arrows into each node from one index.  A projective's must
+    come exactly from its radical summands, one each; any other node's are
+    the sink map of the mesh ending there."""
+    into: dict[int, list[ArArrow]] = {}
+    for arr in ar.arrows:
+        into.setdefault(arr.target, []).append(arr)
     for node in ar.nodes:
+        comps = into.get(node.index, [])
         if node.is_projective:
+            expected = list(ar.radical_nodes(node.projective_vertex))
+            actual = sorted(arr.source for arr in comps)
+            if expected != actual:
+                raise OracleError(f"arrows into projective {node.label()} come from "
+                                  f"{[ar.nodes[i].label() for i in actual]}, not from its "
+                                  f"radical summands {[ar.nodes[i].label() for i in expected]}")
             continue
-        comps = [arr for arr in ar.arrows if arr.target == node.index]
         if not comps:
             raise OracleError(f"non-projective node {node.label()} has no incoming arrows")
         if len(comps) > 2:
@@ -256,20 +267,6 @@ def _check_translate(ar: ARQuiver) -> None:
     non_inj = {n.index for n in ar.nodes if not n.is_injective}
     if set(seen) != non_inj:
         raise OracleError("translate image does not match the non-injective nodes")
-
-
-def _check_radicals(ar: ARQuiver) -> None:
-    """Arrows into each projective must come exactly from its radical
-    summands, one each."""
-    for node in ar.nodes:
-        if not node.is_projective:
-            continue
-        expected = list(ar.radical_nodes(node.projective_vertex))
-        actual = sorted(arr.source for arr in ar.arrows if arr.target == node.index)
-        if expected != actual:
-            raise OracleError(f"arrows into projective {node.label()} come from "
-                              f"{[ar.nodes[i].label() for i in actual]}, not from its "
-                              f"radical summands {[ar.nodes[i].label() for i in expected]}")
 
 
 def single_middle_count(ar: ARQuiver) -> int:

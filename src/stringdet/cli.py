@@ -48,15 +48,18 @@ def _emit(ns: argparse.Namespace, doc: dict | list[str] | str,
         return
     # write once, atomically
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".stringdet-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".stringdet-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(doc)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        # name the path given, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _cmd_validate(ns, alg: BoundQuiverAlgebra) -> None:
@@ -167,7 +170,9 @@ def _build_parser() -> _Parser:
     def report(name, help_, handler):
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("input", help="quiver description file, or '-' for stdin")
-        sp.add_argument("--format", choices=["text", "json"], default="text")
+        sp.add_argument("--format", choices=["text", "json"], default="text",
+                        help="format of the certificate printed for an invalid input; "
+                             "the DOT output is always DOT" if name == "export-dot" else None)
         sp.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
         sp.set_defaults(handler=handler)
         return sp

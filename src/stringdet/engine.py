@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import BoundQuiverAlgebra
-from .taxonomy import (IDEAL_BEARING, VertexClass, VertexIdealStatus,
-                       classify_vertex, vertex_ideal, vertex_ideals)
-from .treewalk import neighbourhood, restricted_ideal_nonzero
+from .taxonomy import VertexClass, VertexIdealStatus, classify_vertex, vertex_ideals
 
 
 @dataclass(frozen=True)
@@ -80,6 +78,9 @@ class DeterminerReport:
 
 
 def _decide(v: int, cls: VertexClass, ideal: VertexIdealStatus | None) -> VertexDecision:
+    """Projective-determiner criterion for one vertex: vertices with a single
+    outgoing arrow always qualify; fork sources never do; every other class
+    qualifies exactly when its vertex ideal vanishes."""
     if cls in (VertexClass.SOURCE_LEAF, VertexClass.FLOW_THROUGH, VertexClass.MEET_FLOW):
         return VertexDecision(v, cls, ideal, True, "single outgoing arrow: always a determiner")
     if cls is VertexClass.FORK_SOURCE:
@@ -90,16 +91,6 @@ def _decide(v: int, cls: VertexClass, ideal: VertexIdealStatus | None) -> Vertex
     if ideal.is_zero:
         return VertexDecision(v, cls, ideal, True, "vertex ideal vanishes")
     return VertexDecision(v, cls, ideal, False, "vertex ideal is non-zero")
-
-
-def is_projective_determiner(algebra: BoundQuiverAlgebra, v: int) -> VertexDecision:
-    """Projective-determiner criterion for one vertex.
-
-    Vertices with a single outgoing arrow always qualify; fork sources never
-    do; every other class qualifies exactly when its vertex ideal vanishes.
-    """
-    cls = classify_vertex(algebra, v)
-    return _decide(v, cls, vertex_ideal(algebra, v) if cls in IDEAL_BEARING else None)
 
 
 def determiner_report(algebra: BoundQuiverAlgebra) -> DeterminerReport:
@@ -252,7 +243,10 @@ def dynkin_type(algebra: BoundQuiverAlgebra,
     limbs = tuple(_limb_lengths(algebra, branch))
     if not limbs:
         return DynkinReport("other", n, None, (), None, p_val, q_val)
-    ideal_flag = restricted_ideal_nonzero(algebra, neighbourhood(algebra, branch))
+    # on a tree the arrows among the branch vertex and its neighbours are the
+    # arrows at the branch vertex
+    star = {a.name for a in q.in_arrows(branch) + q.out_arrows(branch)}
+    ideal_flag = any(star.issuperset(gen) for gen in algebra.relations.generators)
     if limbs[:2] == (1, 1):
         return DynkinReport("D", n, branch, limbs, ideal_flag, p_val, q_val)
     if limbs == (1, 2, 2):

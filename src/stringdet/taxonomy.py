@@ -241,24 +241,3 @@ def vertex_ideals(algebra: BoundQuiverAlgebra) -> dict[int, VertexIdealStatus]:
         statuses[v] = (VertexIdealStatus(v, IdealKind.ZERO, witness=low) if low != math.inf
                        else VertexIdealStatus(v, otherwise))
     return statuses
-
-
-def vertex_ideal(algebra: BoundQuiverAlgebra, v: int) -> VertexIdealStatus:
-    """Vertex-ideal status of one vertex (see vertex_ideals).  Raises for
-    classes that carry no ideal."""
-    cls = classify_vertex(algebra, v)
-    if cls not in IDEAL_BEARING:
-        raise ValueError(f"vertex {v} ({cls.value}) carries no vertex ideal")
-    return vertex_ideals(algebra)[v]
-
-
-def fork_source_count(algebra: BoundQuiverAlgebra) -> int:
-    """Number of sources with two neighbours (the p of the counting formula)."""
-    return sum(1 for v in algebra.quiver.vertices
-               if classify_vertex(algebra, v) is VertexClass.FORK_SOURCE)
-
-
-def nonzero_ideal_count(algebra: BoundQuiverAlgebra) -> int:
-    """Number of vertices with a non-zero vertex ideal (the q of the counting
-    formula).  Counted per vertex, not per distinct ideal."""
-    return sum(1 for s in vertex_ideals(algebra).values() if s.is_nonzero)

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stringdet import parse_algebra, path_in_ideal, serialize, validate
-from stringdet.algebra import ParseError, RelationReductionWarning
+from stringdet import parse_algebra, validate
+from stringdet.algebra import ParseError, RelationReductionWarning, path_in_ideal, serialize
 from stringdet.families import crossing6_algebra, random_tree_algebra
 import random
 

@@ -3,13 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stringdet import ar_quiver, enumerate_strings, strings
-from stringdet.arquiver import (GuardExceeded, MiddleKind, OracleError, _check_radicals,
+from stringdet import ar_quiver, strings
+from stringdet.arquiver import (GuardExceeded, MiddleKind, OracleError, _build_meshes,
                                 single_middle_count)
 from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
                                 linear_algebra, random_tree_algebra)
 from stringdet.linalg import SpanBuilder
 from stringdet.modules import compose, hom_space, is_epimorphism, is_monomorphism
+from stringdet.strings import enumerate_strings
 
 
 def test_line2_quiver():
@@ -139,7 +140,7 @@ def test_radical_check_names_the_projective():
                 if nd.is_projective and any(a.target == nd.index for a in ar.arrows))
     ar.arrows.remove(next(a for a in ar.arrows if a.target == proj.index))
     with pytest.raises(OracleError, match="arrows into projective") as exc:
-        _check_radicals(ar)
+        _build_meshes(ar)
     assert proj.walk.render_text() in str(exc.value)
 
 

@@ -103,6 +103,32 @@ def test_export_dot(tmp_path):
     assert "digraph ar_quiver" in text and "rank=same" in text
 
 
+def test_export_dot_format_applies_to_the_certificate(tmp_path, capsys):
+    """--format json gives the JSON certificate for an invalid input, and DOT
+    for a valid one."""
+    bad = write(tmp_path, "cycle.txt", CYCLE3)
+    assert main(["export-dot", bad, "--format", "json"]) == 2
+    pinned = (PINNED / "cycle3.validate.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == pinned
+    good = write(tmp_path, "q.txt", generate_example("zigzag4"))
+    assert main(["export-dot", good, "--format", "json"]) == 0
+    assert capsys.readouterr().out.startswith("digraph quiver")
+
+
+def test_output_error_names_the_given_path(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "z.txt", generate_example("zigzag4"))
+    (tmp_path / "d").mkdir()
+    for target in ("nodir/x.txt", "d"):
+        assert main(["validate", "z.txt", "-o", target]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{target}'" in err, err
+        assert ".stringdet-" not in err and "Traceback" not in err
+    # no temporary file is left behind
+    assert sorted(os.listdir(tmp_path)) == ["d", "z.txt"]
+    assert os.listdir(tmp_path / "d") == []
+
+
 def test_gen_example_to_file(tmp_path):
     out = tmp_path / "gen.txt"
     assert main(["gen-example", "crossing6", "-o", str(out)]) == 0

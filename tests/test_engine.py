@@ -3,8 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stringdet import (check_unique_sink_characterization, determiner_report,
-                       dynkin_type, is_projective_determiner)
+from stringdet import check_unique_sink_characterization, determiner_report, dynkin_type
 from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
                                 fork_algebra, linear_algebra, random_tree_algebra,
                                 zigzag4_algebra)
@@ -150,7 +149,7 @@ def test_dynkin_exceptional():
 
 def test_fork_source_never_determiner():
     alg = fan5_algebra("both")
-    decision = is_projective_determiner(alg, 4)
+    decision = next(d for d in determiner_report(alg).decisions if d.vertex == 4)
     assert not decision.is_determiner
     assert decision.vertex_class is VertexClass.FORK_SOURCE
 

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from stringdet import parse_algebra, serialize, validate
+from stringdet import parse_algebra, validate
+from stringdet.algebra import serialize
 from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
                                 fork_algebra, generate_example, iter_tree_algebras,
                                 linear_algebra, random_tree_algebra, zigzag4_algebra)

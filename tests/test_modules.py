@@ -6,15 +6,16 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stringdet import (ar_quiver, cokernel, enumerate_strings, hom_space, injective, kernel,
-                       projective, radical_summands, simple, socle, string_module)
+from stringdet import ar_quiver
 from stringdet.families import (crossing6_algebra, fan5_algebra, linear_algebra,
                                 random_tree_algebra)
 from stringdet.linalg import (Mat, SpanBuilder, kernel_inclusion, nullspace,
                               quotient_projection)
-from stringdet.modules import (ModuleMap, compose, direct_sum, identity_map, is_epimorphism,
-                               is_monomorphism, module_map, zero_map)
-from stringdet.strings import Letter, make_string, radical_walks
+from stringdet.modules import (ModuleMap, cokernel, compose, direct_sum, hom_space,
+                               identity_map, injective, is_epimorphism, is_monomorphism,
+                               kernel, module_map, projective, radical_summands, simple,
+                               socle, string_module, zero_map)
+from stringdet.strings import Letter, enumerate_strings, make_string, radical_walks
 
 
 def test_mat_basics():

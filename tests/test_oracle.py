@@ -1,15 +1,19 @@
-import pytest
+import random
 
-from stringdet import (almost_factors_through, ar_quiver, brute_force_det,
-                       determiner_report, oracle)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from stringdet import ar_quiver, brute_force_det, determiner_report, oracle, parse_algebra, validate
+from stringdet.algebra import serialize
 from stringdet.arquiver import OracleError
 from stringdet.families import (crossing6_algebra, crossing_tree_algebra,
-                                linear_algebra)
+                                linear_algebra, random_tree_algebra)
 from stringdet.linalg import Mat, nullspace
 from stringdet.modules import (block_columns, cokernel, direct_sum, identity_map,
                                intertwining_rows, module_map, projective, representation,
                                simple, zero_map)
-from stringdet.oracle import MapKind, is_right_determined, minimal_right_determiner
+from stringdet.oracle import (MapKind, almost_factors_through, is_right_determined,
+                              minimal_right_determiner)
 
 
 def test_almost_factors_identity():
@@ -207,3 +211,54 @@ def test_cokernel_checks_name_the_walks(monkeypatch):
     monkeypatch.setattr(oracle, "cokernel", lambda f: cokernel(mono.map))
     with pytest.raises(OracleError, match=r"epi arrow \d+ \(a1 -> \(1\)\)"):
         minimal_right_determiner(ar, epi)
+
+
+# --------------------------------------------------------------------------
+# metamorphic: relabeling vertices and arrows
+
+def _relabel(text, vertex_map, arrow_map):
+    """The serialized document with every vertex id and arrow name replaced."""
+    lines = []
+    for line in text.splitlines():
+        key, _, rest = line.partition(": ")
+        if key == "vertices":
+            rest = ", ".join(str(vertex_map[int(v)]) for v in rest.split(", "))
+        elif key == "relation":
+            rest = " ".join(arrow_map[a] for a in rest.split())
+        else:  # arrow NAME: SOURCE -> TARGET
+            source, target = rest.split(" -> ")
+            key = "arrow " + arrow_map[key.split()[1]]
+            rest = f"{vertex_map[int(source)]} -> {vertex_map[int(target)]}"
+        lines.append(f"{key}: {rest}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**9), n=st.integers(2, 7))
+def test_relabeling_permutes_engine_and_oracle(seed, n):
+    rng = random.Random(seed)
+    alg = random_tree_algebra(rng, n)
+    vertex_map = dict(zip(alg.quiver.vertices, rng.sample(range(1, 3 * n + 1), n)))
+    names = [a.name for a in alg.quiver.arrows]
+    arrow_map = dict(zip(names, rng.sample([f"x{k}" for k in range(len(names))], len(names))))
+    copy = validate(parse_algebra(_relabel(serialize(alg), vertex_map, arrow_map)))
+    assert copy.is_valid, copy.certificate
+
+    # witnesses are the smallest qualifying fork vertex by id, so they are
+    # not compared
+    def decisions(report, rename):
+        return {rename(d.vertex): (d.vertex_class, d.ideal and d.ideal.kind, d.is_determiner)
+                for d in report.decisions}
+
+    rep, moved = determiner_report(alg), determiner_report(copy)
+    assert decisions(moved, lambda v: v) == decisions(rep, vertex_map.get)
+    assert ((moved.n, moved.p, moved.q, moved.formula_value)
+            == (rep.n, rep.p, rep.q, rep.formula_value))
+    assert set(moved.projective_determiners) == {vertex_map[v]
+                                                 for v in rep.projective_determiners}
+    assert rep.formula_value == len(rep.projective_determiners) + rep.n - 1
+
+    res, res_moved = brute_force_det(alg), brute_force_det(copy)
+    assert res_moved.projective_vertices == {vertex_map[v] for v in res.projective_vertices}
+    assert len(res_moved.ar.nodes) == len(res.ar.nodes)
+    assert len(res_moved.ar.arrows) == len(res.ar.arrows)

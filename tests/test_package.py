@@ -1,0 +1,31 @@
+import pytest
+
+import stringdet
+from stringdet import arquiver, engine, taxonomy, treewalk
+
+# per-vertex duplicates of vertex_ideals / determiner_report, and the
+# neighbourhood layer that dynkin_type no longer needs
+DELETED = [
+    (taxonomy, "vertex_ideal"), (taxonomy, "fork_source_count"),
+    (taxonomy, "nonzero_ideal_count"), (engine, "is_projective_determiner"),
+    (treewalk, "neighbourhood"), (treewalk, "NeighbourhoodSubquiver"),
+    (treewalk, "is_linear"), (treewalk, "restricted_ideal_nonzero"),
+    (treewalk.TreeWalk, "reversed"), (treewalk.TreeWalk, "arrow_names"),
+    (arquiver, "_check_radicals"),
+]
+
+
+@pytest.mark.parametrize("name", stringdet.__all__)
+def test_all_names_resolve(name):
+    assert getattr(stringdet, name) is not None
+
+
+@pytest.mark.parametrize("owner,name", DELETED, ids=[name for _, name in DELETED])
+def test_deleted_names_are_gone(owner, name):
+    assert not hasattr(owner, name)
+    assert not hasattr(stringdet, name)
+
+
+def test_engine_needs_no_tree_walks():
+    assert not [name for name, value in vars(engine).items()
+                if getattr(value, "__module__", None) == treewalk.__name__]

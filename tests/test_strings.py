@@ -3,11 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stringdet import enumerate_strings, parse_algebra, projective
+from stringdet import parse_algebra
 from stringdet.families import (crossing_tree_algebra, fan5_algebra, linear_algebra,
                                 random_tree_algebra)
-from stringdet.strings import (InvalidStringError, Letter, StringWalk, injective_walk,
-                               make_string, projective_walk, radical_walks,
+from stringdet.modules import projective
+from stringdet.strings import (InvalidStringError, Letter, StringWalk, enumerate_strings,
+                               injective_walk, make_string, projective_walk, radical_walks,
                                string_from_tree_walk, walk_vertices)
 
 
@@ -109,7 +110,7 @@ def test_make_string_canonical():
 
 
 def test_string_from_tree_walk_none_on_relation():
-    from stringdet import walk_between
+    from stringdet.treewalk import walk_between
     alg = linear_algebra(3, relations=[("a1", "a2")])
     assert string_from_tree_walk(alg, walk_between(alg, 1, 3)) is None
 
