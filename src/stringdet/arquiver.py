@@ -4,14 +4,19 @@ Nodes are the string modules (all indecomposables, since tree quivers carry
 no band modules).  Maps come from supports, which are paths in the tree: by
 Crawley-Boevey's graph maps (1989), Hom(M, N) has at most one basis map, the
 identity on C = supp M & supp N, and it exists exactly when no arrow of M
-enters C and no arrow of N leaves C.  M -> N is irreducible when that map is
-non-zero and no third node X gives maps M -> X -> N with overlapping images.
-Exact linear algebra verifies: every basis map intertwines, End = k is an
-exact hom-space solve, and the irreducible maps into each non-projective node
-form a surjection whose exact kernel is its translate.  Each vertex's
-projective node and the nodes of its radical summands are found once and
-stored.  Mesh sizes, the translate bijection and the arrows into each
-projective (exactly its radical summands) are checked too; any breach raises
+enters C and no arrow of N leaves C.  The irreducible maps out of a node come
+from hooks and cohooks (Butler-Ringel, 1987): at each end of its walk, add a
+hook if the walk extends there, or else delete a cohook.  Each target is
+looked up by support, so the arrows cost O(N * l) lookups, l the longest
+string; the definitional rule (a non-zero map M -> N that no third node X
+reaches through maps M -> X -> N with overlapping images) is kept as a test
+reference.  Exact linear algebra verifies: every basis map intertwines,
+End = k is an exact hom-space solve, and the irreducible maps into each
+non-projective node form a surjection whose exact kernel is its translate.
+Each vertex's projective node and the nodes of its radical summands are
+found once and stored.  Mesh sizes, the translate bijection and the arrows
+into each projective (exactly its radical summands) are checked too; any
+breach, a hook or cohook target that is not a node included, raises
 OracleError naming the modules by their walks.
 """
 
@@ -26,8 +31,8 @@ from .algebra import BoundQuiverAlgebra
 from .linalg import Mat
 from .modules import (ModuleMap, Representation, direct_sum, hom_space, is_epimorphism,
                       kernel, module_map, string_module)
-from .strings import (StringWalk, _iter_strings, _sorted_strings, injective_walk,
-                      projective_walk, radical_walks)
+from .strings import (StringWalk, _grow_path, _iter_strings, _sorted_strings, injective_walk,
+                      projective_walk, radical_walks, walk_vertices)
 
 
 class OracleError(RuntimeError):
@@ -148,12 +153,14 @@ class ARQuiver:
         indecomposable is a string module, thin and fixed by its support, so
         rep is a node exactly when it is thin, carries a non-zero scalar on
         every arrow inside its support, and has a node's support."""
-        if any(d > 1 for d in rep.dims.values()):
-            return None
         support = rep.support
-        for a in self.algebra.quiver.arrows:
-            if a.source in support and a.target in support and rep.maps[a.name].is_zero():
-                return None
+        if any(rep.dims[v] > 1 for v in support):
+            return None
+        quiver = self.algebra.quiver
+        for v in support:
+            for a in quiver.out_arrows(v):
+                if a.target in support and rep.maps[a.name].is_zero():
+                    return None
         return self._node_by_support.get(support)
 
 
@@ -198,22 +205,61 @@ def ar_quiver(algebra: BoundQuiverAlgebra, max_nodes: int | None = None) -> ARQu
 
 
 def _build_arrows(ar: ARQuiver) -> None:
-    """Irreducible maps: a non-zero Hom(a, b) that no composite a -> c -> b
-    reaches.  That composite is the identity on the overlap of the two images,
-    so it is non-zero, and spans Hom(a, b), exactly when they overlap."""
-    count = len(ar.nodes)
-    maps_out = [[c for c in range(count) if c != a and ar.image(a, c)] for a in range(count)]
-    for b in range(count):
-        for a in range(count):
-            if a == b or not ar.image(a, b):
-                continue
-            if any(c != b and ar.image(a, c) & ar.image(c, b) for c in maps_out[a]):
-                continue
-            if ar.nodes[a].rep.total_dim == ar.nodes[b].rep.total_dim:
-                raise OracleError(f"irreducible map between equal-dimension nodes "
-                                  f"{ar.nodes[a].label()} -> {ar.nodes[b].label()}")
-            (h,) = ar.hom(a, b)
-            ar.arrows.append(ArArrow(len(ar.arrows), a, b, h))
+    """Irreducible maps by Butler-Ringel: at each end e of a node's vertex
+    path, add a hook (an arrow y -> e from outside, then the maximal surviving
+    path out of y through its other out-arrow) when the walk extends by
+    y -> e, or else delete a cohook (the maximal run of arrows pointing inward
+    from e, up to the first arrow pointing back at it).  A trivial string has
+    its one vertex as its end.  Each target is looked up by support, and each
+    arrow is the basis map of Hom(a, b), so the arrows come from O(N * l)
+    lookups, l the longest string."""
+    found = []
+    for a, node in enumerate(ar.nodes):
+        path = walk_vertices(ar.algebra, node.walk)
+        # the arrow between x_i and x_(i+1) points away from x_0: x_i -> x_(i+1)
+        away = [letter.direct for letter in node.walk.letters]
+        sides = [(path, away)]
+        if len(path) > 1:
+            sides.append((path[::-1], [not d for d in reversed(away)]))
+        for side, inward in sides:
+            targets = _hooks(ar, node.rep.support, side[0])
+            if not targets:
+                j = next((i for i, d in enumerate(inward) if not d), None)
+                # a run that reaches the far end leaves this side without an arrow
+                targets = [] if j is None else [frozenset(side[j + 1:])]
+            for target in targets:
+                b = ar._node_by_support.get(target)
+                if b is None or not ar.image(a, b):
+                    raise OracleError(f"no irreducible map out of {node.walk.render_text()} "
+                                      f"at its end ({side[0]}): support {sorted(target)} "
+                                      f"{'is not a node' if b is None else 'gets no map'}")
+                found.append((b, a))
+    for b, a in sorted(found):
+        if ar.nodes[a].rep.total_dim == ar.nodes[b].rep.total_dim:
+            raise OracleError(f"irreducible map between equal-dimension nodes "
+                              f"{ar.nodes[a].label()} -> {ar.nodes[b].label()}")
+        (h,) = ar.hom(a, b)
+        ar.arrows.append(ArArrow(len(ar.arrows), a, b, h))
+
+
+def _hooks(ar: ARQuiver, support: frozenset[int], e: int) -> list[frozenset[int]]:
+    """Supports of the modules made by adding a hook at end e of a node with
+    the given support: for each arrow beta: y -> e with y outside the support
+    that extends the walk, the support plus y plus the maximal surviving path
+    out of y through its other out-arrow."""
+    quiver = ar.algebra.quiver
+    out = []
+    for beta in quiver.in_arrows(e):
+        y = beta.source
+        grown = support | {y}
+        if y in support or grown not in ar._node_by_support:
+            continue
+        for gamma in quiver.out_arrows(y):
+            if gamma.name != beta.name:
+                path = _grow_path(ar.algebra, gamma.name, outgoing=True)
+                grown |= {quiver.arrow_map[name].target for name in path}
+        out.append(grown)
+    return out
 
 
 def _build_meshes(ar: ARQuiver) -> None:
@@ -239,8 +285,10 @@ def _build_meshes(ar: ARQuiver) -> None:
             raise OracleError(
                 f"node {node.label()} has {len(comps)} middle summands, expected 1 or 2")
         total = direct_sum([ar.nodes[c.source].rep for c in comps])
-        # concatenation order matches the direct-sum offsets
-        blocks = {v: reduce(Mat.hstack, [arr.map.blocks[v] for arr in comps]) for v in total.dims}
+        # concatenation order matches the direct-sum offsets; off the sum's
+        # support each block is empty
+        blocks = {v: reduce(Mat.hstack, [arr.map.blocks[v] for arr in comps]) if d
+                  else Mat.zeros(node.rep.dims[v], 0) for v, d in total.dims.items()}
         g = ModuleMap(total, node.rep, blocks)
         if not is_epimorphism(g):
             raise OracleError(f"sink map candidate into node {node.label()} is not onto")

@@ -1,13 +1,16 @@
-"""Exact linear algebra over the rationals for small dense systems.
+"""Exact linear algebra over the rationals for small, sparse systems.
 
 Entries are stored as given and must be exact: Python ints and
-`fractions.Fraction`s, which mix exactly; the only division (`F1 / x`, which
-normalises a pivot) yields a Fraction.  The systems that come up
-(intertwining constraints, kernels, quotients) rarely exceed a few dozen
-unknowns.  There is one elimination routine: `SpanBuilder` keeps a row space
-in reduced row echelon form, and `nullspace`, `Mat.rank`, `kernel_inclusion`
-and `quotient_projection` all read its pivot rows.  No floating point
-anywhere.
+`fractions.Fraction`s, which mix exactly.  Zero and unit entries are the
+ints 0 and 1, so integer systems stay in int arithmetic; the only division
+(`Fraction(1) / pivot`, which normalises a pivot other than 1 or -1) yields
+a Fraction.  No floating point anywhere.  There is one elimination routine:
+`SpanBuilder` keeps a row space in reduced row echelon form, each row a
+sparse {column: value} dict, so that reducing a vector touches only the
+pivots it meets and costs O(fill), not O(length), per row.  `nullspace`,
+`Mat.rank`, `kernel_inclusion` and `quotient_projection` all read its pivot
+rows.  The systems that come up (intertwining constraints, kernels,
+quotients) have a few non-zeros per row.
 
 Most blocks of a module map over a tree are empty (0 x k or k x 0): a string
 module lives on a path, its support.  Empty blocks cost no arithmetic:
@@ -21,16 +24,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-F0 = Fraction(0)
-F1 = Fraction(1)
-
-Vector = tuple[Fraction, ...]
+Vector = tuple[int | Fraction, ...]
 
 
 class Mat:
     """Immutable dense matrix.  Zero-row and zero-column shapes are legal."""
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("rows", "nrows", "ncols", "shape")
 
     def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
         rs = tuple(tuple(row) for row in rows)
@@ -46,6 +46,7 @@ class Mat:
         object.__setattr__(self, "rows", rs)
         object.__setattr__(self, "nrows", len(rs))
         object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "shape", (len(rs), ncols))
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -53,7 +54,7 @@ class Mat:
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "Mat":
         if nrows and ncols:
-            return Mat([[F0] * ncols for _ in range(nrows)], ncols=ncols)
+            return Mat([[0] * ncols for _ in range(nrows)], ncols=ncols)
         m = _EMPTY.get((nrows, ncols))
         if m is None:
             m = _EMPTY[nrows, ncols] = Mat([()] * nrows, ncols=ncols)
@@ -76,10 +77,6 @@ class Mat:
             return Mat.zeros(nrows, ncols)
         return Mat([values[start + r * ncols:start + (r + 1) * ncols] for r in range(nrows)],
                    ncols=ncols)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Mat) and self.shape == other.shape and self.rows == other.rows
@@ -106,7 +103,7 @@ class Mat:
         return [self.column(j) for j in range(self.ncols)]
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.rows for x in r)
+        return not any(any(r) for r in self.rows)
 
     def rank(self) -> int:
         return _echelon(self).dim if self.nrows and self.ncols else 0
@@ -124,18 +121,19 @@ class Mat:
 _EMPTY: dict[tuple[int, int], Mat] = {}
 
 
-def _unit_rows(cols: Iterable[int], n: int) -> list[list[Fraction]]:
+def _unit_rows(cols: Iterable[int], n: int) -> list[list[int]]:
     """The unit vectors e_c of length n, one per c in cols."""
-    return [[F1 if i == c else F0 for i in range(n)] for c in cols]
+    return [[1 if i == c else 0 for i in range(n)] for c in cols]
 
 
 class SpanBuilder:
     """Incremental row space: add vectors, reduce against the span, query
-    membership and dimension.  Rows are kept in reduced echelon form."""
+    membership and dimension.  Rows are kept in reduced echelon form, each
+    as a sparse {column: non-zero value} dict."""
 
     def __init__(self, length: int):
         self.length = length
-        self._rows: dict[int, list[Fraction]] = {}  # pivot column -> normalized row
+        self._rows: dict[int, dict[int, int | Fraction]] = {}  # pivot column -> normalized row
 
     @property
     def dim(self) -> int:
@@ -145,34 +143,53 @@ class SpanBuilder:
         """Columns without a pivot, in increasing order."""
         return [c for c in range(self.length) if c not in self._rows]
 
-    def reduce(self, vec: Sequence) -> list[Fraction]:
+    def _reduce(self, vec: Sequence) -> dict[int, int | Fraction]:
+        """vec reduced against the span, as a sparse dict.  Clearing one pivot
+        never fills another, since each row is zero at the other pivots."""
         if len(vec) != self.length:
             raise ValueError("length mismatch")
-        v = list(vec)
-        for piv, row in self._rows.items():
-            c = v[piv]
-            if c != 0:
-                v = [x - c * y for x, y in zip(v, row)]
+        v = {i: x for i, x in enumerate(vec) if x}
+        for piv in [p for p in v if p in self._rows]:
+            _eliminate(v, piv, self._rows[piv])
         return v
 
+    def reduce(self, vec: Sequence) -> list[int | Fraction]:
+        v = self._reduce(vec)
+        return [v.get(i, 0) for i in range(self.length)]
+
     def contains(self, vec: Sequence) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+        return not self._reduce(vec)
 
     def add(self, vec: Sequence) -> bool:
         """Insert vec into the span; True if the dimension grew."""
-        v = self.reduce(vec)
-        piv = next((i for i, x in enumerate(v) if x != 0), None)
-        if piv is None:
+        v = self._reduce(vec)
+        if not v:
             return False
-        if v[piv] != 1:
-            inv = F1 / v[piv]
-            v = [x * inv if x else x for x in v]
-        for p, row in self._rows.items():
-            if row[piv] != 0:
-                c = row[piv]
-                self._rows[p] = [x - c * y for x, y in zip(row, v)]
+        piv = min(v)
+        lead = v[piv]
+        if lead == -1:
+            v = {col: -x for col, x in v.items()}
+        elif lead != 1:
+            inv = Fraction(1) / lead
+            v = {col: x * inv for col, x in v.items()}
+        for row in self._rows.values():
+            if piv in row:
+                _eliminate(row, piv, v)
         self._rows[piv] = v
         return True
+
+
+def _eliminate(v: dict, piv: int, row: dict) -> None:
+    """Clear column piv of the sparse vector v in place by subtracting a
+    multiple of row, whose entry there is 1; zeros are dropped."""
+    c = v.pop(piv)
+    for col, y in row.items():
+        if col != piv:
+            x = v.get(col, 0) - c * y
+            if x:
+                v[col] = x
+            else:
+                del v[col]
 
 
 def _echelon(m: Mat) -> SpanBuilder:
@@ -192,10 +209,10 @@ def _kernel(m: Mat) -> tuple[list[Vector], list[int]]:
     free = span.free_columns()
     basis = []
     for c in free:
-        vec = [F0] * m.ncols
-        vec[c] = F1
+        vec = [0] * m.ncols
+        vec[c] = 1
         for p, row in span._rows.items():
-            vec[p] = -row[c]
+            vec[p] = -row.get(c, 0)
         basis.append(tuple(vec))
     return basis, free
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import BoundQuiverAlgebra
-from .linalg import F0, Mat, kernel_inclusion, nullspace, quotient_projection
+from .linalg import Mat, kernel_inclusion, nullspace, quotient_projection
 from .strings import (StringWalk, injective_walk, projective_walk, radical_walks,
                       walk_vertices)
 
@@ -193,7 +193,7 @@ def intertwining_rows(x_at: int, m: Mat, n: Mat, y_at: int, nvars: int) -> list[
     rows = []
     for i in range(n.nrows):
         for j in range(m.ncols):
-            row = [F0] * nvars
+            row = [0] * nvars
             hit = False
             for k in range(m.nrows):
                 if m.rows[k][j]:
@@ -337,7 +337,7 @@ def direct_sum(reps: list[Representation]) -> Representation:
         s, e = a.source, a.target
         if not (dims[e] and dims[s]):
             continue  # representation fills in the empty zero map
-        rows = [[F0] * dims[s] for _ in range(dims[e])]
+        rows = [[0] * dims[s] for _ in range(dims[e])]
         for r, off in zip(reps, offsets):
             block = r.maps[a.name]
             for i in range(r.dims[e]):

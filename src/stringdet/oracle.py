@@ -19,7 +19,7 @@ from enum import Enum
 from .algebra import BoundQuiverAlgebra
 from .arquiver import (ArArrow, ARQuiver, MiddleKind, OracleError, ar_quiver,
                        single_middle_count)
-from .linalg import F0, Mat, SpanBuilder, nullspace
+from .linalg import Mat, SpanBuilder, nullspace
 from .modules import (ModuleMap, cokernel, compose, is_epimorphism, is_monomorphism, kernel,
                       socle)
 
@@ -83,15 +83,19 @@ def minimal_right_determiner(ar: ARQuiver, arrow: ArArrow) -> DeterminerEntry:
     """Minimal right determiner of one irreducible map, with the independent
     routes compared: the socle route (mono) or the inverse-translate route
     (epi) against the almost-factoring projectives, which are decided from
-    supports once, before the branch.  The cokernel of the map is built once:
-    its socle is the mono route, and an epi must have a zero one."""
+    supports once, before the branch, and only at the vertices of the target's
+    support, where any other vertex gives False.  The cokernel of the map is
+    built once: its socle is the mono route, and an epi must have a zero one."""
     f = arrow.map
     algebra = ar.algebra
     dim_s = f.source.total_dim
     dim_t = f.target.total_dim
     if dim_s == dim_t:
         raise OracleError(f"{_arrow_text(ar, arrow)} joins equal-dimension nodes")
-    almost = tuple(v for v in algebra.quiver.vertices if almost_factors_through(ar, v, f))
+    # a non-zero map P(v) -> N is the identity on a C containing v: any other
+    # vertex of P(v) is reached from v by an arrow that would enter C
+    almost = tuple(v for v in algebra.quiver.vertices
+                   if v in f.target.support and almost_factors_through(ar, v, f))
 
     if dim_s < dim_t:
         if not is_monomorphism(f):
@@ -201,7 +205,7 @@ def is_right_determined(ar: ARQuiver, f: ModuleMap, src_node: int, tgt_node: int
                 sol = nullspace(Mat(cols, ncols=len(hom_xn)))
                 candidate_vecs = []
                 for lam in sol:
-                    acc = [F0] * veclen
+                    acc = [0] * veclen
                     for c, h in zip(lam, hom_xn):
                         if c:
                             acc = [x2 + c * y for x2, y in zip(acc, h.vec())]

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stringdet import ar_quiver, strings
-from stringdet.arquiver import (GuardExceeded, MiddleKind, OracleError, _build_meshes,
-                                single_middle_count)
+from stringdet.arquiver import (GuardExceeded, MiddleKind, OracleError, _build_arrows,
+                                _build_meshes, single_middle_count)
 from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
                                 linear_algebra, random_tree_algebra)
 from stringdet.linalg import SpanBuilder
@@ -142,6 +142,76 @@ def test_radical_check_names_the_projective():
     with pytest.raises(OracleError, match="arrows into projective") as exc:
         _build_meshes(ar)
     assert proj.walk.render_text() in str(exc.value)
+
+
+# --------------------------------------------------------------------------
+# hooks and cohooks against the definition of an irreducible map
+
+def _overlap_rule_arrows(ar):
+    """Reference irreducible maps as (source, target, blocks), sorted by
+    (target, source): a non-zero Hom(a, b) that no composite a -> c -> b
+    reaches.  That composite is the identity on the overlap of the two
+    images, so it is non-zero, and spans Hom(a, b), exactly when they
+    overlap."""
+    count = len(ar.nodes)
+    maps_out = [[c for c in range(count) if c != a and ar.image(a, c)] for a in range(count)]
+    arrows = []
+    for b in range(count):
+        for a in range(count):
+            if a == b or not ar.image(a, b):
+                continue
+            if any(c != b and ar.image(a, c) & ar.image(c, b) for c in maps_out[a]):
+                continue
+            (h,) = ar.hom(a, b)
+            arrows.append((a, b, h.blocks))
+    return arrows
+
+
+def _arrow_triples(ar):
+    return [(arr.source, arr.target, arr.map.blocks) for arr in ar.arrows]
+
+
+def test_hook_rule_matches_overlap_rule_on_sweep(sweep_records):
+    arrows = 0
+    for rec in sweep_records:
+        ar = rec.oracle.ar
+        assert _arrow_triples(ar) == _overlap_rule_arrows(ar)
+        arrows += len(ar.arrows)
+    assert (len(sweep_records), arrows) == (532, 6130)
+
+
+@pytest.mark.parametrize("levels, count", [(2, 64), (3, 236)])
+def test_hook_rule_matches_overlap_rule_on_crossing_tree(levels, count):
+    ar = ar_quiver(crossing_tree_algebra(levels))
+    assert _arrow_triples(ar) == _overlap_rule_arrows(ar)
+    assert len(ar.arrows) == count
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10**9), n=st.integers(2, 10))
+def test_hook_rule_matches_overlap_rule_on_random_trees(seed, n):
+    ar = ar_quiver(random_tree_algebra(random.Random(seed), n))
+    assert _arrow_triples(ar) == _overlap_rule_arrows(ar)
+
+
+@pytest.mark.parametrize("kind", ["hook", "cohook"])
+def test_missing_target_names_the_source(kind):
+    """Drop the support of a node reached by a hook (adding more than one
+    vertex, so the walk still extends) or by cohooks only: rebuilding the
+    arrows fails on the first source in node order, naming its walk."""
+    ar = ar_quiver(crossing_tree_algebra(2))
+    dim = [nd.rep.total_dim for nd in ar.nodes]
+    sources = {}
+    for arr in ar.arrows:
+        sources.setdefault(arr.target, []).append(arr.source)
+    target = next(t for t, srcs in sources.items()
+                  if all(dim[s] != dim[t] - 1 for s in srcs)
+                  and any(dim[s] < dim[t] for s in srcs) == (kind == "hook"))
+    del ar._node_by_support[ar.nodes[target].rep.support]
+    ar.arrows.clear()
+    with pytest.raises(OracleError, match="no irreducible map out of") as exc:
+        _build_arrows(ar)
+    assert ar.nodes[min(sources[target])].walk.render_text() in str(exc.value)
 
 
 # --------------------------------------------------------------------------

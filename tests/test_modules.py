@@ -88,6 +88,110 @@ def test_echelon_properties(m, data):
     assert retraction @ inclusion == Mat.identity(len(basis))
 
 
+# --------------------------------------------------------------------------
+# the sparse echelon form against the dense one it replaced
+
+class _DenseSpanBuilder:
+    """Reference row space: dense rows in reduced echelon form."""
+
+    def __init__(self, length):
+        self.length = length
+        self._rows = {}  # pivot column -> normalized dense row
+
+    def reduce(self, vec):
+        v = list(vec)
+        for piv, row in self._rows.items():
+            c = v[piv]
+            if c != 0:
+                v = [x - c * y for x, y in zip(v, row)]
+        return v
+
+    def add(self, vec):
+        v = self.reduce(vec)
+        piv = next((i for i, x in enumerate(v) if x != 0), None)
+        if piv is None:
+            return False
+        if v[piv] != 1:
+            inv = Fraction(1) / v[piv]
+            v = [x * inv if x else x for x in v]
+        for p, row in self._rows.items():
+            if row[piv] != 0:
+                c = row[piv]
+                self._rows[p] = [x - c * y for x, y in zip(row, v)]
+        self._rows[piv] = v
+        return True
+
+    def free_columns(self):
+        return [c for c in range(self.length) if c not in self._rows]
+
+
+def _dense_kernel(m):
+    span = _DenseSpanBuilder(m.ncols)
+    for row in m.rows:
+        span.add(row)
+    basis = []
+    for c in span.free_columns():
+        vec = [Fraction(0)] * m.ncols
+        vec[c] = Fraction(1)
+        for p, row in span._rows.items():
+            vec[p] = -row[c]
+        basis.append(tuple(vec))
+    return basis, span.free_columns()
+
+
+def _dense_quotient_projection(sub_basis, n):
+    span = _DenseSpanBuilder(n)
+    for v in sub_basis:
+        span.add(v)
+    free = span.free_columns()
+    units = [[Fraction(int(i == c)) for i in range(n)] for c in range(n)]
+    cols = [[span.reduce(unit)[c] for c in free] for unit in units]
+    section = Mat.from_columns([units[c] for c in free], nrows=n)
+    return Mat.from_columns(cols, nrows=len(free)), section
+
+
+def _exact(values):
+    return all(type(x) in (int, Fraction) for x in values)
+
+
+def _entries(*mats):
+    return [x for m in mats for row in m.rows for x in row]
+
+
+_scalars = st.one_of(st.integers(-3, 3),
+                     st.fractions(min_value=-3, max_value=3, max_denominator=4))
+_exact_matrices = st.integers(1, 5).flatmap(lambda r: st.integers(1, 6).flatmap(
+    lambda c: st.lists(st.lists(_scalars, min_size=c, max_size=c),
+                       min_size=r, max_size=r).map(lambda rows: Mat(rows, ncols=c))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=_exact_matrices, data=st.data())
+def test_sparse_echelon_matches_dense_reference(m, data):
+    sparse, dense = SpanBuilder(m.ncols), _DenseSpanBuilder(m.ncols)
+    for row in m.rows:
+        assert sparse.add(row) == dense.add(row)
+    assert sorted(sparse._rows) == sorted(dense._rows)
+    assert sparse.free_columns() == dense.free_columns()
+    for piv, row in dense._rows.items():
+        got = [sparse._rows[piv].get(c, 0) for c in range(m.ncols)]
+        assert got == row and _exact(got)
+    probe = data.draw(st.lists(_scalars, min_size=m.ncols, max_size=m.ncols))
+    assert sparse.reduce(probe) == dense.reduce(probe) and _exact(sparse.reduce(probe))
+    assert sparse.contains(probe) == (not any(dense.reduce(probe)))
+
+    basis, free = _dense_kernel(m)
+    assert nullspace(m) == basis
+    assert all(_exact(v) for v in nullspace(m))
+    inclusion, retraction = kernel_inclusion(m)
+    assert inclusion == Mat.from_columns(basis, nrows=m.ncols)
+    assert retraction == Mat([[int(i == c) for i in range(m.ncols)] for c in free],
+                             ncols=m.ncols)
+    proj, section = quotient_projection(m.rows, m.ncols)
+    assert (proj, section) == _dense_quotient_projection(m.rows, m.ncols)
+    assert _exact(_entries(inclusion, retraction, proj, section))
+
+
 def test_quotient_projection():
     proj, section = quotient_projection([(Fraction(1), Fraction(1), Fraction(0))], 3)
     assert proj.shape == (2, 3)

@@ -111,6 +111,23 @@ def test_support_rule_matches_joint_solve(sweep_records):
     assert (pairs, hits) == (23462, 1538)
 
 
+def test_almost_factoring_vanishes_off_the_target_support(sweep_records):
+    # why minimal_right_determiner asks only the vertices of supp N: every
+    # arrow of every sweep algebra with n <= 4, at every other vertex
+    pairs = 0
+    for rec in sweep_records:
+        alg = rec.algebra
+        if alg.quiver.vertex_count() > 4:
+            continue
+        ar = rec.oracle.ar
+        for arrow in ar.arrows:
+            for v in alg.quiver.vertices:
+                if v not in arrow.map.target.support:
+                    assert not almost_factors_through(ar, v, arrow.map)
+                    pairs += 1
+    assert pairs == 5972
+
+
 def test_determiners_line2():
     alg = linear_algebra(2)
     ar = ar_quiver(alg)
