@@ -154,12 +154,12 @@ class ARQuiver:
         rep is a node exactly when it is thin, carries a non-zero scalar on
         every arrow inside its support, and has a node's support."""
         support = rep.support
-        if any(rep.dims[v] > 1 for v in support):
+        if any(d > 1 for d in rep.dims.values()):
             return None
         quiver = self.algebra.quiver
         for v in support:
             for a in quiver.out_arrows(v):
-                if a.target in support and rep.maps[a.name].is_zero():
+                if a.target in support and rep.map(a.name).is_zero():
                     return None
         return self._node_by_support.get(support)
 
@@ -285,10 +285,10 @@ def _build_meshes(ar: ARQuiver) -> None:
             raise OracleError(
                 f"node {node.label()} has {len(comps)} middle summands, expected 1 or 2")
         total = direct_sum([ar.nodes[c.source].rep for c in comps])
-        # concatenation order matches the direct-sum offsets; off the sum's
-        # support each block is empty
-        blocks = {v: reduce(Mat.hstack, [arr.map.blocks[v] for arr in comps]) if d
-                  else Mat.zeros(node.rep.dims[v], 0) for v, d in total.dims.items()}
+        # concatenation order matches the summands' order in the direct sum;
+        # blocks are kept on both supports only
+        blocks = {v: reduce(Mat.hstack, [arr.map.block(v) for arr in comps])
+                  for v in total.dims if v in node.rep.dims}
         g = ModuleMap(total, node.rep, blocks)
         if not is_epimorphism(g):
             raise OracleError(f"sink map candidate into node {node.label()} is not onto")

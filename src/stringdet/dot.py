@@ -24,7 +24,7 @@ def ar_quiver_dot(ar: ARQuiver) -> str:
     lines = ["digraph ar_quiver {", "  rankdir=LR;", '  node [shape=box fontsize=10];']
     verts = sorted(ar.algebra.quiver.vertices)
     for node in ar.nodes:
-        dimvec = "".join(str(node.rep.dims[v]) for v in verts)
+        dimvec = "".join(str(node.rep.dim(v)) for v in verts)
         label = f"{dimvec}\\n{node.label()}"
         lines.append(f'  n{node.index} [label="{label}"];')
     for arr in ar.arrows:

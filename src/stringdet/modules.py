@@ -7,13 +7,15 @@ every relation generator vanishes.  String modules are the special case with
 between them can have arbitrary rational matrices, so everything downstream
 stays fully general.
 
-Every vertex and arrow is present, but the work is local to the supports: a
-block or arrow map with an empty shape is the shared zero matrix of that
-shape, produced without arithmetic.  Kernels and cokernels solve only at
-vertices where the map's source (kernel) or target (cokernel) is non-zero,
-and induce only the arrow maps that carry a non-empty matrix; each of those
-still has its well-definedness check, and every arrow whose intertwining
-square has a non-empty side is still checked.
+A module stores only its support: the vertices with a non-zero space and
+the arrows with both ends there (whose matrix may still be zero); a map
+stores only its blocks on both supports.  `dim`, `map` and `block` read 0 or
+the shared empty zero matrix elsewhere.  Every operation visits only support
+vertices, the arrows out of them and the relations starting there, so its
+cost follows the supports, not the quiver.  Checked: the shape of every
+given map and block (an unknown vertex or arrow is refused), every relation
+inside the support, every intertwining square with a non-empty side, and
+every induced kernel and cokernel map.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from .strings import (StringWalk, injective_walk, projective_walk, radical_walks
 @dataclass(frozen=True)
 class Representation:
     algebra: BoundQuiverAlgebra
-    dims: dict[int, int]       # every vertex present, zeros included
-    maps: dict[str, Mat]       # every arrow present, shape dims[target] x dims[source]
+    dims: dict[int, int]       # the support only: every value is non-zero
+    maps: dict[str, Mat]       # arrows with both ends in the support, dim(target) x dim(source)
 
     @property
     def total_dim(self) -> int:
@@ -41,36 +43,62 @@ class Representation:
     @cached_property
     def support(self) -> frozenset[int]:
         """Vertices with a non-zero space, computed once per module."""
-        return frozenset(v for v, d in self.dims.items() if d)
+        return frozenset(self.dims)
+
+    def dim(self, v: int) -> int:
+        """Dimension of the space at v, 0 off the support."""
+        return self.dims.get(v, 0)
+
+    def map(self, name: str) -> Mat:
+        """Matrix of the arrow name, empty unless both ends are in the support."""
+        m = self.maps.get(name)
+        if m is None:
+            a = self.algebra.quiver.arrow_map[name]
+            m = Mat.zeros(self.dim(a.target), self.dim(a.source))
+        return m
 
 
 def _check_relations(rep: Representation) -> None:
-    amap = rep.algebra.quiver.arrow_map
+    """Only a generator inside the support can fail: any other composite
+    factors through a zero space."""
+    quiver = rep.algebra.quiver
+    by_first = rep.algebra.relations._by_first
     dims = rep.dims
-    for gen in rep.algebra.relations.generators:
-        first = amap[gen[0]]
-        if not dims[first.source] or not all(dims[amap[name].target] for name in gen):
-            continue  # the composite factors through a zero space
-        acc = Mat.identity(dims[first.source])
-        for name in gen:
-            acc = rep.maps[name] @ acc
-        if not acc.is_zero():
-            raise ValueError(f"relation {' '.join(gen)} does not vanish")
+    for v, d in dims.items():
+        for a in quiver.out_arrows(v):
+            for gen in by_first.get(a.name, ()):
+                if not all(quiver.arrow_map[name].target in dims for name in gen):
+                    continue
+                acc = Mat.identity(d)
+                for name in gen:
+                    acc = rep.maps[name] @ acc
+                if not acc.is_zero():
+                    raise ValueError(f"relation {' '.join(gen)} does not vanish")
 
 
 def representation(algebra: BoundQuiverAlgebra, dims: dict[int, int],
                    maps: dict[str, Mat]) -> Representation:
-    full_dims = {v: dims.get(v, 0) for v in algebra.quiver.vertices}
-    full_maps = {}
-    for a in algebra.quiver.arrows:
-        m = maps.get(a.name)
-        if m is None:
-            m = Mat.zeros(full_dims[a.target], full_dims[a.source])
-        if m.shape != (full_dims[a.target], full_dims[a.source]):
-            raise ValueError(f"map for {a.name} has shape {m.shape}, "
-                             f"expected {(full_dims[a.target], full_dims[a.source])}")
-        full_maps[a.name] = m
-    rep = Representation(algebra, full_dims, full_maps)
+    """The module with the given spaces and maps, missing ones zero; zero
+    spaces and (shape-checked) maps off the support are not stored."""
+    quiver = algebra.quiver
+    for v in dims:
+        if not quiver.has_vertex(v):
+            raise ValueError(f"unknown vertex {v}")
+    support = {v: d for v, d in dims.items() if d}
+    for name, m in maps.items():
+        a = quiver.arrow_map.get(name)
+        if a is None:
+            raise ValueError(f"unknown arrow {name}")
+        expected = (support.get(a.target, 0), support.get(a.source, 0))
+        if m.shape != expected:
+            raise ValueError(f"map for {name} has shape {m.shape}, expected {expected}")
+    inside = {}
+    for v, d in support.items():
+        for a in quiver.out_arrows(v):
+            if a.target in support:
+                m = maps.get(a.name)
+                inside[a.name] = Mat.zeros(support[a.target], d) if m is None else m
+    rep = Representation(algebra, support, inside)
     _check_relations(rep)
     return rep
 
@@ -113,7 +141,12 @@ def radical_summands(algebra: BoundQuiverAlgebra, v: int) -> list[Representation
 class ModuleMap:
     source: Representation
     target: Representation
-    blocks: dict[int, Mat]     # vertex -> dims_target[v] x dims_source[v]
+    blocks: dict[int, Mat]     # vertices of both supports only, target.dim(v) x source.dim(v)
+
+    def block(self, v: int) -> Mat:
+        """Block at v: the shared empty zero matrix off one of the supports."""
+        b = self.blocks.get(v)
+        return Mat.zeros(self.target.dim(v), self.source.dim(v)) if b is None else b
 
     def is_zero(self) -> bool:
         return all(b.is_zero() for b in self.blocks.values())
@@ -134,28 +167,37 @@ class ModuleMap:
 
 def module_map(source: Representation, target: Representation,
                blocks: dict[int, Mat]) -> ModuleMap:
+    """The map with the given blocks, missing ones zero; (shape-checked)
+    blocks off the supports are not stored."""
+    quiver = source.algebra.quiver
+    for v, b in blocks.items():
+        if not quiver.has_vertex(v):
+            raise ValueError(f"unknown vertex {v}")
+        expected = (target.dim(v), source.dim(v))
+        if b.shape != expected:
+            raise ValueError(f"block at {v} has shape {b.shape}, expected {expected}")
     full = {}
-    for v in source.algebra.quiver.vertices:
-        b = blocks.get(v)
-        if b is None:
-            b = Mat.zeros(target.dims[v], source.dims[v])
-        if b.shape != (target.dims[v], source.dims[v]):
-            raise ValueError(f"block at {v} has shape {b.shape}, "
-                             f"expected {(target.dims[v], source.dims[v])}")
-        full[v] = b
+    for v, d in source.dims.items():
+        e = target.dims.get(v)
+        if e:
+            b = blocks.get(v)
+            full[v] = Mat.zeros(e, d) if b is None else b
     f = ModuleMap(source, target, full)
     _check_intertwining(f)
     return f
 
 
 def _check_intertwining(f: ModuleMap) -> None:
-    for a in f.source.algebra.quiver.arrows:
-        if not (f.target.dims[a.target] and f.source.dims[a.source]):
-            continue  # both sides are the empty zero matrix
-        lhs = f.blocks[a.target] @ f.source.maps[a.name]
-        rhs = f.target.maps[a.name] @ f.blocks[a.source]
-        if lhs != rhs:
-            raise ValueError(f"map does not intertwine along arrow {a.name}")
+    """Each arrow from the source's support into the target's: the squares
+    with a non-empty side."""
+    quiver = f.source.algebra.quiver
+    for v in f.source.dims:
+        for a in quiver.out_arrows(v):
+            if a.target in f.target.dims:
+                lhs = f.block(a.target) @ f.source.map(a.name)
+                rhs = f.target.map(a.name) @ f.block(v)
+                if lhs != rhs:
+                    raise ValueError(f"map does not intertwine along arrow {a.name}")
 
 
 def zero_map(source: Representation, target: Representation) -> ModuleMap:
@@ -171,25 +213,27 @@ def compose(g: ModuleMap, f: ModuleMap) -> ModuleMap:
     """g after f."""
     if f.target is not g.source and f.target != g.source:
         raise ValueError("maps do not compose")
-    blocks = {v: g.blocks[v] @ f.blocks[v] for v in f.blocks}
+    blocks = {v: g.block(v) @ f.block(v) for v in f.source.dims if v in g.target.dims}
     return ModuleMap(f.source, g.target, blocks)
 
 
 def is_monomorphism(f: ModuleMap) -> bool:
-    return all(f.blocks[v].rank() == f.source.dims[v] for v in f.blocks)
+    return all(f.block(v).rank() == d for v, d in f.source.dims.items())
 
 
 def is_epimorphism(f: ModuleMap) -> bool:
-    return all(f.blocks[v].rank() == f.target.dims[v] for v in f.blocks)
+    return all(f.block(v).rank() == d for v, d in f.target.dims.items())
 
 
 # --------------------------------------------------------------------------
 # hom spaces
 
-def intertwining_rows(x_at: int, m: Mat, n: Mat, y_at: int, nvars: int) -> list[list]:
+def intertwining_rows(x_at: int | None, m: Mat, n: Mat, y_at: int | None,
+                      nvars: int) -> list[list]:
     """Rows, over nvars unknowns, of the linear system X @ m - n @ Y = 0.  The
     unknown blocks X (n.nrows x m.nrows) and Y (n.ncols x m.ncols) are stored
-    row-major from columns x_at and y_at; identically zero rows are skipped."""
+    row-major from columns x_at and y_at; identically zero rows are skipped.
+    The start of an empty block is never read and may be None."""
     rows = []
     for i in range(n.nrows):
         for j in range(m.ncols):
@@ -212,9 +256,10 @@ def block_columns(rows: dict[int, int], cols: dict[int, int],
                   start: int) -> tuple[dict[int, int], int]:
     """First column of each vertex's unknown rows[v] x cols[v] block, with the
     blocks stored row-major in sorted vertex order from column start, and the
-    column after the last block."""
+    column after the last block.  A vertex missing from either dict has an
+    empty block and gets no column."""
     at = {}
-    for v in sorted(rows):
+    for v in sorted(rows.keys() & cols.keys()):
         at[v] = start
         start += rows[v] * cols[v]
     return at, start
@@ -229,11 +274,14 @@ def hom_space(source: Representation, target: Representation) -> list[ModuleMap]
     if nvars == 0:
         return []
 
+    quiver = source.algebra.quiver
     rows = []
-    for a in source.algebra.quiver.arrows:
-        # block[target] @ source map == target map @ block[source]
-        rows += intertwining_rows(at[a.target], source.maps[a.name], target.maps[a.name],
-                                  at[a.source], nvars)
+    for v in source.dims:
+        for a in quiver.out_arrows(v):
+            if a.target in target.dims:
+                # block[target] @ source map == target map @ block[source]
+                rows += intertwining_rows(at.get(a.target), source.map(a.name),
+                                          target.map(a.name), at.get(v), nvars)
     return [ModuleMap(source, target,
                       {v: Mat.row_major(vec, at[v], target.dims[v], source.dims[v])
                        for v in at})
@@ -245,103 +293,92 @@ def hom_space(source: Representation, target: Representation) -> list[ModuleMap]
 
 def kernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     """Vertex-wise kernel with induced arrow maps and its inclusion."""
-    algebra = f.source.algebra
-    incl_blocks: dict[int, Mat] = {}
+    source = f.source
+    quiver = source.algebra.quiver
+    incl: dict[int, Mat] = {}
     retractions: dict[int, Mat] = {}
-    dims: dict[int, int] = {}
-    for v, b in f.blocks.items():
-        if f.source.dims[v]:
-            incl_blocks[v], retractions[v] = kernel_inclusion(b)
-        else:
-            incl_blocks[v] = retractions[v] = Mat.zeros(0, 0)
-        dims[v] = incl_blocks[v].ncols
+    for v in source.dims:
+        incl[v], retractions[v] = kernel_inclusion(f.block(v))
+    dims = {v: b.ncols for v, b in incl.items() if b.ncols}
     maps = {}
-    for a in algebra.quiver.arrows:
-        if not (f.source.dims[a.target] and dims[a.source]):
-            continue  # nothing is carried: the induced map is zero
-        # induced map: carry the kernel along the arrow, read it back through
-        # the target's retraction
-        carried = f.source.maps[a.name] @ incl_blocks[a.source]
-        induced = retractions[a.target] @ carried
-        if incl_blocks[a.target] @ induced != carried:
-            raise ValueError("kernel maps are not well defined")
-        maps[a.name] = induced
-    ker = representation(algebra, dims, maps)
-    incl = ModuleMap(ker, f.source, incl_blocks)
-    return ker, incl
+    for v in dims:
+        for a in quiver.out_arrows(v):
+            e = a.target
+            if e not in source.dims:
+                continue  # nothing is carried: the induced map is zero
+            # induced map: carry the kernel along the arrow, read it back
+            # through the target's retraction
+            carried = source.maps[a.name] @ incl[v]
+            induced = retractions[e] @ carried
+            if incl[e] @ induced != carried:
+                raise ValueError("kernel maps are not well defined")
+            if e in dims:
+                maps[a.name] = induced
+    ker = representation(source.algebra, dims, maps)
+    return ker, ModuleMap(ker, source, {v: incl[v] for v in dims})
 
 
 def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     """Vertex-wise cokernel with induced arrow maps and its projection."""
-    algebra = f.target.algebra
-    proj_blocks: dict[int, Mat] = {}
+    target = f.target
+    quiver = target.algebra.quiver
+    proj: dict[int, Mat] = {}
     sections: dict[int, Mat] = {}
-    dims: dict[int, int] = {}
-    for v, b in f.blocks.items():
-        if f.target.dims[v]:
-            proj_blocks[v], sections[v] = quotient_projection(b.columns(),
-                                                              ambient_dim=f.target.dims[v])
-        else:
-            proj_blocks[v] = sections[v] = Mat.zeros(0, 0)
-        dims[v] = proj_blocks[v].nrows
+    for v, d in target.dims.items():
+        proj[v], sections[v] = quotient_projection(f.block(v).columns(), ambient_dim=d)
+    dims = {v: p.nrows for v, p in proj.items() if p.nrows}
     maps = {}
-    for a in algebra.quiver.arrows:
-        if not (dims[a.target] and f.target.dims[a.source]):
-            continue  # nothing is carried: the induced map is zero
-        # induced map: factor proj_e @ target_map through proj_s via its section
-        carried = proj_blocks[a.target] @ f.target.maps[a.name]
-        induced = carried @ sections[a.source]
-        if induced @ proj_blocks[a.source] != carried:
-            raise ValueError("cokernel maps are not well defined")
-        maps[a.name] = induced
-    cok = representation(algebra, dims, maps)
-    proj = ModuleMap(f.target, cok, proj_blocks)
-    return cok, proj
+    for v in target.dims:
+        for a in quiver.out_arrows(v):
+            e = a.target
+            if e not in dims:
+                continue  # nothing is carried: the induced map is zero
+            # induced map: factor proj_e @ target_map through proj_v via its
+            # section
+            carried = proj[e] @ target.maps[a.name]
+            induced = carried @ sections[v]
+            if induced @ proj[v] != carried:
+                raise ValueError("cokernel maps are not well defined")
+            if v in dims:
+                maps[a.name] = induced
+    cok = representation(target.algebra, dims, maps)
+    return cok, ModuleMap(target, cok, {v: proj[v] for v in dims})
 
 
 def socle(rep: Representation) -> Counter:
     """Multiset of simples in the socle: at each vertex, the joint kernel of
-    the outgoing maps (the whole space at a sink)."""
+    the maps of the arrows into the support (the whole space when there are
+    none)."""
+    quiver = rep.algebra.quiver
     out: Counter = Counter()
     for v in sorted(rep.dims):
-        d = rep.dims[v]
-        if d == 0:
-            continue
-        outgoing = rep.algebra.quiver.out_arrows(v)
-        if not outgoing:
-            out[v] = d
-            continue
-        stacked = [list(row) for a in outgoing for row in rep.maps[a.name].rows]
-        dim = len(nullspace(Mat(stacked, ncols=d)))
+        stacked = [row for a in quiver.out_arrows(v) if a.target in rep.dims
+                   for row in rep.maps[a.name].rows]
+        dim = len(nullspace(Mat(stacked, ncols=rep.dims[v])))
         if dim:
             out[v] = dim
     return out
 
 
 def direct_sum(reps: list[Representation]) -> Representation:
-    """Direct sum, the summands' bases concatenated in order."""
+    """Direct sum, the summands' bases concatenated in order: each arrow map
+    is block diagonal in the summands' maps (some of them empty)."""
     if not reps:
         raise ValueError("empty direct sum")
     algebra = reps[0].algebra
-    verts = sorted(reps[0].dims)
-    dims = {v: sum(r.dims[v] for r in reps) for v in verts}
-    offsets: list[dict[int, int]] = []
-    run = {v: 0 for v in verts}
+    dims: dict[int, int] = {}
     for r in reps:
-        offsets.append(dict(run))
-        for v in verts:
-            run[v] += r.dims[v]
-
+        for v, d in r.dims.items():
+            dims[v] = dims.get(v, 0) + d
     maps = {}
-    for a in algebra.quiver.arrows:
-        s, e = a.source, a.target
-        if not (dims[e] and dims[s]):
-            continue  # representation fills in the empty zero map
-        rows = [[0] * dims[s] for _ in range(dims[e])]
-        for r, off in zip(reps, offsets):
-            block = r.maps[a.name]
-            for i in range(r.dims[e]):
-                for j in range(r.dims[s]):
-                    rows[off[e] + i][off[s] + j] = block.rows[i][j]
-        maps[a.name] = Mat(rows, ncols=dims[s])
+    for s, width in dims.items():
+        for a in algebra.quiver.out_arrows(s):
+            if a.target in dims:
+                rows, left = [], 0
+                for r in reps:
+                    block = r.map(a.name)
+                    right = width - left - block.ncols
+                    rows += [[0] * left + list(row) + [0] * right for row in block.rows]
+                    left += block.ncols
+                maps[a.name] = Mat(rows, ncols=width)
     return representation(algebra, dims, maps)

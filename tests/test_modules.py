@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stringdet import ar_quiver
-from stringdet.families import (crossing6_algebra, fan5_algebra, linear_algebra,
-                                random_tree_algebra)
+from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
+                                linear_algebra, random_tree_algebra)
 from stringdet.linalg import (Mat, SpanBuilder, kernel_inclusion, nullspace,
                               quotient_projection)
 from stringdet.modules import (ModuleMap, cokernel, compose, direct_sum, hom_space,
                                identity_map, injective, is_epimorphism, is_monomorphism,
-                               kernel, module_map, projective, radical_summands, simple,
-                               socle, string_module, zero_map)
+                               kernel, module_map, projective, radical_summands,
+                               representation, simple, socle, string_module, zero_map)
 from stringdet.strings import Letter, enumerate_strings, make_string, radical_walks
 
 
@@ -219,15 +219,17 @@ def test_span_builder():
 def test_string_module_trivial():
     alg = linear_algebra(2)
     s = simple(alg, 1)
-    assert s.dims == {1: 1, 2: 0}
-    assert all(m.is_zero() for m in s.maps.values())
+    # only the support is stored; the accessors read zeros elsewhere
+    assert s.dims == {1: 1} and s.maps == {}
+    assert (s.dim(1), s.dim(2)) == (1, 0)
+    assert s.map("a1") is Mat.zeros(0, 1)
 
 
 def test_string_module_arrow():
     alg = linear_algebra(2)
     m = string_module(alg, make_string(alg, 1, (Letter("a1", True),)))
     assert m.dims == {1: 1, 2: 1}
-    assert m.maps["a1"] == Mat([[1]])
+    assert m.maps == {"a1": Mat([[1]])}
     assert m == projective(alg, 1)
     assert m == injective(alg, 2)
 
@@ -235,13 +237,13 @@ def test_string_module_arrow():
 def test_string_module_fan5():
     alg = fan5_algebra("both")
     m = string_module(alg, make_string(alg, 4, (Letter("a3", True),)))
-    assert m.dims[4] == 1 and m.dims[3] == 1 and m.dims[1] == 0
+    assert m.dims == {4: 1, 3: 1} and m.dim(1) == 0
 
 
 def test_projective_fan5():
     alg = fan5_algebra("both")
     p4 = projective(alg, 4)
-    assert p4.dims == {1: 0, 2: 0, 3: 1, 4: 1, 5: 1}
+    assert p4.dims == {3: 1, 4: 1, 5: 1}
     rads = radical_summands(alg, 4)
     assert [r.support for r in rads] == [{3}, {5}]
     assert radical_summands(alg, 1) == []
@@ -296,7 +298,7 @@ def test_kernel_rejects_non_intertwining_map():
     # to a vector outside the kernel at 2
     alg = linear_algebra(2)
     p1, s2 = projective(alg, 1), simple(alg, 2)
-    f = ModuleMap(p1, s2, {1: Mat.zeros(0, 1), 2: Mat([[1]])})
+    f = ModuleMap(p1, s2, {2: Mat([[1]])})
     with pytest.raises(ValueError, match="kernel maps are not well defined"):
         kernel(f)
 
@@ -306,7 +308,7 @@ def test_cokernel_rejects_non_intertwining_map():
     # carries the target's vector at 1 to a non-zero class at 2
     alg = linear_algebra(2)
     s1, p1 = simple(alg, 1), projective(alg, 1)
-    f = ModuleMap(s1, p1, {1: Mat([[1]]), 2: Mat.zeros(1, 0)})
+    f = ModuleMap(s1, p1, {1: Mat([[1]])})
     with pytest.raises(ValueError, match="cokernel maps are not well defined"):
         cokernel(f)
 
@@ -318,7 +320,7 @@ def test_cokernel_of_inclusion():
     incl = module_map(s2, p1, {2: Mat([[1]])})
     assert is_monomorphism(incl)
     cok, proj = cokernel(incl)
-    assert cok.dims == {1: 1, 2: 0}
+    assert cok.dims == {1: 1}
     assert is_epimorphism(proj)
     assert socle(cok) == Counter({1: 1})
 
@@ -349,12 +351,11 @@ def test_compose_and_vec():
     top = module_map(p, s1, {1: Mat([[1]])})
     ident = identity_map(p)
     assert compose(top, ident).vec() == top.vec()
-    assert len(top.vec()) == sum(s1.dims[v] * p.dims[v] for v in p.dims)
+    assert len(top.vec()) == sum(s1.dim(v) * p.dim(v) for v in alg.quiver.vertices)
 
 
 def test_representation_relation_check():
     alg = fan5_algebra("both")
-    from stringdet.modules import representation
     with pytest.raises(ValueError):
         representation(alg, {1: 1, 3: 1, 4: 1},
                        {"a3": Mat([[1]]), "a1": Mat([[1]])})
@@ -364,11 +365,24 @@ def test_relation_check_skips_only_generators_leaving_the_support():
     # fan5 'both' kills a3 a1 and a3 a2; on the support {2, 3, 4} only a3 a2
     # lies inside it, and it is still checked
     alg = fan5_algebra("both")
-    from stringdet.modules import representation
     with pytest.raises(ValueError, match="a3 a2"):
         representation(alg, {2: 1, 3: 1, 4: 1}, {"a3": Mat([[1]]), "a2": Mat([[1]])})
     rep = representation(alg, {3: 1, 4: 1}, {"a3": Mat([[1]])})
     assert rep.support == {3, 4}
+
+
+def test_unknown_vertices_and_arrows_are_refused():
+    alg = linear_algebra(3)
+    with pytest.raises(ValueError, match="unknown vertex 99"):
+        representation(alg, {1: 1, 99: 5}, {"zz": Mat([[1]])})
+    with pytest.raises(ValueError, match="unknown arrow zz"):
+        representation(alg, {1: 1}, {"zz": Mat([[1]])})
+    s = simple(alg, 1)
+    with pytest.raises(ValueError, match="unknown vertex 42"):
+        module_map(s, s, {42: Mat([[7]])})
+    # a known vertex or arrow off the support is fine, given its empty shape
+    assert representation(alg, {1: 1, 2: 0}, {"a2": Mat.zeros(0, 0)}) == s
+    assert module_map(s, s, {3: Mat.zeros(0, 0)}) == zero_map(s, s)
 
 
 @settings(max_examples=25, deadline=None)
@@ -385,13 +399,14 @@ def test_hom_from_projective_counts_dimension(seed, n):
         inj = injective(alg, i)
         for w in sample:
             m = string_module(alg, w)
-            assert len(hom_space(p, m)) == m.dims[i]
-            assert len(hom_space(m, inj)) == m.dims[i]
+            assert len(hom_space(p, m)) == m.dim(i)
+            assert len(hom_space(m, inj)) == m.dim(i)
 
 
 # --------------------------------------------------------------------------
 # support-local kernels, cokernels and intertwining checks against the
-# whole-quiver loops, with products summed entry by entry
+# whole-quiver loops, read densely through dim/map/block at every vertex and
+# arrow (zeros included), with products summed entry by entry
 
 def _dense(a, b):
     cols = list(zip(*b.rows)) if b.rows else [()] * b.ncols
@@ -400,12 +415,13 @@ def _dense(a, b):
 
 
 def _reference_kernel(f):
+    quiver = f.source.algebra.quiver
     incl, retr, dims, maps = {}, {}, {}, {}
-    for v, b in f.blocks.items():
-        incl[v], retr[v] = kernel_inclusion(b)
+    for v in quiver.vertices:
+        incl[v], retr[v] = kernel_inclusion(f.block(v))
         dims[v] = incl[v].ncols
-    for a in f.source.algebra.quiver.arrows:
-        carried = _dense(f.source.maps[a.name], incl[a.source])
+    for a in quiver.arrows:
+        carried = _dense(f.source.map(a.name), incl[a.source])
         induced = _dense(retr[a.target], carried)
         if _dense(incl[a.target], induced) != carried:
             raise ValueError("kernel maps are not well defined")
@@ -414,12 +430,14 @@ def _reference_kernel(f):
 
 
 def _reference_cokernel(f):
+    quiver = f.target.algebra.quiver
     proj, sec, dims, maps = {}, {}, {}, {}
-    for v, b in f.blocks.items():
-        proj[v], sec[v] = quotient_projection(b.columns(), ambient_dim=f.target.dims[v])
+    for v in quiver.vertices:
+        proj[v], sec[v] = quotient_projection(f.block(v).columns(),
+                                              ambient_dim=f.target.dim(v))
         dims[v] = proj[v].nrows
-    for a in f.target.algebra.quiver.arrows:
-        carried = _dense(proj[a.target], f.target.maps[a.name])
+    for a in quiver.arrows:
+        carried = _dense(proj[a.target], f.target.map(a.name))
         induced = _dense(carried, sec[a.source])
         if _dense(induced, proj[a.source]) != carried:
             raise ValueError("cokernel maps are not well defined")
@@ -428,48 +446,69 @@ def _reference_cokernel(f):
 
 
 def _reference_intertwines(source, target, blocks):
-    return all(_dense(blocks[a.target], source.maps[a.name])
-               == _dense(target.maps[a.name], blocks[a.source])
+    def block(v):
+        return blocks.get(v, Mat.zeros(target.dim(v), source.dim(v)))
+
+    return all(_dense(block(a.target), source.map(a.name))
+               == _dense(target.map(a.name), block(a.source))
                for a in source.algebra.quiver.arrows)
 
 
+def _assert_support_only(g):
+    """Neither module of g nor g itself stores an entry off its support."""
+    for rep in (g.source, g.target):
+        assert all(rep.dims.values())
+        assert rep.maps.keys() == {a.name for a in rep.algebra.quiver.arrows
+                                   if a.source in rep.dims and a.target in rep.dims}
+    assert g.blocks.keys() == g.source.dims.keys() & g.target.dims.keys()
+
+
 def _sweep_maps(ar):
-    """Every irreducible map of ar, then every mesh's sink map."""
+    """Every irreducible map of ar, then every mesh's sink map, its blocks
+    given at every vertex."""
+    vertices = ar.algebra.quiver.vertices
     maps = [arr.map for arr in ar.arrows]
     for mesh in ar.meshes:
         comps = [ar.arrows[i] for i in mesh.arrow_indices]
         total = direct_sum([ar.nodes[c.source].rep for c in comps])
-        blocks = {v: reduce(Mat.hstack, [c.map.blocks[v] for c in comps]) for v in total.dims}
-        maps.append(ModuleMap(total, ar.nodes[mesh.right].rep, blocks))
+        blocks = {v: reduce(Mat.hstack, [c.map.block(v) for c in comps]) for v in vertices}
+        maps.append(module_map(total, ar.nodes[mesh.right].rep, blocks))
     return maps
 
 
-def test_support_local_kernels_and_cokernels_match_whole_quiver(sweep_records):
-    records = [r for r in sweep_records if r.algebra.quiver.vertex_count() <= 4]
-    assert len(records) == 332
+@pytest.fixture(scope="module")
+def comparison_quivers(sweep_records):
+    """The AR quiver of every sweep algebra and of crossing-tree level 2."""
+    return ([rec.oracle.ar for rec in sweep_records]
+            + [ar_quiver(crossing_tree_algebra(2))])
+
+
+def test_support_local_kernels_and_cokernels_match_whole_quiver(comparison_quivers):
+    assert len(comparison_quivers) == 533
     checked = 0
-    for rec in records:
-        for f in _sweep_maps(rec.oracle.ar):
+    for ar in comparison_quivers:
+        quiver = ar.algebra.quiver
+        for f in _sweep_maps(ar):
             for op, reference in ((kernel, _reference_kernel), (cokernel, _reference_cokernel)):
                 rep, g = op(f)
-                assert (rep.dims, rep.maps, g.blocks) == reference(f)
+                _assert_support_only(g)
+                assert ({v: rep.dim(v) for v in quiver.vertices},
+                        {a.name: rep.map(a.name) for a in quiver.arrows},
+                        {v: g.block(v) for v in quiver.vertices}) == reference(f)
             checked += 1
-    assert checked > 3076  # every irreducible map plus the sink maps
+    assert checked == 9291  # every irreducible map plus the sink maps
 
 
-def test_support_local_intertwining_check_matches_whole_quiver(sweep_records):
+def test_support_local_intertwining_check_matches_whole_quiver(comparison_quivers):
     """Perturb one entry of one non-empty block of each irreducible map:
     module_map must refuse exactly the perturbations the whole-quiver loop
     refuses."""
     outcomes = Counter()
-    for rec in sweep_records:
-        if rec.algebra.quiver.vertex_count() > 4:
-            continue
-        for arr in rec.oracle.ar.arrows:
+    for ar in comparison_quivers:
+        for arr in ar.arrows:
             f = arr.map
+            _assert_support_only(f)
             for v, b in f.blocks.items():
-                if not (b.nrows and b.ncols):
-                    continue
                 blocks = dict(f.blocks)
                 blocks[v] = Mat([[b.rows[0][0] + 1, *b.rows[0][1:]], *b.rows[1:]], ncols=b.ncols)
                 expected = _reference_intertwines(f.source, f.target, blocks)
@@ -481,4 +520,4 @@ def test_support_local_intertwining_check_matches_whole_quiver(sweep_records):
                 else:
                     outcomes["accepted"] += 1
                     assert expected
-    assert outcomes["refused"] and outcomes["accepted"]
+    assert outcomes == {"refused": 6004, "accepted": 3580}

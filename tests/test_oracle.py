@@ -61,30 +61,34 @@ def _joint_solve_almost_factors(ar, v, f, quotient):
     """Reference: the joint linear system the support rule replaced.  Solves
     for pairs (h: P(v) -> N, g: rad P(v) -> M) with h on the radical equal to
     f g, and asks whether some solution's h survives the projection quotient
-    onto Cok f."""
+    onto Cok f.  Every module and map is read densely through dim/map/block,
+    at every vertex and arrow."""
     alg = ar.algebra
+    vertices = alg.quiver.vertices
     proj = ar.nodes[ar.projective_node(v)].rep
-    if not any(quotient.target.dims[u] for u in proj.support):
+    if not any(quotient.target.dim(u) for u in proj.support):
         return False
     support = [u for u in proj.support if u != v]
     rad = representation(alg, {u: 1 for u in support},
-                         {a.name: proj.maps[a.name] for a in alg.quiver.arrows
+                         {a.name: proj.map(a.name) for a in alg.quiver.arrows
                           if v not in (a.source, a.target)})
     incl = module_map(rad, proj, {u: Mat([[1]]) for u in support})
     src, tgt = f.source, f.target
-    h_at, g_start = block_columns(tgt.dims, proj.dims, 0)
-    g_at, nvars = block_columns(src.dims, rad.dims, g_start)
+    h_at, g_start = block_columns({u: tgt.dim(u) for u in vertices},
+                                  {u: proj.dim(u) for u in vertices}, 0)
+    g_at, nvars = block_columns({u: src.dim(u) for u in vertices},
+                                {u: rad.dim(u) for u in vertices}, g_start)
     rows = []
     for a in alg.quiver.arrows:
         s, e = a.source, a.target
-        rows += intertwining_rows(h_at[e], proj.maps[a.name], tgt.maps[a.name], h_at[s], nvars)
-        rows += intertwining_rows(g_at[e], rad.maps[a.name], src.maps[a.name], g_at[s], nvars)
+        rows += intertwining_rows(h_at[e], proj.map(a.name), tgt.map(a.name), h_at[s], nvars)
+        rows += intertwining_rows(g_at[e], rad.map(a.name), src.map(a.name), g_at[s], nvars)
     for u in h_at:
-        rows += intertwining_rows(h_at[u], incl.blocks[u], f.blocks[u], g_at[u], nvars)
+        rows += intertwining_rows(h_at[u], incl.block(u), f.block(u), g_at[u], nvars)
     for sol in nullspace(Mat(rows, ncols=nvars)):
         for u in h_at:
-            h_block = Mat.row_major(sol, h_at[u], tgt.dims[u], proj.dims[u])
-            if not (quotient.blocks[u] @ h_block).is_zero():
+            h_block = Mat.row_major(sol, h_at[u], tgt.dim(u), proj.dim(u))
+            if not (quotient.block(u) @ h_block).is_zero():
                 return True
     return False
 
@@ -279,3 +283,32 @@ def test_relabeling_permutes_engine_and_oracle(seed, n):
     assert res_moved.projective_vertices == {vertex_map[v] for v in res.projective_vertices}
     assert len(res_moved.ar.nodes) == len(res.ar.nodes)
     assert len(res_moved.ar.arrows) == len(res.ar.arrows)
+
+
+def _opposite(text):
+    """The serialized document with every arrow and every relation path
+    reversed: the opposite algebra."""
+    lines = []
+    for line in text.splitlines():
+        key, _, rest = line.partition(": ")
+        if key == "relation":
+            rest = " ".join(reversed(rest.split()))
+        elif key != "vertices":  # arrow NAME: SOURCE -> TARGET
+            source, target = rest.split(" -> ")
+            rest = f"{target} -> {source}"
+        lines.append(f"{key}: {rest}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**9), n=st.integers(2, 8))
+def test_opposite_algebra_keeps_the_ar_quiver_size(seed, n):
+    # duality swaps projectives and injectives and reverses every
+    # irreducible map, so the numbers of nodes and arrows are kept
+    alg = random_tree_algebra(random.Random(seed), n)
+    opp = validate(parse_algebra(_opposite(serialize(alg))))
+    assert opp.is_valid, opp.certificate
+    assert all(opp.quiver.arrow_map[a.name].source == a.target for a in alg.quiver.arrows)
+    ar, ar_opp = ar_quiver(alg), ar_quiver(opp)
+    assert ((opp.quiver.vertex_count(), len(ar_opp.nodes), len(ar_opp.arrows))
+            == (n, len(ar.nodes), len(ar.arrows)))
