@@ -219,7 +219,12 @@ def dynkin_type(algebra: BoundQuiverAlgebra,
     of the three exceptional shapes, and report the specialized counting
     parameters for those families.  report is determiner_report(algebra),
     computed once by the caller; p and q are taken from it, and stay None on
-    fewer than two vertices, where no report exists."""
+    fewer than two vertices, where no report exists.
+
+    branch_ideal_nonzero is True whenever a branch vertex is reported:
+    validity forces it.  A degree-3 vertex has in/out degrees (2, 1) or
+    (1, 2), and the string algebra conditions then kill a length-two path
+    through it, a relation made of arrows at it."""
     if not algebra.is_valid:
         raise ValueError("algebra must be validated and valid")
     q = algebra.quiver

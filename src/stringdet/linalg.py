@@ -12,6 +12,15 @@ pivots it meets and costs O(fill), not O(length), per row.  `nullspace`,
 rows.  The systems that come up (intertwining constraints, kernels,
 quotients) have a few non-zeros per row.
 
+Each distinct block is eliminated once.  The blocks of maps between thin
+modules are few and come back again and again (a 1 x 1 [1], a 1 x 2 sink
+map), so the kernel of a matrix (which also gives its rank) and the
+quotient by its column space are memoised by the matrix's value, in a
+bounded `functools.lru_cache` of `_MEMO_SIZE` entries each.  The key is
+the immutable `Mat` alone; an int matrix and an equal `Fraction` one share
+an entry, and their results are equal and exact.  Only immutable values are
+cached, and `nullspace` returns a fresh list each call.
+
 Most blocks of a module map over a tree are empty (0 x k or k x 0): a string
 module lives on a path, its support.  Empty blocks cost no arithmetic:
 `Mat.zeros` hands out one shared instance per empty shape, a product with an
@@ -22,9 +31,13 @@ shape has rank 0.  Shapes are still checked first.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 Vector = tuple[int | Fraction, ...]
+
+#: Entries kept by each value-keyed memo below.
+_MEMO_SIZE = 1024
 
 
 class Mat:
@@ -106,7 +119,7 @@ class Mat:
         return not any(any(r) for r in self.rows)
 
     def rank(self) -> int:
-        return _echelon(self).dim if self.nrows and self.ncols else 0
+        return self.ncols - len(_kernel(self)[0]) if self.nrows and self.ncols else 0
 
     def hstack(self, other: "Mat") -> "Mat":
         if self.nrows != other.nrows:
@@ -192,20 +205,17 @@ def _eliminate(v: dict, piv: int, row: dict) -> None:
                 del v[col]
 
 
-def _echelon(m: Mat) -> SpanBuilder:
-    """The row space of m in reduced row echelon form."""
+@lru_cache(maxsize=_MEMO_SIZE)
+def _kernel(m: Mat) -> tuple[tuple[Vector, ...], Mat, Mat]:
+    """Basis of {x : m @ x = 0}, its inclusion (the basis as columns) and its
+    retraction onto the free columns: the vector of free column c is 1 at c
+    and 0 at the other free columns, so retraction @ inclusion is the
+    identity."""
     span = SpanBuilder(m.ncols)
     for row in m.rows:
         if span.dim == m.ncols:
             break
         span.add(row)
-    return span
-
-
-def _kernel(m: Mat) -> tuple[list[Vector], list[int]]:
-    """Basis of {x : m @ x = 0} and the free columns it is indexed by: the
-    vector of free column c is 1 at c and 0 at the other free columns."""
-    span = _echelon(m)
     free = span.free_columns()
     basis = []
     for c in free:
@@ -214,36 +224,41 @@ def _kernel(m: Mat) -> tuple[list[Vector], list[int]]:
         for p, row in span._rows.items():
             vec[p] = -row.get(c, 0)
         basis.append(tuple(vec))
-    return basis, free
+    return (tuple(basis), Mat.from_columns(basis, nrows=m.ncols),
+            Mat(_unit_rows(free, m.ncols), ncols=m.ncols))
 
 
 def nullspace(m: Mat) -> list[Vector]:
     """Basis of {x : m @ x = 0}, one vector per free column."""
-    return _kernel(m)[0]
+    return list(_kernel(m)[0])
 
 
 def kernel_inclusion(m: Mat) -> tuple[Mat, Mat]:
     """Inclusion of {x : m @ x = 0}, the nullspace basis as its columns, and
     its retraction onto the free coordinates, so that retraction @ inclusion
     is the identity."""
-    basis, free = _kernel(m)
-    return (Mat.from_columns(basis, nrows=m.ncols),
-            Mat(_unit_rows(free, m.ncols), ncols=m.ncols))
+    return _kernel(m)[1:]
 
 
-def quotient_projection(sub_basis: list[Vector], ambient_dim: int) -> tuple[Mat, Mat]:
-    """Projection K^n -> K^(n-r) whose kernel is exactly span(sub_basis), and
-    its section through the free coordinates: the embedding of the free-
-    coordinate unit vectors, so that projection @ section is the identity.
-    """
-    span = SpanBuilder(ambient_dim)
-    for v in sub_basis:
-        span.add(v)
+def quotient_projection(m: Mat) -> tuple[Mat, Mat]:
+    """Projection K^n -> K^(n-r) whose kernel is exactly the column space of
+    m (n = m.nrows), and its section through the free coordinates: the
+    embedding of the free-coordinate unit vectors, so that projection @
+    section is the identity."""
+    return _quotient(m)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _quotient(m: Mat) -> tuple[Mat, Mat]:
+    n = m.nrows
+    span = SpanBuilder(n)
+    for col in m.columns():
+        span.add(col)
     free = span.free_columns()
     # projection of e_i = coordinates of (e_i reduced mod span) on the free columns
     cols = []
-    for unit in _unit_rows(range(ambient_dim), ambient_dim):
+    for unit in _unit_rows(range(n), n):
         red = span.reduce(unit)
         cols.append([red[c] for c in free])
-    section = Mat.from_columns(_unit_rows(free, ambient_dim), nrows=ambient_dim)
+    section = Mat.from_columns(_unit_rows(free, n), nrows=n)
     return Mat.from_columns(cols, nrows=len(free)), section

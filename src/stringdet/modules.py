@@ -324,8 +324,8 @@ def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     quiver = target.algebra.quiver
     proj: dict[int, Mat] = {}
     sections: dict[int, Mat] = {}
-    for v, d in target.dims.items():
-        proj[v], sections[v] = quotient_projection(f.block(v).columns(), ambient_dim=d)
+    for v in target.dims:
+        proj[v], sections[v] = quotient_projection(f.block(v))
     dims = {v: p.nrows for v, p in proj.items() if p.nrows}
     maps = {}
     for v in target.dims:
@@ -348,13 +348,13 @@ def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
 def socle(rep: Representation) -> Counter:
     """Multiset of simples in the socle: at each vertex, the joint kernel of
     the maps of the arrows into the support (the whole space when there are
-    none)."""
+    none), counted as its dimension less the rank of the stacked maps."""
     quiver = rep.algebra.quiver
     out: Counter = Counter()
     for v in sorted(rep.dims):
         stacked = [row for a in quiver.out_arrows(v) if a.target in rep.dims
                    for row in rep.maps[a.name].rows]
-        dim = len(nullspace(Mat(stacked, ncols=rep.dims[v])))
+        dim = rep.dims[v] - Mat(stacked, ncols=rep.dims[v]).rank()
         if dim:
             out[v] = dim
     return out

@@ -1,11 +1,15 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stringdet
 from stringdet import cli
@@ -164,7 +168,6 @@ def test_single_vertex_unsupported_for_reports(tmp_path, capsys):
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):
-    import io
     monkeypatch.setattr("sys.stdin", io.StringIO(generate_example("zigzag4")))
     assert main(["validate", "-"]) == 0
 
@@ -190,20 +193,39 @@ def _fresh_process(argv):
 
 
 def test_main_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
-    """The argparse parser is built once per process and reused: a check, a
-    usage error and a determiners call in a row each print what a fresh
+    """The argparse parser is built once per process and reused, and the
+    linear algebra memo is shared by every call: a check, a usage error and
+    a determiners call, then oracle, check and export-dot with its AR quiver
+    on four algebras, all in a row, each print (and write) what a fresh
     process prints."""
     path = write(tmp_path, "q.txt", generate_example("zigzag4"))
     calls = [["check", path], ["check", path, "--format", "yaml"],
              ["determiners", path, "--format", "json"]]
+    for name, params in (("zigzag4", {}), ("crossing6", {}), ("fan5", {}),
+                         ("crossing-tree", {"levels": 2})):
+        doc = write(tmp_path, f"{name}.txt", generate_example(name, **params))
+        ar_out = str(tmp_path / f"{name}.ar.dot")
+        calls += [["oracle", doc, "--format", "json"], ["check", doc],
+                  ["export-dot", doc, "--ar-output", ar_out]]
+
+    def ar_text(argv):
+        """The AR quiver file an export-dot call wrote, removed once read."""
+        if "--ar-output" not in argv:
+            return None
+        out = Path(argv[argv.index("--ar-output") + 1])
+        text = out.read_text(encoding="utf-8")
+        out.unlink()
+        return text
+
     results = []
     for argv in calls:
         code = main(argv)
         out, err = capsys.readouterr()
-        results.append((code, out, err))
-    assert [code for code, _, _ in results] == [0, 1, 0]
+        results.append((code, out, err, ar_text(argv)))
+    assert [code for code, _, _, _ in results] == [0, 1] + [0] * (len(calls) - 2)
     assert results[1][2].startswith("usage error: argument --format")
-    assert results == [_fresh_process(argv) for argv in calls]
+    assert all(text.startswith("digraph ar_quiver") for *_, text in results if text)
+    assert results == [(*_fresh_process(argv), ar_text(argv)) for argv in calls]
     assert cli._build_parser() is cli._build_parser()
 
 
@@ -252,3 +274,80 @@ def test_oracle_breach_exits_3(command, tmp_path, capsys, monkeypatch):
     assert out == ""
     assert err.startswith("oracle invariant breach:") and "planted breach" in err
     assert "Traceback" not in err
+
+
+# --------------------------------------------------------------------------
+# fuzzing main on generated and mutated documents
+
+_HUGE_IDS = ("9" * 40, "1" + "0" * 5000, "0" * 30 + "7")
+_ids = st.one_of(st.integers(0, 7).map(str), st.sampled_from(_HUGE_IDS))
+_names = st.sampled_from(["a", "b", "c", "a1", "b_2", "x"])
+
+
+@st.composite
+def _documents(draw):
+    """A small quiver document, often invalid: vertex lists with repeats
+    and huge ids, arrows with unknown ends, loops and cycles, duplicate
+    names, relations over any names; then some lines truncated, dropped or
+    repeated."""
+    if draw(st.booleans()):
+        lines = [f"vertices: {draw(st.sampled_from(['1', '3', '5', '6', _HUGE_IDS[0]]))}"]
+    else:
+        lines = ["vertices: " + ", ".join(draw(st.lists(_ids, min_size=1, max_size=6)))]
+    for _ in range(draw(st.integers(0, 6))):
+        lines.append(f"arrow {draw(_names)}: {draw(_ids)} -> {draw(_ids)}")
+    for _ in range(draw(st.integers(0, 2))):
+        lines.append("relation: " + " ".join(draw(st.lists(_names, min_size=1, max_size=3))))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(["truncate", "drop", "repeat"]))
+        if action == "truncate":
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+        elif action == "drop":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+        if not lines:
+            break
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+@st.composite
+def _trees(draw):
+    """A labeled tree on up to six vertices with every length-two path
+    killed, which is valid, or that tree with one more arrow: a loop, or an
+    edge that closes a cycle."""
+    n = draw(st.integers(2, 6))
+    arrows = []
+    for v in range(2, n + 1):
+        u = draw(st.integers(1, v - 1))
+        arrows.append((f"e{v}", *((u, v) if draw(st.booleans()) else (v, u))))
+    extra = draw(st.sampled_from(["none", "loop", "cycle"]))
+    if extra != "none":
+        u = draw(st.integers(1, n))
+        v = u if extra == "loop" else draw(st.integers(1, n).filter(lambda w: w != u))
+        arrows.append(("z", u, v))
+    lines = [f"vertices: {n}"]
+    lines += [f"arrow {name}: {s} -> {t}" for name, s, t in arrows]
+    lines += [f"relation: {a} {b}" for a, s, t in arrows for b, s2, _ in arrows if s2 == t]
+    return "\n".join(lines) + "\n"
+
+
+_REPORT_COMMANDS = ["validate", "classify", "ideals", "determiners", "oracle", "check",
+                    "export-dot"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=st.one_of(_documents(), _trees()),
+       command=st.sampled_from(_REPORT_COMMANDS), fmt=st.sampled_from(["text", "json"]))
+def test_main_on_generated_and_mutated_documents(doc, command, fmt):
+    """Whatever the document, main answers with exit code 0, 1 or 2 and a
+    message, never a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(doc)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "-", "--format", fmt])
+    assert code in (0, 1, 2), (doc, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error:")

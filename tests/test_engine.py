@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from stringdet import check_unique_sink_characterization, determiner_report, dynkin_type
 from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
-                                fork_algebra, linear_algebra, random_tree_algebra,
-                                zigzag4_algebra)
+                                fork_algebra, iter_tree_algebras, linear_algebra,
+                                random_tree_algebra, zigzag4_algebra)
 from stringdet.taxonomy import VertexClass, classify_vertex
 
 
@@ -145,6 +145,22 @@ def test_dynkin_exceptional():
     rep = dynkin_type(alg, determiner_report(alg))
     assert rep.shape == "E6"
     assert rep.branch_ideal_nonzero
+
+
+def test_branch_star_always_holds_a_relation():
+    """On every valid algebra with n <= 5 whose tree has a vertex of degree
+    3, dynkin_type reports that vertex, and a relation inside its star."""
+    branched = 0
+    for n in range(2, 6):
+        for alg in iter_tree_algebras(n):
+            q = alg.quiver
+            if not any(q.in_degree(v) + q.out_degree(v) == 3 for v in q.vertices):
+                continue
+            rep = dynkin_type(alg, determiner_report(alg))
+            assert rep.branch_vertex is not None
+            assert rep.branch_ideal_nonzero is True
+            branched += 1
+    assert branched == 72 + 3720
 
 
 def test_fork_source_never_determiner():

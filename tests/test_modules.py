@@ -6,7 +6,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stringdet import ar_quiver
+from stringdet import ar_quiver, linalg
 from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
                                 linear_algebra, random_tree_algebra)
 from stringdet.linalg import (Mat, SpanBuilder, kernel_inclusion, nullspace,
@@ -187,13 +187,13 @@ def test_sparse_echelon_matches_dense_reference(m, data):
     assert inclusion == Mat.from_columns(basis, nrows=m.ncols)
     assert retraction == Mat([[int(i == c) for i in range(m.ncols)] for c in free],
                              ncols=m.ncols)
-    proj, section = quotient_projection(m.rows, m.ncols)
-    assert (proj, section) == _dense_quotient_projection(m.rows, m.ncols)
+    proj, section = quotient_projection(m)
+    assert (proj, section) == _dense_quotient_projection(m.columns(), m.nrows)
     assert _exact(_entries(inclusion, retraction, proj, section))
 
 
 def test_quotient_projection():
-    proj, section = quotient_projection([(Fraction(1), Fraction(1), Fraction(0))], 3)
+    proj, section = quotient_projection(Mat([[Fraction(1)], [Fraction(1)], [Fraction(0)]]))
     assert proj.shape == (2, 3)
     assert (proj @ Mat.from_columns([(1, 1, 0)], nrows=3)).is_zero()
     assert proj.rank() == 2
@@ -214,6 +214,88 @@ def test_span_builder():
     assert sb.add((1, 0, 5))
     assert sb.reduce((0, 1, Fraction(2, 3))) == [0, 0, 0]
     assert nullspace(Mat([[0, 3, 2], [1, 0, 5]])) == [(-5, Fraction(-2, 3), 1)]
+
+
+# --------------------------------------------------------------------------
+# the value-keyed memo behind rank, nullspace, kernels and quotients
+
+def _fresh(m):
+    """Rank, nullspace, kernel inclusion and quotient projection of m from a
+    new SpanBuilder each, never through the memo."""
+    span = SpanBuilder(m.ncols)
+    for row in m.rows:
+        span.add(row)
+    basis, inclusion, retraction = linalg._kernel.__wrapped__(m)
+    return span.dim, list(basis), (inclusion, retraction), linalg._quotient.__wrapped__(m)
+
+
+def _memoised(m):
+    return m.rank(), nullspace(m), kernel_inclusion(m), quotient_projection(m)
+
+
+def _clear_memo():
+    linalg._kernel.cache_clear()
+    linalg._quotient.cache_clear()
+
+
+_memo_matrices = st.integers(0, 4).flatmap(lambda r: st.integers(0, 4).flatmap(
+    lambda c: st.lists(st.lists(_scalars, min_size=c, max_size=c),
+                       min_size=r, max_size=r).map(lambda rows: Mat(rows, ncols=c))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=_memo_matrices)
+def test_memo_matches_fresh_and_dense_computations(m):
+    for _ in range(2):  # a miss, then a hit
+        got = _memoised(m)
+        assert got == _fresh(m)
+        basis, free = _dense_kernel(m)
+        assert got[0] == m.ncols - len(free)
+        assert got[1] == basis
+        assert got[2][0] == Mat.from_columns(basis, nrows=m.ncols)
+        assert got[3] == _dense_quotient_projection(m.columns(), m.nrows)
+        assert _exact(_entries(*got[2], *got[3])) and all(_exact(v) for v in got[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=_exact_matrices)
+def test_int_and_fraction_entries_share_exact_results(m):
+    """An int matrix and the equal Fraction matrix are one key: whichever
+    comes first, both get equal, exact results."""
+    as_fraction = Mat([[Fraction(x) for x in row] for row in m.rows], ncols=m.ncols)
+    as_int = Mat([[int(x) if x == int(x) else x for x in row] for row in m.rows],
+                 ncols=m.ncols)
+    expected = _fresh(as_fraction)
+    for first, second in ((as_int, as_fraction), (as_fraction, as_int)):
+        _clear_memo()
+        for key in (first, second):
+            got = _memoised(key)
+            assert got == expected
+            assert _exact(_entries(*got[2], *got[3])) and all(_exact(v) for v in got[1])
+
+
+def test_memo_hands_out_no_shared_mutable_value():
+    m = Mat([[1, 2, 3], [2, 4, 6]])
+    basis = nullspace(m)
+    expected = list(basis)
+    basis.append((0, 0, 0))
+    basis[0] = (9, 9, 9)
+    assert nullspace(m) == expected
+    assert nullspace(m) is not nullspace(m)
+
+
+def test_memo_is_bounded_and_stays_exact_past_its_bound():
+    _clear_memo()
+    first = [Mat([[i, 1], [0, i]]) for i in range(-3, 4)]
+    seen = {m: _fresh(m) for m in first}
+    for m in first:
+        assert _memoised(m) == seen[m]
+    for i in range(linalg._MEMO_SIZE + 50):
+        _memoised(Mat([[i + 5, 1, 0]]))
+    assert linalg._kernel.cache_info().currsize <= linalg._MEMO_SIZE
+    assert linalg._quotient.cache_info().currsize <= linalg._MEMO_SIZE
+    for m in first:
+        assert _memoised(m) == seen[m]
 
 
 def test_string_module_trivial():
@@ -433,8 +515,7 @@ def _reference_cokernel(f):
     quiver = f.target.algebra.quiver
     proj, sec, dims, maps = {}, {}, {}, {}
     for v in quiver.vertices:
-        proj[v], sec[v] = quotient_projection(f.block(v).columns(),
-                                              ambient_dim=f.target.dim(v))
+        proj[v], sec[v] = quotient_projection(f.block(v))
         dims[v] = proj[v].nrows
     for a in quiver.arrows:
         carried = _dense(proj[a.target], f.target.map(a.name))
