@@ -50,11 +50,13 @@ class Quiver:
         return {a.name: a for a in self.arrows}
 
     @cached_property
-    def _out(self) -> dict[int, tuple[Arrow, ...]]:
+    def outgoing(self) -> dict[int, tuple[Arrow, ...]]:
+        """Vertex -> the arrows out of it: the out-degree table."""
         return _by_end(self.vertices, self.arrows, attrgetter("source"))
 
     @cached_property
-    def _in(self) -> dict[int, tuple[Arrow, ...]]:
+    def incoming(self) -> dict[int, tuple[Arrow, ...]]:
+        """Vertex -> the arrows into it: the in-degree table."""
         return _by_end(self.vertices, self.arrows, attrgetter("target"))
 
     @cached_property
@@ -67,40 +69,25 @@ class Quiver:
         stack = [root]
         while stack:
             v = stack.pop()
-            for a in self._out[v]:
+            for a in self.outgoing[v]:
                 if a.target not in parents:
                     parents[a.target] = (v, a)
                     stack.append(a.target)
-            for a in self._in[v]:
+            for a in self.incoming[v]:
                 if a.source not in parents:
                     parents[a.source] = (v, a)
                     stack.append(a.source)
         return parents
 
     def has_vertex(self, v: int) -> bool:
-        return v in self._out
-
-    def out_arrows(self, v: int) -> tuple[Arrow, ...]:
-        return self._out[v]
-
-    def in_arrows(self, v: int) -> tuple[Arrow, ...]:
-        return self._in[v]
-
-    def out_degree(self, v: int) -> int:
-        return len(self._out[v])
-
-    def in_degree(self, v: int) -> int:
-        return len(self._in[v])
+        return v in self.outgoing
 
     def neighbours(self, v: int) -> tuple[int, ...]:
-        ns = {a.target for a in self._out[v]} | {a.source for a in self._in[v]}
+        ns = {a.target for a in self.outgoing[v]} | {a.source for a in self.incoming[v]}
         return tuple(sorted(ns))
 
     def sinks(self) -> tuple[int, ...]:
-        return tuple(v for v in self.vertices if self.out_degree(v) == 0)
-
-    def sources(self) -> tuple[int, ...]:
-        return tuple(v for v in self.vertices if self.in_degree(v) == 0)
+        return tuple(v for v, outs in self.outgoing.items() if not outs)
 
     def vertex_count(self) -> int:
         return len(self.vertices)
@@ -194,6 +181,14 @@ _VERTICES_RE = re.compile(r"^vertices\s*:\s*(.+)$")
 _ARROW_RE = re.compile(r"^arrow\s+(\w+)\s*:\s*(\d+)\s*->\s*(\d+)\s*$")
 _RELATION_RE = re.compile(r"^relation\s*:\s*(.+)$")
 _ID_RE = re.compile(r"^\w+$")
+#: Longest vertex id or count, as text: int() refuses longer digit strings
+#: by default from Python 3.11 on, and 3.10 accepts them.
+_MAX_ID_CHARS = 4300
+
+
+def _long_id(text: str, lineno: int) -> ParseError:
+    return ParseError(f"vertex id or count of {len(text)} characters is longer than the limit "
+                      f"of {_MAX_ID_CHARS}", lineno)
 
 
 def parse_algebra(text: str) -> BoundQuiverAlgebra:
@@ -214,15 +209,18 @@ def parse_algebra(text: str) -> BoundQuiverAlgebra:
     arrows: list[Arrow] = []
     arrow_names: set[str] = set()
     pending_relations: list[tuple[int, list[str]]] = []
+    match_arrow = _ARROW_RE.match
 
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
 
-        m = _ARROW_RE.match(line)
+        m = match_arrow(line)
         if m:
             name, src, tgt = m.groups()
+            if len(src) > _MAX_ID_CHARS or len(tgt) > _MAX_ID_CHARS:
+                raise _long_id(max(src, tgt, key=len), lineno)
             src, tgt = int(src), int(tgt)
             if vertices is None:
                 raise ParseError("arrow declared before vertices", lineno)
@@ -278,7 +276,9 @@ def parse_algebra(text: str) -> BoundQuiverAlgebra:
 def _parse_vertices(body: str, lineno: int, doc_lines: int) -> set[int]:
     """Vertex ids of a declaration; doc_lines bounds the count shorthand."""
     if "," not in body:
-        if not body.isdigit():
+        if len(body) > _MAX_ID_CHARS:
+            raise _long_id(body, lineno)
+        if not body.isdecimal():
             raise ParseError(f"bad vertex count {body!r}", lineno)
         k = int(body)
         if k < 1:
@@ -292,7 +292,9 @@ def _parse_vertices(body: str, lineno: int, doc_lines: int) -> set[int]:
     out = []
     for part in body.split(","):
         part = part.strip()
-        v = int(part) if part.isdigit() else 0
+        if len(part) > _MAX_ID_CHARS:
+            raise _long_id(part, lineno)
+        v = int(part) if part.isdecimal() else 0
         if v < 1:
             raise ParseError(f"bad vertex id {part!r}", lineno)
         out.append(v)
@@ -348,7 +350,7 @@ def validate(algebra: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
             f"underlying graph is not a tree: {len(q.arrows)} arrows for "
             f"{len(q.vertices)} vertices")
 
-    outs_of, ins_of = q._out, q._in
+    outs_of, ins_of = q.outgoing, q.incoming
     for v in q.vertices:
         if len(outs_of[v]) > 2:
             violations.append(f"vertex {v}: out-degree {len(outs_of[v])} exceeds 2")

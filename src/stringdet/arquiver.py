@@ -158,7 +158,7 @@ class ARQuiver:
             return None
         quiver = self.algebra.quiver
         for v in support:
-            for a in quiver.out_arrows(v):
+            for a in quiver.outgoing[v]:
                 if a.target in support and rep.map(a.name).is_zero():
                     return None
         return self._node_by_support.get(support)
@@ -249,12 +249,12 @@ def _hooks(ar: ARQuiver, support: frozenset[int], e: int) -> list[frozenset[int]
     out of y through its other out-arrow."""
     quiver = ar.algebra.quiver
     out = []
-    for beta in quiver.in_arrows(e):
+    for beta in quiver.incoming[e]:
         y = beta.source
         grown = support | {y}
         if y in support or grown not in ar._node_by_support:
             continue
-        for gamma in quiver.out_arrows(y):
+        for gamma in quiver.outgoing[y]:
             if gamma.name != beta.name:
                 path = _grow_path(ar.algebra, gamma.name, outgoing=True)
                 grown |= {quiver.arrow_map[name].target for name in path}

@@ -13,6 +13,8 @@ import json
 import os
 import sys
 import tempfile
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .algebra import BoundQuiverAlgebra, ParseError, parse_algebra, validate
 from .arquiver import GuardExceeded, OracleError, ar_quiver
@@ -20,7 +22,7 @@ from .dot import ar_quiver_dot, quiver_dot
 from .engine import determiner_report, dynkin_type
 from .families import GENERATORS, generate_example
 from .oracle import brute_force_det
-from .taxonomy import classify_vertex, vertex_ideals
+from .taxonomy import vertex_classes, vertex_ideals
 
 DEFAULT_MAX_NODES = 100
 
@@ -34,12 +36,59 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+# json's C encoder for a container of scalars whose members sit at pad: the
+# indentation rides in the item separator
+_flat_encode = functools.cache(
+    lambda pad: json.JSONEncoder(sort_keys=True, separators=(",\n" + pad, ": ")).encode)
+# ensure_ascii escapes NUL inside strings as \u0000, so a literal NUL in this
+# encoder's output is always one of its own item separators
+_SENTINEL_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",\x00", ": ")).encode
+
+
+def _render(value, pad: str = "") -> str:
+    """The text of json.dumps(value, sort_keys=True, indent=2), with pad the
+    indentation of value's own line.  Python recurses only over containers
+    that hold containers; each container of scalars, and each list of
+    non-empty dicts of scalars, is one call into json's C encoder."""
+    kind = type(value)
+    if kind in _SCALARS:
+        return _flat_encode(pad)(value)
+    if kind is dict:
+        if set(map(type, value)) - {str}:
+            raise TypeError("JSON object keys must be str")
+        kinds = set(map(type, value.values()))
+    elif kind is list or kind is tuple:
+        kinds = set(map(type, value))
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    brackets = "{}" if kind is dict else "[]"
+    if not value:
+        return brackets
+    inner = pad + "  "
+    if kinds <= _SCALARS:
+        body = _flat_encode(inner)(value)[1:-1]
+    elif kind is dict:
+        body = (",\n" + inner).join(encode_basestring_ascii(k) + ": " + _render(v, inner)
+                                    for k, v in sorted(value.items()))
+    elif (kinds == {dict} and all(value)
+          and set(map(type, set().union(*value))) == {str}
+          and set(map(type, chain.from_iterable(map(dict.values, value)))) <= _SCALARS):
+        deep = inner + "  "
+        body = ("{\n" + deep + _SENTINEL_ENCODE(value)[2:-2]
+                .replace("},\x00{", "\n" + inner + "},\n" + inner + "{\n" + deep)
+                .replace(",\x00", ",\n" + deep) + "\n" + inner + "}")
+    else:
+        body = (",\n" + inner).join(_render(v, inner) for v in value)
+    return brackets[0] + "\n" + inner + body + "\n" + pad + brackets[1]
+
+
 def _emit(ns: argparse.Namespace, doc: dict | list[str] | str,
           path: str | None = None) -> None:
     """Write doc, a dict as JSON, a list as text lines and a string as it is,
     to path, else to the -o file, else to stdout."""
     if isinstance(doc, dict):
-        doc = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        doc = _render(doc) + "\n"
     elif isinstance(doc, list):
         doc = "\n".join(doc) + "\n"
     path = path or ns.output
@@ -67,7 +116,7 @@ def _cmd_validate(ns, alg: BoundQuiverAlgebra) -> None:
 
 
 def _cmd_classify(ns, alg: BoundQuiverAlgebra) -> None:
-    rows = [(v, classify_vertex(alg, v)) for v in alg.quiver.vertices]
+    rows = vertex_classes(alg).items()
     if ns.format == "json":
         _emit(ns, {"classes": {str(v): c.value for v, c in rows}})
     else:
@@ -76,7 +125,7 @@ def _cmd_classify(ns, alg: BoundQuiverAlgebra) -> None:
 
 def _cmd_ideals(ns, alg: BoundQuiverAlgebra) -> None:
     ideals = vertex_ideals(alg)
-    rows = [(v, classify_vertex(alg, v), ideals.get(v)) for v in alg.quiver.vertices]
+    rows = [(v, cls, ideals.get(v)) for v, cls in vertex_classes(alg).items()]
     if ns.format == "json":
         _emit(ns, {"vertex_ideals": {
             str(v): None if s is None else {"kind": s.kind.value, "witness": s.witness}

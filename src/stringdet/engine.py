@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import BoundQuiverAlgebra
-from .taxonomy import VertexClass, VertexIdealStatus, classify_vertex, vertex_ideals
+from .taxonomy import VertexClass, VertexIdealStatus, vertex_classes, vertex_ideals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VertexDecision:
     vertex: int
     vertex_class: VertexClass
@@ -101,10 +101,10 @@ def determiner_report(algebra: BoundQuiverAlgebra) -> DeterminerReport:
     if n < 2:
         raise ValueError("the counting formula needs at least two vertices")
     ideals = vertex_ideals(algebra)
-    decisions = tuple(_decide(v, classify_vertex(algebra, v), ideals.get(v))
-                      for v in algebra.quiver.vertices)
-    p = sum(1 for d in decisions if d.vertex_class is VertexClass.FORK_SOURCE)
-    q = sum(1 for d in decisions if d.ideal is not None and d.ideal.is_nonzero)
+    classes = vertex_classes(algebra)
+    decisions = tuple(_decide(v, cls, ideals.get(v)) for v, cls in classes.items())
+    p = list(classes.values()).count(VertexClass.FORK_SOURCE)
+    q = sum(1 for s in ideals.values() if s.is_nonzero)
     projective = tuple(d.vertex for d in decisions if d.is_determiner)
     return DeterminerReport(
         n=n, p=p, q=q,
@@ -146,9 +146,10 @@ def check_unique_sink_characterization(algebra: BoundQuiverAlgebra, j: int,
         raise ValueError("the unique-sink check needs this algebra's determiner report")
     if not q.has_vertex(j):
         return SinkOrientationCheck(j, False, f"unknown vertex {j}", None, None)
-    if any(classify_vertex(algebra, v) is VertexClass.CROSSING for v in q.vertices):
+    classes = vertex_classes(algebra)
+    if VertexClass.CROSSING in classes.values():
         return SinkOrientationCheck(j, False, "quiver has a crossing vertex", None, None)
-    cls = classify_vertex(algebra, j)
+    cls = classes[j]
     if cls not in (VertexClass.SINK_LEAF, VertexClass.MEET_SINK):
         return SinkOrientationCheck(j, False, f"vertex {j} is not a sink ({cls.value})",
                                     None, None)
@@ -229,7 +230,8 @@ def dynkin_type(algebra: BoundQuiverAlgebra,
         raise ValueError("algebra must be validated and valid")
     q = algebra.quiver
     n = q.vertex_count()
-    degrees = {v: q.in_degree(v) + q.out_degree(v) for v in q.vertices}
+    ins_of = q.incoming
+    degrees = {v: len(ins_of[v]) + len(outs) for v, outs in q.outgoing.items()}
     branches = [v for v, d in degrees.items() if d >= 3]
 
     p_val = q_val = None
@@ -250,7 +252,7 @@ def dynkin_type(algebra: BoundQuiverAlgebra,
         return DynkinReport("other", n, None, (), None, p_val, q_val)
     # on a tree the arrows among the branch vertex and its neighbours are the
     # arrows at the branch vertex
-    star = {a.name for a in q.in_arrows(branch) + q.out_arrows(branch)}
+    star = {a.name for a in q.incoming[branch] + q.outgoing[branch]}
     ideal_flag = any(star.issuperset(gen) for gen in algebra.relations.generators)
     if limbs[:2] == (1, 1):
         return DynkinReport("D", n, branch, limbs, ideal_flag, p_val, q_val)

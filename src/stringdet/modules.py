@@ -65,7 +65,7 @@ def _check_relations(rep: Representation) -> None:
     by_first = rep.algebra.relations._by_first
     dims = rep.dims
     for v, d in dims.items():
-        for a in quiver.out_arrows(v):
+        for a in quiver.outgoing[v]:
             for gen in by_first.get(a.name, ()):
                 if not all(quiver.arrow_map[name].target in dims for name in gen):
                     continue
@@ -94,7 +94,7 @@ def representation(algebra: BoundQuiverAlgebra, dims: dict[int, int],
             raise ValueError(f"map for {name} has shape {m.shape}, expected {expected}")
     inside = {}
     for v, d in support.items():
-        for a in quiver.out_arrows(v):
+        for a in quiver.outgoing[v]:
             if a.target in support:
                 m = maps.get(a.name)
                 inside[a.name] = Mat.zeros(support[a.target], d) if m is None else m
@@ -192,7 +192,7 @@ def _check_intertwining(f: ModuleMap) -> None:
     with a non-empty side."""
     quiver = f.source.algebra.quiver
     for v in f.source.dims:
-        for a in quiver.out_arrows(v):
+        for a in quiver.outgoing[v]:
             if a.target in f.target.dims:
                 lhs = f.block(a.target) @ f.source.map(a.name)
                 rhs = f.target.map(a.name) @ f.block(v)
@@ -277,7 +277,7 @@ def hom_space(source: Representation, target: Representation) -> list[ModuleMap]
     quiver = source.algebra.quiver
     rows = []
     for v in source.dims:
-        for a in quiver.out_arrows(v):
+        for a in quiver.outgoing[v]:
             if a.target in target.dims:
                 # block[target] @ source map == target map @ block[source]
                 rows += intertwining_rows(at.get(a.target), source.map(a.name),
@@ -302,7 +302,7 @@ def kernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     dims = {v: b.ncols for v, b in incl.items() if b.ncols}
     maps = {}
     for v in dims:
-        for a in quiver.out_arrows(v):
+        for a in quiver.outgoing[v]:
             e = a.target
             if e not in source.dims:
                 continue  # nothing is carried: the induced map is zero
@@ -329,7 +329,7 @@ def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     dims = {v: p.nrows for v, p in proj.items() if p.nrows}
     maps = {}
     for v in target.dims:
-        for a in quiver.out_arrows(v):
+        for a in quiver.outgoing[v]:
             e = a.target
             if e not in dims:
                 continue  # nothing is carried: the induced map is zero
@@ -352,7 +352,7 @@ def socle(rep: Representation) -> Counter:
     quiver = rep.algebra.quiver
     out: Counter = Counter()
     for v in sorted(rep.dims):
-        stacked = [row for a in quiver.out_arrows(v) if a.target in rep.dims
+        stacked = [row for a in quiver.outgoing[v] if a.target in rep.dims
                    for row in rep.maps[a.name].rows]
         dim = rep.dims[v] - Mat(stacked, ncols=rep.dims[v]).rank()
         if dim:
@@ -372,7 +372,7 @@ def direct_sum(reps: list[Representation]) -> Representation:
             dims[v] = dims.get(v, 0) + d
     maps = {}
     for s, width in dims.items():
-        for a in algebra.quiver.out_arrows(s):
+        for a in algebra.quiver.outgoing[s]:
             if a.target in dims:
                 rows, left = [], 0
                 for r in reps:

@@ -19,9 +19,7 @@ from enum import Enum
 from .algebra import BoundQuiverAlgebra
 from .arquiver import (ArArrow, ARQuiver, MiddleKind, OracleError, ar_quiver,
                        single_middle_count)
-from .linalg import Mat, SpanBuilder, nullspace
-from .modules import (ModuleMap, cokernel, compose, is_epimorphism, is_monomorphism, kernel,
-                      socle)
+from .modules import ModuleMap, cokernel, is_epimorphism, is_monomorphism, kernel, socle
 
 
 class MapKind(Enum):
@@ -160,58 +158,3 @@ def brute_force_det(algebra: BoundQuiverAlgebra,
         ar.nodes[i].projective_vertex for i in det_nodes if ar.nodes[i].is_projective)
     nonproj = sum(1 for i in det_nodes if not ar.nodes[i].is_projective)
     return OracleResult(ar, entries, det_nodes, projective_vertices, nonproj)
-
-
-# --------------------------------------------------------------------------
-# first-principles right-determination test (small instances)
-
-def is_right_determined(ar: ARQuiver, f: ModuleMap, src_node: int, tgt_node: int,
-                        det_node: int | None) -> bool:
-    """Quantifier test straight from the definition: for every indecomposable
-    X', every map X' -> target whose every precomposition with maps from the
-    determiner factors through f must itself factor through f.  The test is
-    exact; a None determiner means the zero module."""
-    for node in ar.nodes:
-        x = node.index
-        hom_xn = ar.hom(x, tgt_node)
-        if not hom_xn:
-            continue
-        veclen = len(hom_xn[0].vec())
-
-        factorable = SpanBuilder(veclen)
-        for u in ar.hom(x, src_node):
-            factorable.add(compose(f, u).vec())
-
-        if det_node is None:
-            candidate_vecs = [h.vec() for h in hom_xn]
-        else:
-            phis = ar.hom(det_node, x)
-            homs_det_tgt = ar.hom(det_node, tgt_node)
-            if not phis or not homs_det_tgt:
-                # no precompositions, or every composite lands in the zero
-                # space: the hypothesis is vacuous
-                candidate_vecs = [h.vec() for h in hom_xn]
-            else:
-                through = SpanBuilder(len(homs_det_tgt[0].vec()))
-                for u in ar.hom(det_node, src_node):
-                    through.add(compose(f, u).vec())
-                rows = []
-                for h in hom_xn:
-                    residuals = []
-                    for phi in phis:
-                        residuals.extend(through.reduce(compose(h, phi).vec()))
-                    rows.append(residuals)
-                cols = list(zip(*rows))
-                sol = nullspace(Mat(cols, ncols=len(hom_xn)))
-                candidate_vecs = []
-                for lam in sol:
-                    acc = [0] * veclen
-                    for c, h in zip(lam, hom_xn):
-                        if c:
-                            acc = [x2 + c * y for x2, y in zip(acc, h.vec())]
-                    candidate_vecs.append(tuple(acc))
-
-        for vec in candidate_vecs:
-            if not factorable.contains(vec):
-                return False
-    return True

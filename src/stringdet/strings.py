@@ -154,7 +154,7 @@ def _grow_path(algebra: BoundQuiverAlgebra, first: str, outgoing: bool) -> list[
     while True:
         if outgoing:
             tip = q.arrow_map[path[-1]].target
-            ext = [a.name for a in q.out_arrows(tip)
+            ext = [a.name for a in q.outgoing[tip]
                    if not algebra.relations.contains_path(tuple(path) + (a.name,))]
             if not ext:
                 return path
@@ -163,7 +163,7 @@ def _grow_path(algebra: BoundQuiverAlgebra, first: str, outgoing: bool) -> list[
             path.append(ext[0])
         else:
             tip = q.arrow_map[path[0]].source
-            ext = [a.name for a in q.in_arrows(tip)
+            ext = [a.name for a in q.incoming[tip]
                    if not algebra.relations.contains_path((a.name,) + tuple(path))]
             if not ext:
                 return path
@@ -176,14 +176,14 @@ def out_arms(algebra: BoundQuiverAlgebra, v: int) -> list[list[str]]:
     """Maximal surviving directed paths out of v (traversal order), one per
     outgoing arrow."""
     return [_grow_path(algebra, a.name, outgoing=True)
-            for a in algebra.quiver.out_arrows(v)]
+            for a in algebra.quiver.outgoing[v]]
 
 
 def in_arms(algebra: BoundQuiverAlgebra, v: int) -> list[list[str]]:
     """Maximal surviving directed paths into v (traversal order), one per
     incoming arrow."""
     return [_grow_path(algebra, a.name, outgoing=False)
-            for a in algebra.quiver.in_arrows(v)]
+            for a in algebra.quiver.incoming[v]]
 
 
 def _join_at(algebra: BoundQuiverAlgebra, v: int,

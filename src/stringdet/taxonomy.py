@@ -73,7 +73,7 @@ def classify_vertex(algebra: BoundQuiverAlgebra, v: int) -> VertexClass:
     q = algebra.quiver
     if not q.has_vertex(v):
         raise ValueError(f"unknown vertex {v}")
-    key = (q.in_degree(v), q.out_degree(v))
+    key = (len(q.incoming[v]), len(q.outgoing[v]))
     cls = _BY_DEGREES.get(key)
     if cls is None:
         if key == (0, 0):
@@ -81,6 +81,19 @@ def classify_vertex(algebra: BoundQuiverAlgebra, v: int) -> VertexClass:
                 f"vertex {v} is isolated; classification needs at least two vertices")
         raise ValueError(f"vertex {v} has degrees {key}, not a valid vertex shape")
     return cls
+
+
+def vertex_classes(algebra: BoundQuiverAlgebra) -> dict[int, VertexClass]:
+    """classify_vertex at every vertex, in vertex order, read from the degree
+    tables in one pass."""
+    q = algebra.quiver
+    ins, outs = q.incoming, q.outgoing
+    try:
+        return {v: _BY_DEGREES[len(ins[v]), len(outs[v])] for v in q.vertices}
+    except KeyError:
+        for v in q.vertices:  # raises the first bad vertex's error
+            classify_vertex(algebra, v)
+        raise
 
 
 class IdealKind(Enum):
@@ -112,6 +125,7 @@ class _Reaches:
 
     def __init__(self, algebra: BoundQuiverAlgebra):
         q = algebra.quiver
+        ins_of, outs_of = q.incoming, q.outgoing
         pairs: set[tuple[str, ...]] = set()
         longer: dict[str, list[tuple[str, ...]]] = {}
         for gen in algebra.relations.generators:
@@ -120,7 +134,7 @@ class _Reaches:
             else:
                 longer.setdefault(gen[-1], []).append(gen)
         self._pairs, self._longer = pairs, longer
-        self._fork = {v: v for v in q.vertices if q.out_degree(v) == 2}
+        self._fork = {v: v for v, outs in outs_of.items() if len(outs) == 2}
         self._arrows = q.arrow_map
         # arrow name -> (the arrow before it on its reach or None, the
         # reach's length, the smallest fork vertex among its sources, the
@@ -130,20 +144,20 @@ class _Reaches:
         # the far end
         self._cut_lows: dict[str, list[float]] = {}
 
-        reach, inf = self.reach, math.inf
-        waiting = {v: q.in_degree(v) for v in q.vertices}
-        ready = [v for v in q.vertices if waiting[v] == 0]
+        reach, inf, fork = self.reach, math.inf, self._fork
+        waiting = {v: len(ins) for v, ins in ins_of.items()}
+        ready = [v for v, count in waiting.items() if count == 0]
         for v in ready:  # source-first order; the list grows while it is read
-            ins = [c.name for c in q.in_arrows(v)]
-            fork_here = self._fork.get(v, inf)
-            for a in q.out_arrows(v):
+            ins = ins_of[v]
+            fork_here = fork.get(v, inf)
+            for a in outs_of[v]:
                 name = a.name
                 # the branching conditions leave at most one arrow into v
                 # that continues a without a length-2 relation
                 prev = None
                 for c in ins:
-                    if (c, name) not in pairs:
-                        prev = c
+                    if (c.name, name) not in pairs:
+                        prev = c.name
                 if prev is None:
                     reach[name] = (None, 1, fork_here, None)
                 else:
@@ -151,9 +165,10 @@ class _Reaches:
                     reach[name] = (prev, span + 1, fork_here if fork_here < low else low, cut)
                 if name in longer:
                     self._cut_by(name, longer[name])
-                waiting[a.target] -= 1
-                if waiting[a.target] == 0:
-                    ready.append(a.target)
+                target = a.target
+                waiting[target] -= 1
+                if not waiting[target]:
+                    ready.append(target)
 
     def _cut_by(self, name: str, gens: list[tuple[str, ...]]) -> None:
         """Shorten the reach of name to the shortest generator ending with it
@@ -214,18 +229,18 @@ def vertex_ideals(algebra: BoundQuiverAlgebra) -> dict[int, VertexIdealStatus]:
     if not algebra.is_valid:
         raise ValueError("algebra must be validated and valid")
     q = algebra.quiver
+    ins_of = q.incoming
     reaches = _Reaches(algebra)
     sinks = q.sinks()
     statuses: dict[int, VertexIdealStatus] = {}
-    for v in q.vertices:
-        cls = classify_vertex(algebra, v)
+    for v, cls in vertex_classes(algebra).items():
         if cls not in IDEAL_BEARING:
             continue
         if cls is VertexClass.MEET_FLOW:
             statuses[v] = VertexIdealStatus(v, IdealKind.ZERO)
             continue
         if cls in (VertexClass.SINK_LEAF, VertexClass.MEET_SINK):
-            low = min(reaches.reach[a.name][2] for a in q.in_arrows(v))
+            low = min(reaches.reach[a.name][2] for a in ins_of[v])
             if not algebra.relations.is_empty:
                 otherwise = IdealKind.DEFINING_IDEAL
             else:
@@ -235,8 +250,8 @@ def vertex_ideals(algebra: BoundQuiverAlgebra) -> dict[int, VertexIdealStatus]:
         else:
             # fork flow / crossing: the witness must also see relations
             # toward both forward branches
-            outs = q.out_arrows(v)
-            low = min(reaches.blocked_low(a.name, outs) for a in q.in_arrows(v))
+            outs = q.outgoing[v]
+            low = min(reaches.blocked_low(a.name, outs) for a in ins_of[v])
             otherwise = IdealKind.NEIGHBOURHOOD_IDEAL
         statuses[v] = (VertexIdealStatus(v, IdealKind.ZERO, witness=low) if low != math.inf
                        else VertexIdealStatus(v, otherwise))

@@ -22,9 +22,11 @@ from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_a
 from stringdet.linalg import Mat
 from stringdet.modules import (cokernel, is_monomorphism, module_map, projective,
                                radical_summands, simple, socle)
-from stringdet.oracle import MapKind, is_right_determined
+from stringdet.oracle import MapKind
 from stringdet.strings import StringWalk
 from stringdet.taxonomy import VertexClass
+
+from determination import is_right_determined
 
 
 def _verdict(label: str, ok: bool, detail: str = "") -> None:
@@ -143,8 +145,8 @@ def test_criterion_4_crossing_tree_level3_pinned_total():
     res = brute_force_det(alg, max_nodes=200)
     witnessed = []
     for w in (8, 11, 13, 14, 16, 17):
-        (u,) = [a.source for a in q.in_arrows(w) if q.out_degree(a.source) == 2]
-        (o,) = [a.target for a in q.out_arrows(u) if a.target != w]
+        (u,) = [a.source for a in q.incoming[w] if len(q.outgoing[a.source]) == 2]
+        (o,) = [a.target for a in q.outgoing[u] if a.target != w]
         rad = {r.support for r in radical_summands(alg, u)}
         f = module_map(simple(alg, o), projective(alg, u), {o: Mat([[1]])})
         cok, _ = cokernel(f)

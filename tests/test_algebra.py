@@ -62,6 +62,42 @@ def test_parse_errors():
         parse_algebra("vertices: 2\narrow a: 1 -> 2\nrelation: a\n")
 
 
+@pytest.mark.parametrize("doc,lineno", [
+    ("vertices: 2, " + "7" * 4301 + "\n", 1),
+    ("vertices: " + "1" * 4301 + "\n", 1),
+    ("# ids\nvertices: 2\narrow a: 1 -> " + "0" * 4300 + "2\n", 3),
+    ("vertices: 2\narrow a: " + "9" * 5000 + " -> 2  # far\n", 2)],
+    ids=["vertex-list", "vertex-count", "arrow-target", "arrow-source"])
+def test_parse_refuses_overlong_vertex_ids(doc, lineno):
+    """An id or count longer than 4300 characters is a parse error naming its
+    line, before int() could refuse it with Python's own message (3.11 and
+    later) or accept it (3.10)."""
+    longest = max(len(word) for word in doc.replace(",", " ").split())
+    with pytest.raises(ParseError) as info:
+        parse_algebra(doc)
+    assert str(info.value) == (f"vertex id or count of {longest} characters is longer than "
+                               f"the limit of 4300 (line {lineno})")
+    assert info.value.line == lineno
+
+
+def test_parse_accepts_ids_at_the_length_limit():
+    big = "1" + "0" * 4299
+    alg = parse_algebra(f"vertices: 1, {big}\narrow a: {big} -> 0001\n")
+    assert alg.quiver.vertices == (1, int(big))
+    assert alg.quiver.arrows[0].source == int(big)
+
+
+@pytest.mark.parametrize("doc,message", [
+    ("vertices: \u00b2\n", "bad vertex count '\u00b2' (line 1)"),
+    ("vertices: 1, \u00b2\n", "bad vertex id '\u00b2' (line 1)")],
+    ids=["vertex-count", "vertex-list"])
+def test_parse_refuses_digits_int_cannot_read(doc, message):
+    """A superscript is a digit to str.isdigit but not to int()."""
+    with pytest.raises(ParseError) as info:
+        parse_algebra(doc)
+    assert str(info.value) == message
+
+
 def test_parse_explicit_vertex_ids():
     alg = parse_algebra("vertices: 2, 7, 9\narrow x: 7 -> 2\narrow y: 7 -> 9\n")
     assert alg.quiver.vertices == (2, 7, 9)
@@ -136,7 +172,7 @@ def test_degree_bound_for_valid():
     alg = crossing6_algebra()
     q = alg.quiver
     assert len(q.arrows) == len(q.vertices) - 1
-    assert all(q.in_degree(v) + q.out_degree(v) <= 4 for v in q.vertices)
+    assert all(len(q.incoming[v]) + len(q.outgoing[v]) <= 4 for v in q.vertices)
 
 
 @settings(max_examples=40, deadline=None)
@@ -159,7 +195,7 @@ def test_ideal_membership_monotone(seed, n):
         # extend the generator while staying composable: membership persists
         amap = alg.quiver.arrow_map
         last = amap[gen[-1]]
-        for a in alg.quiver.out_arrows(last.target):
+        for a in alg.quiver.outgoing[last.target]:
             assert path_in_ideal(alg, gen + (a.name,))
 
 

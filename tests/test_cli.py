@@ -244,6 +244,73 @@ def test_output_matches_pinned_file(example, command, fmt, tmp_path, capsys):
     assert capsys.readouterr().out == pinned
 
 
+# --------------------------------------------------------------------------
+# the JSON renderer: json.dumps(doc, sort_keys=True, indent=2), byte for byte
+
+_ADVERSARIAL = st.sampled_from(["},\x00{", ",\x00", "\x00", "\n", '"', "\\", "}, {", "",
+                                "déterminant", "\u20ac\U0001d11e", "\ud800", "a\udfffb"])
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                          st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6),
+                          _ADVERSARIAL)
+_JSON_KEYS = st.one_of(st.text(max_size=4), _ADVERSARIAL)
+_FLAT_DICTS = st.dictionaries(_JSON_KEYS, _JSON_SCALARS, max_size=4)
+
+
+def _json_containers(children):
+    """Lists, tuples and dicts of children, and lists of flat dicts, some
+    of them empty: the shape the renderer encodes in one C call."""
+    return st.one_of(st.lists(children, max_size=4), st.lists(children, max_size=3).map(tuple),
+                     st.dictionaries(_JSON_KEYS, children, max_size=4),
+                     st.lists(_FLAT_DICTS, max_size=4))
+
+
+@settings(max_examples=500, deadline=None)
+@given(doc=st.recursive(_JSON_SCALARS, _json_containers, max_leaves=25))
+def test_render_is_json_dumps_with_indent_2(doc):
+    assert cli._render(doc) + "\n" == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {1: "a"}, {"a": {2: None}}, [{"a": 1}, {3: 4}], [{"a": 1}, {"b": {1, 2}}],
+    {"a": object()}, [b"bytes"], frozenset(), [[{"a": 1.5}], {"b": complex(1, 2)}]])
+def test_render_refuses_what_a_report_never_holds(doc):
+    """A non-str key or a value outside str, int, float, bool, None, dict,
+    list and tuple raises TypeError, even where json.dumps would convert
+    it."""
+    with pytest.raises(TypeError):
+        cli._render(doc)
+
+
+_REPORTS = ("validate", "classify", "ideals", "determiners", "oracle", "check")
+_LINE_5000 = generate_example(
+    "line", n=5000, orientation="".join("<" if i % 97 == 3 else ">" for i in range(4999)))
+_CROSSING_TREE_4 = generate_example("crossing-tree", levels=4)
+
+
+_INVALID_AT_SCALE = (
+    _LINE_5000 + "arrow z: 5000 -> 1\n",  # closes a cycle
+    "".join(line + "\n" for line in _CROSSING_TREE_4.splitlines()  # no branching relation
+            if not line.startswith("relation")))
+
+
+@pytest.mark.parametrize("doc,command,code", [
+    *((_LINE_5000, command, 0) for command in _REPORTS[:4]),
+    *((_CROSSING_TREE_4, command, 0) for command in _REPORTS),
+    *((doc, "validate", 2) for doc in _INVALID_AT_SCALE)],
+    ids=[*(f"line5000-{c}" for c in _REPORTS[:4]), *(f"crossing-tree4-{c}" for c in _REPORTS),
+         "line5000-cycle", "crossing-tree4-no-relations"])
+def test_json_reports_at_scale_are_sorted_indented_json(doc, command, code, tmp_path, capsys):
+    """Every JSON report on a 5000-vertex line and on crossing-tree level 4,
+    and the certificates of two invalid documents, are the bytes of
+    json.dumps(sort_keys=True, indent=2).  oracle and check run on the tree
+    only: the line has 12.5 million indecomposables."""
+    path = write(tmp_path, "q.txt", doc)
+    guard = ["--max-nodes", "600"] if command in ("oracle", "check") else []
+    assert main([command, path, "--format", "json", *guard]) == code
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
 def test_check_mismatch_exits_3(tmp_path, capsys, monkeypatch):
     """An engine report with one projective determiner dropped disagrees with
     the oracle: MISMATCH in text, agree false in JSON, exit code 3."""
@@ -342,7 +409,8 @@ _REPORT_COMMANDS = ["validate", "classify", "ideals", "determiners", "oracle", "
        command=st.sampled_from(_REPORT_COMMANDS), fmt=st.sampled_from(["text", "json"]))
 def test_main_on_generated_and_mutated_documents(doc, command, fmt):
     """Whatever the document, main answers with exit code 0, 1 or 2 and a
-    message, never a traceback."""
+    message, never a traceback.  A vertex id too long for int() is refused
+    as a parse error that names its line, on every Python version."""
     out, err = io.StringIO(), io.StringIO()
     with mock.patch("sys.stdin", io.StringIO(doc)), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -351,3 +419,6 @@ def test_main_on_generated_and_mutated_documents(doc, command, fmt):
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert err.getvalue().startswith("error:")
+    assert "int_max_str_digits" not in err.getvalue()
+    if "characters is longer than the limit" in err.getvalue():
+        assert err.getvalue().endswith(")\n") and "(line " in err.getvalue()

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from stringdet import classify_vertex, determiner_report, vertex_ideals
 from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
                                 linear_algebra, random_tree_algebra, zigzag4_algebra)
-from stringdet.taxonomy import IDEAL_BEARING, IdealKind, VertexClass
+from stringdet import parse_algebra
+from stringdet.taxonomy import IDEAL_BEARING, IdealKind, VertexClass, vertex_classes
 
 
 def test_classify_crossing6():
@@ -34,6 +35,35 @@ def test_classify_line():
 def test_classify_unknown_vertex():
     with pytest.raises(ValueError):
         classify_vertex(linear_algebra(2), 9)
+
+
+def test_vertex_classes_match_classify_vertex(sweep_records):
+    """The one-pass class map is classify_vertex at every vertex, in vertex
+    order, on every sweep algebra and the named families."""
+    algebras = [rec.algebra for rec in sweep_records] + [
+        crossing6_algebra(), fan5_algebra("both"), fan5_algebra("one"), zigzag4_algebra(),
+        crossing_tree_algebra(2), linear_algebra(7, "><<>>>")]
+    for alg in algebras:
+        classes = vertex_classes(alg)
+        assert list(classes.items()) == [(v, classify_vertex(alg, v))
+                                         for v in alg.quiver.vertices]
+
+
+@pytest.mark.parametrize("doc,message", [
+    ("vertices: 1\n",
+     "vertex 1 is isolated; classification needs at least two vertices"),
+    ("vertices: 1, 2, 3\narrow a: 1 -> 2\n",
+     "vertex 3 is isolated; classification needs at least two vertices"),
+    ("vertices: 5\narrow a: 1 -> 4\narrow b: 2 -> 4\narrow c: 3 -> 4\narrow d: 4 -> 5\n",
+     "vertex 4 has degrees (3, 1), not a valid vertex shape")])
+def test_vertex_classes_raise_what_classify_vertex_raises(doc, message):
+    alg = parse_algebra(doc)
+    with pytest.raises(ValueError) as first_bad:
+        for v in alg.quiver.vertices:
+            classify_vertex(alg, v)
+    with pytest.raises(ValueError) as mapped:
+        vertex_classes(alg)
+    assert str(mapped.value) == str(first_bad.value) == message
 
 
 def test_vertex_ideal_fan5_both():
@@ -104,7 +134,7 @@ def test_count_q_crossing_tree_depth2():
     assert nonzero == [2, 3]
     assert all(classify_vertex(alg, v) is VertexClass.CROSSING for v in nonzero)
     assert all(classify_vertex(alg, a.source) is VertexClass.SOURCE_LEAF
-               for v in nonzero for a in alg.quiver.in_arrows(v))
+               for v in nonzero for a in alg.quiver.incoming[v])
     for v in (4, 5):
         status = statuses[v]
         assert status.kind is IdealKind.ZERO
@@ -203,7 +233,7 @@ def _scan_witness(alg, i, blocked_targets=()):
 
     q = alg.quiver
     for j in q.vertices:
-        if q.out_degree(j) != 2:
+        if len(q.outgoing[j]) != 2:
             continue
         walk = walk_between(alg, j, i)
         if not directed(walk) or blocked(walk):
@@ -226,7 +256,7 @@ def _scan_ideal(alg, v):
             sinks = alg.quiver.sinks()
             return (IdealKind.WHOLE_ALGEBRA if sinks == (v,) else IdealKind.ZERO), None
         return IdealKind.DEFINING_IDEAL, None
-    targets = tuple(a.target for a in alg.quiver.out_arrows(v))
+    targets = tuple(a.target for a in alg.quiver.outgoing[v])
     w = _scan_witness(alg, v, targets)
     return (IdealKind.ZERO, w) if w is not None else (IdealKind.NEIGHBOURHOOD_IDEAL, None)
 

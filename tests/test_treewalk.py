@@ -70,7 +70,7 @@ def test_restricted_ideal_on_walks():
 def test_restricted_ideal_monotone_crossing6():
     alg = crossing6_algebra()
     inner = arrow_names(walk_between(alg, 1, 4))   # contains the a1 a3 generator
-    star = frozenset(a.name for a in alg.quiver.in_arrows(3) + alg.quiver.out_arrows(3))
+    star = frozenset(a.name for a in alg.quiver.incoming[3] + alg.quiver.outgoing[3])
     assert star == frozenset({"a1", "a2", "a3", "a4"})
     assert restricted_ideal_nonzero(alg, inner)
     assert restricted_ideal_nonzero(alg, star)     # contains both generators
