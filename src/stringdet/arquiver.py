@@ -13,11 +13,12 @@ reaches through maps M -> X -> N with overlapping images) is kept as a test
 reference.  Exact linear algebra verifies: every basis map intertwines,
 End = k is an exact hom-space solve, and the irreducible maps into each
 non-projective node form a surjection whose exact kernel is its translate.
-Each vertex's projective node and the nodes of its radical summands are
-found once and stored.  Mesh sizes, the translate bijection and the arrows
-into each projective (exactly its radical summands) are checked too; any
-breach, a hook or cohook target that is not a node included, raises
-OracleError naming the modules by their walks.
+Each node is the thin module on its string's vertices, and each vertex's
+projective, injective and radical-summand nodes are found once by support.
+Mesh sizes, the translate bijection and the arrows into each projective
+(exactly its radical summands) are checked too; any breach, a hook, cohook
+or distinguished support that is not a node included, raises OracleError
+naming the modules by their walks or supports.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .algebra import BoundQuiverAlgebra
 from .linalg import Mat
 from .modules import (ModuleMap, Representation, direct_sum, hom_space, is_epimorphism,
                       kernel, module_map, string_module)
-from .strings import (StringWalk, _grow_path, _iter_strings, _sorted_strings, injective_walk,
-                      projective_walk, radical_walks, walk_vertices)
+from .strings import (StringWalk, _arm, _iter_strings, _sorted_strings, injective_support,
+                      projective_support, radical_supports, walk_vertices)
 
 
 class OracleError(RuntimeError):
@@ -102,7 +103,6 @@ class ARQuiver:
     tau: dict[int, int]       # right end -> left end (non-projective -> node)
     tau_inv: dict[int, int]
     _image: dict[tuple[int, int], frozenset[int]] = field(default_factory=dict)
-    _node_by_walk: dict[StringWalk, int] = field(default_factory=dict)
     _node_by_support: dict[frozenset[int], int] = field(default_factory=dict)
     _projective: dict[int, int] = field(default_factory=dict)
     _radical: dict[int, tuple[int, ...]] = field(default_factory=dict)
@@ -127,9 +127,6 @@ class ARQuiver:
         c = self.image(a, b)
         identity = {v: Mat([[1]]) for v in c}
         return [module_map(self.nodes[a].rep, self.nodes[b].rep, identity)] if c else []
-
-    def node_of_walk(self, walk: StringWalk) -> int:
-        return self._node_by_walk[walk]
 
     def node_of(self, rep: Representation) -> int:
         """Index of the node whose module equals rep; ValueError otherwise."""
@@ -175,18 +172,19 @@ def ar_quiver(algebra: BoundQuiverAlgebra, max_nodes: int | None = None) -> ARQu
         if len(found) > max_nodes:
             raise GuardExceeded(f"algebra has more than {max_nodes} indecomposables")
 
-    nodes = [ArNode(i, w, string_module(algebra, w)) for i, w in enumerate(_sorted_strings(found))]
+    nodes = [ArNode(i, w, string_module(algebra, walk_vertices(algebra, w)))
+             for i, w in enumerate(_sorted_strings(found))]
     ar = ARQuiver(algebra, nodes, [], [], {}, {})
-    ar._node_by_walk = {n.walk: n.index for n in nodes}
     ar._node_by_support = {n.rep.support: n.index for n in nodes}
     if len(ar._node_by_support) != len(nodes):
         raise OracleError("two strings share a support")
 
     for v in algebra.quiver.vertices:
-        ar._projective[v] = ar._node_by_walk[projective_walk(algebra, v)]
-        ar._radical[v] = tuple(sorted(ar._node_by_walk[w] for w in radical_walks(algebra, v)))
+        ar._projective[v] = _node_at(ar, "projective", v, projective_support(algebra, v))
+        ar._radical[v] = tuple(sorted(_node_at(ar, "radical summand", v, s)
+                                      for s in radical_supports(algebra, v)))
         nodes[ar._projective[v]].projective_vertex = v
-        nodes[ar._node_by_walk[injective_walk(algebra, v)]].injective_vertex = v
+        nodes[_node_at(ar, "injective", v, injective_support(algebra, v))].injective_vertex = v
     n_proj = sum(1 for nd in nodes if nd.is_projective)
     n_inj = sum(1 for nd in nodes if nd.is_injective)
     nvert = algebra.quiver.vertex_count()
@@ -202,6 +200,15 @@ def ar_quiver(algebra: BoundQuiverAlgebra, max_nodes: int | None = None) -> ARQu
     _build_meshes(ar)
     _check_translate(ar)
     return ar
+
+
+def _node_at(ar: ARQuiver, kind: str, v: int, support: frozenset[int]) -> int:
+    """The node with the support of a distinguished module at vertex v."""
+    index = ar._node_by_support.get(support)
+    if index is None:
+        raise OracleError(f"support {sorted(support)} of the {kind} at vertex {v} "
+                          "is not a node")
+    return index
 
 
 def _build_arrows(ar: ARQuiver) -> None:
@@ -256,8 +263,7 @@ def _hooks(ar: ARQuiver, support: frozenset[int], e: int) -> list[frozenset[int]
             continue
         for gamma in quiver.outgoing[y]:
             if gamma.name != beta.name:
-                path = _grow_path(ar.algebra, gamma.name, outgoing=True)
-                grown |= {quiver.arrow_map[name].target for name in path}
+                grown |= _arm(ar.algebra, gamma.name, outgoing=True)
         out.append(grown)
     return out
 

@@ -3,7 +3,8 @@
 A representation assigns a rational vector space to every vertex and a matrix
 to every arrow (source space -> target space) such that the composite along
 every relation generator vanishes.  String modules are the special case with
-0/1 dimensions and identity linking maps; kernels and cokernels of maps
+0/1 dimensions and identity linking maps, each built by `string_module` from
+its support alone; kernels and cokernels of maps
 between them can have arbitrary rational matrices, so everything downstream
 stays fully general.
 
@@ -23,11 +24,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 from .algebra import BoundQuiverAlgebra
 from .linalg import Mat, kernel_inclusion, nullspace, quotient_projection
-from .strings import (StringWalk, injective_walk, projective_walk, radical_walks,
-                      walk_vertices)
+from .strings import injective_support, projective_support, radical_supports
 
 
 @dataclass(frozen=True)
@@ -103,35 +104,33 @@ def representation(algebra: BoundQuiverAlgebra, dims: dict[int, int],
     return rep
 
 
-def string_module(algebra: BoundQuiverAlgebra, s: StringWalk) -> Representation:
-    """Module of a walk: one basis vector per visited vertex, identity along
-    every letter's arrow."""
-    verts = set(walk_vertices(algebra, s))
-    used = {l.arrow for l in s.letters}
-    dims = {v: 1 for v in verts}
-    maps = {name: Mat([[1]]) for name in used}
-    return representation(algebra, dims, maps)
+def string_module(algebra: BoundQuiverAlgebra, support: Iterable[int]) -> Representation:
+    """Thin module on a support: one basis vector at each of its vertices and
+    the identity on every arrow with both ends there.  Over a tree the
+    support of a string is a path, and those arrows are exactly its letters."""
+    dims = dict.fromkeys(support, 1)
+    inside = (a.name for v in dims for a in algebra.quiver.outgoing.get(v, ()) if a.target in dims)
+    return representation(algebra, dims, dict.fromkeys(inside, Mat([[1]])))
 
 
 def simple(algebra: BoundQuiverAlgebra, v: int) -> Representation:
-    return string_module(algebra, StringWalk(v, ()))
+    return string_module(algebra, (v,))
 
 
 def projective(algebra: BoundQuiverAlgebra, v: int) -> Representation:
     """Indecomposable projective at v.  The basis is indexed by the surviving
-    paths out of v (one basis vector per reachable vertex, paths in a tree
-    being unique), which is exactly the string module of the glued arms."""
-    return string_module(algebra, projective_walk(algebra, v))
+    paths out of v, one per vertex they reach, paths in a tree being unique."""
+    return string_module(algebra, projective_support(algebra, v))
 
 
 def injective(algebra: BoundQuiverAlgebra, v: int) -> Representation:
-    return string_module(algebra, injective_walk(algebra, v))
+    return string_module(algebra, injective_support(algebra, v))
 
 
 def radical_summands(algebra: BoundQuiverAlgebra, v: int) -> list[Representation]:
     """Indecomposable summands of the radical of the projective at v: none at
     a sink, one per outgoing arrow otherwise."""
-    return [string_module(algebra, w) for w in radical_walks(algebra, v)]
+    return [string_module(algebra, s) for s in radical_supports(algebra, v)]
 
 
 # --------------------------------------------------------------------------

@@ -85,15 +85,13 @@ def minimal_right_determiner(ar: ARQuiver, arrow: ArArrow) -> DeterminerEntry:
     support, where any other vertex gives False.  The cokernel of the map is
     built once: its socle is the mono route, and an epi must have a zero one."""
     f = arrow.map
-    algebra = ar.algebra
     dim_s = f.source.total_dim
     dim_t = f.target.total_dim
     if dim_s == dim_t:
         raise OracleError(f"{_arrow_text(ar, arrow)} joins equal-dimension nodes")
     # a non-zero map P(v) -> N is the identity on a C containing v: any other
     # vertex of P(v) is reached from v by an arrow that would enter C
-    almost = tuple(v for v in algebra.quiver.vertices
-                   if v in f.target.support and almost_factors_through(ar, v, f))
+    almost = tuple(v for v in sorted(f.target.support) if almost_factors_through(ar, v, f))
 
     if dim_s < dim_t:
         if not is_monomorphism(f):

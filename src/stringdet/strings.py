@@ -144,7 +144,8 @@ def _sorted_strings(found: Iterable[StringWalk]) -> tuple[StringWalk, ...]:
 
 
 # --------------------------------------------------------------------------
-# distinguished walks: projectives, injectives, radical summands
+# distinguished supports: projectives, injectives and radical summands are thin
+# and fixed by their supports, read off the vertex sets of the arms at a vertex
 
 def _grow_path(algebra: BoundQuiverAlgebra, first: str, outgoing: bool) -> list[str]:
     """Maximal surviving directed path starting (outgoing) or ending
@@ -172,65 +173,29 @@ def _grow_path(algebra: BoundQuiverAlgebra, first: str, outgoing: bool) -> list[
             path.insert(0, ext[0])
 
 
-def out_arms(algebra: BoundQuiverAlgebra, v: int) -> list[list[str]]:
-    """Maximal surviving directed paths out of v (traversal order), one per
-    outgoing arrow."""
-    return [_grow_path(algebra, a.name, outgoing=True)
-            for a in algebra.quiver.outgoing[v]]
-
-
-def in_arms(algebra: BoundQuiverAlgebra, v: int) -> list[list[str]]:
-    """Maximal surviving directed paths into v (traversal order), one per
-    incoming arrow."""
-    return [_grow_path(algebra, a.name, outgoing=False)
-            for a in algebra.quiver.incoming[v]]
-
-
-def _join_at(algebra: BoundQuiverAlgebra, v: int,
-             left_letters: list[Letter], right_letters: list[Letter],
-             left_start: int | None) -> StringWalk:
-    start = left_start if left_start is not None else v
-    return make_string(algebra, start, tuple(left_letters) + tuple(right_letters))
-
-
-def projective_walk(algebra: BoundQuiverAlgebra, v: int) -> StringWalk:
-    """Walk presenting the indecomposable projective at v: the (at most two)
-    surviving path arms out of v, glued at v."""
-    arms = out_arms(algebra, v)
+def _arm(algebra: BoundQuiverAlgebra, first: str, outgoing: bool) -> frozenset[int]:
+    """Vertices of the maximal surviving directed path starting (outgoing) or
+    ending (incoming) with the given arrow, both ends included."""
     amap = algebra.quiver.arrow_map
-    if not arms:
-        return StringWalk(v, ())
-    if len(arms) == 1:
-        return _join_at(algebra, v, [], [Letter(a, True) for a in arms[0]], None)
-    left, right = arms
-    left_letters = [Letter(a, False) for a in reversed(left)]
-    left_start = amap[left[-1]].target
-    return _join_at(algebra, v, left_letters, [Letter(a, True) for a in right], left_start)
+    return frozenset(v for name in _grow_path(algebra, first, outgoing)
+                     for v in (amap[name].source, amap[name].target))
 
 
-def injective_walk(algebra: BoundQuiverAlgebra, v: int) -> StringWalk:
-    """Walk presenting the indecomposable injective at v: the (at most two)
-    surviving path arms into v, glued at v."""
-    arms = in_arms(algebra, v)
-    amap = algebra.quiver.arrow_map
-    if not arms:
-        return StringWalk(v, ())
-    if len(arms) == 1:
-        arm = arms[0]
-        return _join_at(algebra, v, [Letter(a, True) for a in arm], [],
-                        amap[arm[0]].source)
-    left, right = arms
-    left_letters = [Letter(a, True) for a in left]
-    right_letters = [Letter(a, False) for a in reversed(right)]
-    return _join_at(algebra, v, left_letters, right_letters, amap[left[0]].source)
+def projective_support(algebra: BoundQuiverAlgebra, v: int) -> frozenset[int]:
+    """Support of the indecomposable projective at v: v and the (at most two)
+    arms out of it, every vertex a surviving path from v reaches."""
+    return frozenset({v}).union(*(_arm(algebra, a.name, True)
+                                  for a in algebra.quiver.outgoing[v]))
 
 
-def radical_walks(algebra: BoundQuiverAlgebra, v: int) -> list[StringWalk]:
-    """Walks of the radical summands of the projective at v: one arm string
-    per outgoing arrow, with v itself removed."""
-    out = []
-    amap = algebra.quiver.arrow_map
-    for arm in out_arms(algebra, v):
-        start = amap[arm[0]].target
-        out.append(make_string(algebra, start, tuple(Letter(a, True) for a in arm[1:])))
-    return out
+def injective_support(algebra: BoundQuiverAlgebra, v: int) -> frozenset[int]:
+    """Support of the indecomposable injective at v: v and the (at most two)
+    arms into it, every vertex with a surviving path to v."""
+    return frozenset({v}).union(*(_arm(algebra, a.name, False)
+                                  for a in algebra.quiver.incoming[v]))
+
+
+def radical_supports(algebra: BoundQuiverAlgebra, v: int) -> list[frozenset[int]]:
+    """Supports of the radical summands of the projective at v: one arm per
+    outgoing arrow, in the quiver's order, with v itself removed."""
+    return [_arm(algebra, a.name, True) - {v} for a in algebra.quiver.outgoing[v]]

@@ -23,7 +23,6 @@ from stringdet.linalg import Mat
 from stringdet.modules import (cokernel, is_monomorphism, module_map, projective,
                                radical_summands, simple, socle)
 from stringdet.oracle import MapKind
-from stringdet.strings import StringWalk
 from stringdet.taxonomy import VertexClass
 
 from determination import is_right_determined
@@ -114,7 +113,7 @@ def test_criterion_4_crossing_tree_level2_pinned_total(crossing_tree2_oracle):
             is_right_determined(ar, a.map, a.source, a.target, det)
             and not is_right_determined(ar, a.map, a.source, a.target, None)
             for a in arrows)
-    s5, p1 = ar.node_of_walk(StringWalk(5, ())), ar.projective_node(1)
+    s5, p1 = ar.node_of(simple(alg, 5)), ar.projective_node(1)
     s5_into_p1 = [e.socle_vertex for e in res.entries
                   if (ar.arrows[e.arrow_index].source, ar.arrows[e.arrow_index].target)
                   == (s5, p1)]

@@ -3,11 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stringdet import ar_quiver, strings
+from stringdet import ar_quiver, arquiver, strings
 from stringdet.arquiver import (GuardExceeded, MiddleKind, OracleError, _build_arrows,
                                 _build_meshes, single_middle_count)
+from stringdet.cli import main
 from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
-                                linear_algebra, random_tree_algebra)
+                                generate_example, linear_algebra, random_tree_algebra)
 from stringdet.linalg import SpanBuilder
 from stringdet.modules import compose, hom_space, is_epimorphism, is_monomorphism
 from stringdet.strings import enumerate_strings
@@ -142,6 +143,27 @@ def test_radical_check_names_the_projective():
     with pytest.raises(OracleError, match="arrows into projective") as exc:
         _build_meshes(ar)
     assert proj.walk.render_text() in str(exc.value)
+
+
+def test_missing_projective_names_the_vertex(monkeypatch, tmp_path, capsys):
+    """A projective support that is not a node's is an OracleError naming the
+    vertex and the sorted support, and `check` exits 3 on it."""
+    alg = crossing6_algebra()
+    everything = frozenset(alg.quiver.vertices)  # branches, so no string's support
+    assert everything not in {nd.rep.support for nd in ar_quiver(alg).nodes}
+    real = arquiver.projective_support
+    monkeypatch.setattr(arquiver, "projective_support",
+                        lambda algebra, v: everything if v == 3 else real(algebra, v))
+    with pytest.raises(OracleError) as exc:
+        ar_quiver(alg)
+    assert str(exc.value) == (f"support {sorted(everything)} of the projective at vertex 3 "
+                              "is not a node")
+    path = tmp_path / "crossing6.txt"
+    path.write_text(generate_example("crossing6"))
+    assert main(["check", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"oracle invariant breach: {exc.value}\n"
 
 
 # --------------------------------------------------------------------------

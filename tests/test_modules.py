@@ -15,7 +15,7 @@ from stringdet.modules import (ModuleMap, cokernel, compose, direct_sum, hom_spa
                                identity_map, injective, is_epimorphism, is_monomorphism,
                                kernel, module_map, projective, radical_summands,
                                representation, simple, socle, string_module, zero_map)
-from stringdet.strings import Letter, enumerate_strings, make_string, radical_walks
+from stringdet.strings import enumerate_strings, radical_supports, walk_vertices
 
 
 def test_mat_basics():
@@ -309,7 +309,7 @@ def test_string_module_trivial():
 
 def test_string_module_arrow():
     alg = linear_algebra(2)
-    m = string_module(alg, make_string(alg, 1, (Letter("a1", True),)))
+    m = string_module(alg, (1, 2))
     assert m.dims == {1: 1, 2: 1}
     assert m.maps == {"a1": Mat([[1]])}
     assert m == projective(alg, 1)
@@ -318,7 +318,7 @@ def test_string_module_arrow():
 
 def test_string_module_fan5():
     alg = fan5_algebra("both")
-    m = string_module(alg, make_string(alg, 4, (Letter("a3", True),)))
+    m = string_module(alg, (4, 3))
     assert m.dims == {4: 1, 3: 1} and m.dim(1) == 0
 
 
@@ -344,7 +344,8 @@ def test_stored_radical_nodes_crossing6():
     for v in alg.quiver.vertices:
         rads = ar.radical_nodes(v)
         assert rads is ar.radical_nodes(v)
-        assert rads == tuple(sorted(ar.node_of_walk(w) for w in radical_walks(alg, v)))
+        assert rads == tuple(sorted(ar.node_of(string_module(alg, s))
+                                    for s in radical_supports(alg, v)))
         proj = ar.nodes[ar.projective_node(v)]
         assert proj.projective_vertex == v
         # the summands' supports partition P(v) minus its top
@@ -480,7 +481,7 @@ def test_hom_from_projective_counts_dimension(seed, n):
         p = projective(alg, i)
         inj = injective(alg, i)
         for w in sample:
-            m = string_module(alg, w)
+            m = string_module(alg, walk_vertices(alg, w))
             assert len(hom_space(p, m)) == m.dim(i)
             assert len(hom_space(m, inj)) == m.dim(i)
 

@@ -1,7 +1,7 @@
 import pytest
 
 import stringdet
-from stringdet import arquiver, engine, taxonomy, treewalk
+from stringdet import arquiver, engine, strings, taxonomy, treewalk
 
 # per-vertex duplicates of vertex_ideals / determiner_report, and the
 # neighbourhood layer that dynkin_type no longer needs
@@ -12,6 +12,10 @@ DELETED = [
     (treewalk, "is_linear"), (treewalk, "restricted_ideal_nonzero"),
     (treewalk.TreeWalk, "reversed"), (treewalk.TreeWalk, "arrow_names"),
     (arquiver, "_check_radicals"),
+    # distinguished modules are found by support, not built as glued walks
+    (strings, "out_arms"), (strings, "in_arms"), (strings, "_join_at"),
+    (strings, "projective_walk"), (strings, "injective_walk"), (strings, "radical_walks"),
+    (arquiver.ARQuiver, "node_of_walk"),
 ]
 
 

@@ -3,13 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stringdet import parse_algebra
+from stringdet import ar_quiver, parse_algebra
+from stringdet.algebra import path_in_ideal
 from stringdet.families import (crossing_tree_algebra, fan5_algebra, linear_algebra,
                                 random_tree_algebra)
 from stringdet.modules import projective
 from stringdet.strings import (InvalidStringError, Letter, StringWalk, enumerate_strings,
-                               injective_walk, make_string, projective_walk, radical_walks,
-                               string_from_tree_walk, walk_vertices)
+                               injective_support, make_string, projective_support,
+                               radical_supports, string_from_tree_walk, walk_vertices)
 
 
 def brute_force_strings(alg):
@@ -117,22 +118,20 @@ def test_string_from_tree_walk_none_on_relation():
 
 def test_projective_walks():
     alg = fan5_algebra("both")
-    pw = projective_walk(alg, 4)
-    assert set(walk_vertices(alg, pw)) == {4, 3, 5}
-    assert projective_walk(alg, 1) == StringWalk(1, ())  # sink: simple projective
+    assert projective_support(alg, 4) == {4, 3, 5}
+    assert projective_support(alg, 1) == {1}  # sink: simple projective
 
 
 def test_injective_walks():
     alg = linear_algebra(2)
-    assert injective_walk(alg, 1) == StringWalk(1, ())
-    assert injective_walk(alg, 2) == projective_walk(alg, 1)
+    assert injective_support(alg, 1) == {1}
+    assert injective_support(alg, 2) == projective_support(alg, 1)
 
 
 def test_radical_walks():
     alg = fan5_algebra("both")
-    rads = radical_walks(alg, 4)
-    assert [set(walk_vertices(alg, w)) for w in rads] == [{3}, {5}]
-    assert radical_walks(alg, 1) == []
+    assert radical_supports(alg, 4) == [{3}, {5}]
+    assert radical_supports(alg, 1) == []
 
 
 def test_grow_path_rejects_unbroken_branching():
@@ -154,9 +153,49 @@ def test_enumeration_matches_brute_force(seed, n):
 @given(seed=st.integers(0, 10**9), n=st.integers(2, 6))
 def test_distinguished_walks_are_strings(seed, n):
     alg = random_tree_algebra(random.Random(seed), n)
-    strings = set(enumerate_strings(alg))
+    supports = {frozenset(walk_vertices(alg, s)) for s in enumerate_strings(alg)}
     for v in alg.quiver.vertices:
-        assert projective_walk(alg, v) in strings
-        assert injective_walk(alg, v) in strings
-        for w in radical_walks(alg, v):
-            assert w in strings
+        assert projective_support(alg, v) in supports
+        assert injective_support(alg, v) in supports
+        for s in radical_supports(alg, v):
+            assert s in supports
+
+
+def _reached(alg, path, tip, outgoing):
+    """tip and the far end of every surviving extension of path beyond tip,
+    where path is a surviving directed path ending (outgoing) or starting
+    (incoming) at tip.  Paths grow one arrow at a time; a path in the ideal
+    stays there when extended, so none is missed."""
+    q = alg.quiver
+    found = {tip}
+    for a in (q.outgoing if outgoing else q.incoming)[tip]:
+        longer = path + (a.name,) if outgoing else (a.name,) + path
+        if not path_in_ideal(alg, longer):
+            found |= _reached(alg, longer, a.target if outgoing else a.source, outgoing)
+    return found
+
+
+def _check_distinguished_supports(alg, ar):
+    q = alg.quiver
+    for v in q.vertices:
+        by_first = [_reached(alg, (a.name,), a.target, True) for a in q.outgoing[v]]
+        top = projective_support(alg, v)
+        assert top == {v}.union(*by_first)
+        assert injective_support(alg, v) == {v}.union(
+            *(_reached(alg, (a.name,), a.source, False) for a in q.incoming[v]))
+        # the radical summands partition top - {v}, one per first arrow
+        assert radical_supports(alg, v) == by_first
+        assert sum(map(len, by_first)) == len(top) - 1 and v not in set().union(*by_first)
+        assert ar.nodes[ar.projective_node(v)].rep == projective(alg, v)
+
+
+def test_distinguished_supports_from_first_principles_on_sweep(sweep_records):
+    for rec in sweep_records:
+        _check_distinguished_supports(rec.algebra, rec.oracle.ar)
+    assert len(sweep_records) == 532
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+def test_distinguished_supports_from_first_principles_on_crossing_tree(levels):
+    alg = crossing_tree_algebra(levels)
+    _check_distinguished_supports(alg, ar_quiver(alg))
