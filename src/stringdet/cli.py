@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 import tempfile
 from itertools import chain
@@ -95,13 +96,21 @@ def _emit(ns: argparse.Namespace, doc: dict | list[str] | str,
     if path is None:
         sys.stdout.write(doc)
         return
-    # write once, atomically
+    # write once, atomically, with the mode open(path, "w") would leave: the
+    # replaced file's, else 0o666 less the umask (mkstemp's file is 0o600)
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".stringdet-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(doc)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except OSError as exc:
         # name the path given, not the temporary file
@@ -197,15 +206,29 @@ def _cmd_check(ns, alg: BoundQuiverAlgebra) -> int:
 
 
 def _cmd_export_dot(ns, alg: BoundQuiverAlgebra) -> None:
+    # the AR quiver is built first, so a refused one leaves no file written
+    ar_doc = ns.ar_output and ar_quiver_dot(ar_quiver(alg, max_nodes=ns.max_nodes))
     _emit(ns, quiver_dot(alg))
     if ns.ar_output:
-        _emit(ns, ar_quiver_dot(ar_quiver(alg, max_nodes=ns.max_nodes)), ns.ar_output)
+        _emit(ns, ar_doc, ns.ar_output)
 
 
 def _cmd_gen_example(ns, alg: None) -> None:
     params = {key: getattr(ns, key) for key in ("levels", "n", "orientation", "variant")
               if getattr(ns, key) is not None}
     _emit(ns, generate_example(ns.name, **params))
+
+
+def _node_count(text: str) -> int:
+    """--max-nodes: a count the guard can take, 0 <= K < sys.maxsize."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= value < sys.maxsize:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer below {sys.maxsize}, not {text}")
+    return value
 
 
 @functools.cache
@@ -233,12 +256,12 @@ def _build_parser() -> _Parser:
     for name, help_, handler in (("oracle", "brute-force determiner enumeration", _cmd_oracle),
                                  ("check", "engine vs oracle agreement", _cmd_check)):
         report(name, help_, handler).add_argument(
-            "--max-nodes", type=int, default=DEFAULT_MAX_NODES,
+            "--max-nodes", type=_node_count, default=DEFAULT_MAX_NODES,
             help="refuse algebras with more indecomposables than this")
     sp = report("export-dot", "write DOT files", _cmd_export_dot)
     sp.add_argument("--ar-output", default=None,
                     help="also write the Auslander-Reiten quiver to this file")
-    sp.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
+    sp.add_argument("--max-nodes", type=_node_count, default=DEFAULT_MAX_NODES)
     sp = sub.add_parser("gen-example", help="emit an example input file")
     sp.add_argument("name", choices=sorted(GENERATORS))
     sp.add_argument("--levels", type=int, default=None, help="crossing-tree depth")

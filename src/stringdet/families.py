@@ -1,12 +1,8 @@
-"""Generators for the worked examples and parameterized families, plus
-exhaustive/sampled enumeration of small tree algebras for sweep testing."""
+"""Generators for the worked examples and the parameterized families that
+`stringdet gen-example` names.  The sweep's enumerator and sampler of small
+tree algebras live with the tests, in tests/tree_algebras.py."""
 
 from __future__ import annotations
-
-import heapq
-import itertools
-import random
-from typing import Sequence
 
 from .algebra import (Arrow, BoundQuiverAlgebra, Quiver, RelationSet, serialize,
                       validate)
@@ -160,107 +156,6 @@ def _all_length_two_paths(arrows: list[tuple[str, int, int]]) -> list[tuple[str,
         for nxt in by_source.get(t, []):
             out.append((name, nxt))
     return sorted(out)
-
-
-# --------------------------------------------------------------------------
-# enumeration and sampling of small tree algebras
-
-def _prufer_trees(n: int):
-    """All labeled trees on vertices 1..n as edge lists (undirected)."""
-    if n == 1:
-        yield []
-        return
-    if n == 2:
-        yield [(1, 2)]
-        return
-    for seq in itertools.product(range(1, n + 1), repeat=n - 2):
-        yield _tree_from_prufer(list(seq), n)
-
-
-def _tree_from_prufer(seq: list[int], n: int) -> list[tuple[int, int]]:
-    degree = {v: 1 for v in range(1, n + 1)}
-    for v in seq:
-        degree[v] += 1
-    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, v))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    return edges
-
-
-def _directed_paths(arrows: list[tuple[str, int, int]]) -> list[tuple[str, ...]]:
-    """All composable directed paths of length >= 2."""
-    by_source: dict[int, list[tuple[str, int]]] = {}
-    for name, s, t in arrows:
-        by_source.setdefault(s, []).append((name, t))
-    paths: list[tuple[str, ...]] = []
-    stack = [((name,), t) for name, _, t in arrows]
-    while stack:
-        path, end = stack.pop()
-        if len(path) >= 2:
-            paths.append(path)
-        stack.extend((path + (name,), t) for name, t in by_source.get(end, []))
-    return sorted(paths, key=lambda p: (len(p), p))
-
-
-def _antichains(paths: list[tuple[str, ...]]):
-    """All subsets in which no path contains another as a consecutive run."""
-    for r in range(len(paths) + 1):
-        for combo in itertools.combinations(paths, r):
-            if not _violates_antichain(combo):
-                yield list(combo)
-
-
-def iter_tree_algebras(n: int):
-    """Every validated string algebra on a labeled tree with n vertices: all
-    trees, all orientations, all reduced monomial relation sets."""
-    for edges in _prufer_trees(n):
-        for mask in itertools.product((0, 1), repeat=len(edges)):
-            arrows = []
-            for k, ((u, w), flip) in enumerate(zip(edges, mask), start=1):
-                s, t = (u, w) if not flip else (w, u)
-                arrows.append((f"a{k}", s, t))
-            paths = _directed_paths(arrows)
-            for rels in _antichains(paths):
-                alg = _algebra(list(range(1, n + 1)), arrows, rels)
-                if alg.is_valid:
-                    yield alg
-
-
-def random_tree_algebra(rng: random.Random, n: int) -> BoundQuiverAlgebra:
-    """One validated algebra on n vertices, uniform-ish: random labeled tree,
-    random orientation, random admissible relation antichain (rejection
-    sampled until valid)."""
-    while True:
-        seq = [rng.randint(1, n) for _ in range(n - 2)] if n > 2 else []
-        edges = _tree_from_prufer(seq, n) if n > 2 else [(1, 2)]
-        arrows = []
-        for k, (u, w) in enumerate(edges, start=1):
-            s, t = (u, w) if rng.random() < 0.5 else (w, u)
-            arrows.append((f"a{k}", s, t))
-        paths = _directed_paths(arrows)
-        rng.shuffle(paths)
-        rels: list[tuple[str, ...]] = []
-        for p in paths:
-            if rng.random() < 0.5:
-                partial = rels + [p]
-                if not _violates_antichain(partial):
-                    rels.append(p)
-        alg = _algebra(list(range(1, n + 1)), arrows, rels)
-        if alg.is_valid:
-            return alg
-
-
-def _violates_antichain(paths: Sequence[tuple[str, ...]]) -> bool:
-    """True iff some path contains a shorter one as a consecutive run."""
-    return any(RelationSet(tuple(b for b in paths if len(b) < len(a))).contains_path(a)
-               for a in paths)
 
 
 GENERATORS = {

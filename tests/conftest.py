@@ -5,8 +5,9 @@ import pytest
 
 from stringdet import brute_force_det, determiner_report, validate, parse_algebra
 from stringdet.engine import DeterminerReport
-from stringdet.families import iter_tree_algebras, random_tree_algebra
 from stringdet.oracle import OracleResult
+
+from tree_algebras import iter_tree_algebras, random_tree_algebra
 
 SWEEP_SEED = 20260811
 SAMPLE_SIZE = 200

@@ -3,8 +3,10 @@ from hypothesis import given, settings, strategies as st
 
 from stringdet import parse_algebra, validate
 from stringdet.algebra import ParseError, RelationReductionWarning, path_in_ideal, serialize
-from stringdet.families import crossing6_algebra, random_tree_algebra
+from stringdet.families import crossing6_algebra
 import random
+
+from tree_algebras import random_tree_algebra
 
 
 ZIGZAG = """\

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -107,6 +108,19 @@ def test_export_dot(tmp_path):
     assert "digraph ar_quiver" in text and "rank=same" in text
 
 
+def test_export_dot_refused_ar_quiver_writes_no_file(tmp_path, capsys):
+    """A --max-nodes refusal exits 1 before either DOT file is written."""
+    src = write(tmp_path, "ct3.txt", generate_example("crossing-tree", levels=3))
+    quiver_out, ar_out = tmp_path / "q.dot", tmp_path / "ar.dot"
+    assert main(["export-dot", src, "-o", str(quiver_out), "--ar-output", str(ar_out)]) == 1
+    assert "more than 100 indecomposables" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["ct3.txt"]
+    assert main(["export-dot", src, "-o", str(quiver_out), "--ar-output", str(ar_out),
+                 "--max-nodes", "171"]) == 0
+    assert quiver_out.read_text().startswith("digraph quiver")
+    assert ar_out.read_text().startswith("digraph ar_quiver")
+
+
 def test_export_dot_format_applies_to_the_certificate(tmp_path, capsys):
     """--format json gives the JSON certificate for an invalid input, and DOT
     for a valid one."""
@@ -141,6 +155,26 @@ def test_gen_example_to_file(tmp_path):
     assert main(["validate", str(out)]) == 0
 
 
+def test_output_file_gets_the_mode_open_would_give(tmp_path):
+    """-o leaves 0o666 less the umask on a new file, and keeps the mode of a
+    file it replaces, as open(path, "w") would."""
+    out = tmp_path / "gen.txt"
+    old_umask = os.umask(0o022)
+    try:
+        assert main(["gen-example", "zigzag4", "-o", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+        os.umask(0o077)
+        out.chmod(0o640)
+        assert main(["gen-example", "zigzag4", "-o", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        fresh = tmp_path / "fresh.txt"
+        assert main(["gen-example", "zigzag4", "-o", str(fresh)]) == 0
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o600
+    finally:
+        os.umask(old_umask)
+    assert out.read_text() == fresh.read_text() == generate_example("zigzag4")
+
+
 def test_vertex_count_beyond_document_rejected(tmp_path, capsys):
     # rejected from the line count before any vertex list is built
     path = write(tmp_path, "huge.txt", "vertices: 100000000000\narrow a: 1 -> 2\n")
@@ -154,6 +188,16 @@ def test_usage_errors(capsys):
     assert main([]) == 1
     assert main(["gen-example", "nonesuch"]) == 1
     assert main(["validate", "/no/such/file"]) == 1
+
+
+@pytest.mark.parametrize("command", ["oracle", "check", "export-dot"])
+@pytest.mark.parametrize("value", ["-1", "-2", str(sys.maxsize)])
+def test_max_nodes_out_of_range_is_a_usage_error(command, value, tmp_path, capsys):
+    path = write(tmp_path, "q.txt", generate_example("zigzag4"))
+    assert main([command, path, "--max-nodes", value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument --max-nodes:") and value in err, err
+    assert "islice" not in err and "indecomposables" not in err
 
 
 def test_single_vertex_unsupported_for_reports(tmp_path, capsys):

@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from stringdet import check_unique_sink_characterization, determiner_report, dynkin_type
 from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
-                                fork_algebra, iter_tree_algebras, linear_algebra,
-                                random_tree_algebra, zigzag4_algebra)
+                                fork_algebra, linear_algebra, zigzag4_algebra)
 from stringdet.taxonomy import VertexClass, classify_vertex
+
+from tree_algebras import iter_tree_algebras, random_tree_algebra
 
 
 def projective_set(alg):

@@ -1,12 +1,9 @@
-import random
-
 import pytest
 
 from stringdet import parse_algebra, validate
 from stringdet.algebra import serialize
 from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
-                                fork_algebra, generate_example, iter_tree_algebras,
-                                linear_algebra, random_tree_algebra, zigzag4_algebra)
+                                fork_algebra, generate_example, linear_algebra, zigzag4_algebra)
 
 
 def test_fixed_examples_valid():
@@ -59,18 +56,3 @@ def test_fork_auto_relations():
     alg = fork_algebra(5)
     assert alg.is_valid
     assert alg.relations.generators  # branch vertex forces a relation
-
-
-def test_iter_tree_algebras_counts():
-    assert sum(1 for _ in iter_tree_algebras(2)) == 2
-    assert sum(1 for _ in iter_tree_algebras(3)) == 18
-    algs4 = list(iter_tree_algebras(4))
-    assert len(algs4) == 312
-    assert all(a.is_valid for a in algs4)
-
-
-def test_random_tree_algebra_deterministic():
-    a = random_tree_algebra(random.Random(7), 5)
-    b = random_tree_algebra(random.Random(7), 5)
-    assert serialize(a) == serialize(b)
-    assert a.is_valid

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from stringdet import ar_quiver, brute_force_det, determiner_report, oracle, parse_algebra, validate
 from stringdet.algebra import serialize
 from stringdet.arquiver import OracleError
-from stringdet.families import (crossing6_algebra, crossing_tree_algebra,
-                                linear_algebra, random_tree_algebra)
+from stringdet.families import crossing6_algebra, crossing_tree_algebra, linear_algebra
 from stringdet.linalg import Mat, nullspace
 from stringdet.modules import (block_columns, cokernel, direct_sum, identity_map,
                                intertwining_rows, module_map, projective, representation,
@@ -15,6 +14,7 @@ from stringdet.modules import (block_columns, cokernel, direct_sum, identity_map
 from stringdet.oracle import MapKind, almost_factors_through, minimal_right_determiner
 
 from determination import is_right_determined
+from tree_algebras import random_tree_algebra
 
 
 def test_almost_factors_identity():

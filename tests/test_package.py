@@ -1,7 +1,7 @@
 import pytest
 
 import stringdet
-from stringdet import arquiver, engine, strings, taxonomy, treewalk
+from stringdet import arquiver, engine, families, strings, taxonomy, treewalk
 
 # per-vertex duplicates of vertex_ideals / determiner_report, and the
 # neighbourhood layer that dynkin_type no longer needs
@@ -16,6 +16,8 @@ DELETED = [
     (strings, "out_arms"), (strings, "in_arms"), (strings, "_join_at"),
     (strings, "projective_walk"), (strings, "injective_walk"), (strings, "radical_walks"),
     (arquiver.ARQuiver, "node_of_walk"),
+    # the sweep's enumerator and sampler live in tests/tree_algebras.py
+    (families, "iter_tree_algebras"), (families, "random_tree_algebra"),
 ]
 
 

@@ -5,12 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from stringdet import ar_quiver, parse_algebra
 from stringdet.algebra import path_in_ideal
-from stringdet.families import (crossing_tree_algebra, fan5_algebra, linear_algebra,
-                                random_tree_algebra)
+from stringdet.families import crossing_tree_algebra, fan5_algebra, linear_algebra
 from stringdet.modules import projective
 from stringdet.strings import (InvalidStringError, Letter, StringWalk, enumerate_strings,
                                injective_support, make_string, projective_support,
                                radical_supports, string_from_tree_walk, walk_vertices)
+
+from tree_algebras import random_tree_algebra
 
 
 def brute_force_strings(alg):

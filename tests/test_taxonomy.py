@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from stringdet import classify_vertex, determiner_report, vertex_ideals
 from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
-                                linear_algebra, random_tree_algebra, zigzag4_algebra)
+                                linear_algebra, zigzag4_algebra)
 from stringdet import parse_algebra
 from stringdet.taxonomy import IDEAL_BEARING, IdealKind, VertexClass, vertex_classes
+
+from tree_algebras import iter_tree_algebras, random_tree_algebra
 
 
 def test_classify_crossing6():
@@ -270,7 +272,6 @@ def _assert_matches_scan(alg):
 
 
 def test_reach_pass_matches_scan_exhaustive():
-    from stringdet.families import iter_tree_algebras
     count = 0
     for n in range(2, 5):
         for alg in iter_tree_algebras(n):
@@ -284,53 +285,12 @@ def test_reach_pass_matches_scan_crossing_trees():
         _assert_matches_scan(crossing_tree_algebra(levels))
 
 
-def grown_tree_algebra(rng, n):
-    """A valid algebra on n vertices built directly, not by rejection: grow a
-    tree through free in/out slots, shuffle the vertex ids, add one relation
-    per branching condition, then random longer relations that keep the set
-    an antichain.  random_tree_algebra rejection-samples, which is out of
-    reach beyond n of about 20."""
-    from stringdet.algebra import RelationSet
-    from stringdet.families import _algebra
-    ids = list(range(1, n + 1))
-    rng.shuffle(ids)
-    ins, outs = {ids[0]: []}, {ids[0]: []}
-    arrows = []
-    for k in range(1, n):
-        v = rng.choice([u for u in ins if len(ins[u]) < 2 or len(outs[u]) < 2])
-        new, name = ids[k], f"a{k}"
-        ins[new], outs[new] = [], []
-        into = len(outs[v]) == 2 or (len(ins[v]) < 2 and rng.random() < 0.5)
-        src, tgt = (new, v) if into else (v, new)
-        arrows.append((name, src, tgt))
-        outs[src].append(name)
-        ins[tgt].append(name)
-    rels = set()
-    for v in ins:
-        if len(ins[v]) == 2:
-            for g in outs[v]:
-                rels.update((c, g) for c in ins[v] if rng.random() < 0.2 or c == ins[v][0])
-        if len(outs[v]) == 2:
-            for g in ins[v]:
-                rels.update((g, b) for b in outs[v] if rng.random() < 0.2 or b == outs[v][0])
-    target = {name: t for name, _, t in arrows}
-    for _ in range(2 * n):
-        path = [rng.choice(arrows)[0]]
-        while len(path) < rng.randint(3, 8) and outs[target[path[-1]]]:
-            path.append(rng.choice(outs[target[path[-1]]]))
-        path = tuple(path)
-        if (len(path) > 2 and not RelationSet(tuple(rels)).contains_path(path)
-                and not any(RelationSet((path,)).contains_path(g) for g in rels)):
-            rels.add(path)
-    return _algebra(sorted(ids), arrows, sorted(rels))
-
-
 def test_reach_pass_matches_scan_random():
     rng = random.Random(20261018)
     for _ in range(200):
         _assert_matches_scan(random_tree_algebra(rng, rng.randint(2, 16)))
     for _ in range(200):
-        alg = grown_tree_algebra(rng, rng.randint(2, 40))
+        alg = random_tree_algebra(rng, rng.randint(2, 40))
         assert alg.is_valid, alg.certificate
         _assert_matches_scan(alg)
 

@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stringdet.families import (crossing6_algebra, fan5_algebra, random_tree_algebra,
-                                zigzag4_algebra)
+from stringdet.families import crossing6_algebra, fan5_algebra, zigzag4_algebra
 from stringdet.treewalk import Step, TreeWalk, walk_between
+
+from tree_algebras import random_tree_algebra
 
 
 def step_names(walk):
