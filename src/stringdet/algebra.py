@@ -19,13 +19,9 @@ from operator import attrgetter
 class ParseError(ValueError):
     """Syntax or reference error in a quiver description document."""
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
-        super().__init__(message + loc)
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message + ("" if line is None else f" (line {line})"))
         self.line = line
-        self.column = column
 
 
 class RelationReductionWarning(UserWarning):

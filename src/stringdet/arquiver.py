@@ -24,7 +24,6 @@ naming the modules by their walks or supports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import reduce
 from itertools import islice
 
@@ -43,11 +42,6 @@ class OracleError(RuntimeError):
 
 class GuardExceeded(RuntimeError):
     """The algebra has more indecomposables than the configured bound."""
-
-
-class MiddleKind(Enum):
-    SINGLE = "single-middle"
-    DOUBLE = "two-middle"
 
 
 @dataclass
@@ -90,7 +84,6 @@ class Mesh:
     left: int
     middles: tuple[int, ...]
     right: int
-    kind: MiddleKind
     arrow_indices: tuple[int, ...]
 
 
@@ -303,10 +296,9 @@ def _build_meshes(ar: ARQuiver) -> None:
         if left is None:
             raise OracleError(
                 f"kernel of the sink map into node {node.label()} is not indecomposable")
-        kind = MiddleKind.SINGLE if len(comps) == 1 else MiddleKind.DOUBLE
         if ker.total_dim + node.rep.total_dim != total.total_dim:
             raise OracleError(f"mesh at node {node.label()} violates dimension additivity")
-        ar.meshes.append(Mesh(left, tuple(c.source for c in comps), node.index, kind,
+        ar.meshes.append(Mesh(left, tuple(c.source for c in comps), node.index,
                               tuple(c.index for c in comps)))
         ar.tau[node.index] = left
 
@@ -321,7 +313,3 @@ def _check_translate(ar: ARQuiver) -> None:
     non_inj = {n.index for n in ar.nodes if not n.is_injective}
     if set(seen) != non_inj:
         raise OracleError("translate image does not match the non-injective nodes")
-
-
-def single_middle_count(ar: ARQuiver) -> int:
-    return sum(1 for m in ar.meshes if m.kind is MiddleKind.SINGLE)

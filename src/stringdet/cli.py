@@ -85,39 +85,44 @@ def _render(value, pad: str = "") -> str:
 
 
 def _emit(ns: argparse.Namespace, doc: dict | list[str] | str,
-          path: str | None = None) -> None:
+          *more: tuple[str, dict | list[str] | str]) -> None:
     """Write doc, a dict as JSON, a list as text lines and a string as it is,
-    to path, else to the -o file, else to stdout."""
-    if isinstance(doc, dict):
-        doc = _render(doc) + "\n"
-    elif isinstance(doc, list):
-        doc = "\n".join(doc) + "\n"
-    path = path or ns.output
-    if path is None:
-        sys.stdout.write(doc)
-        return
-    # write once, atomically, with the mode open(path, "w") would leave: the
-    # replaced file's, else 0o666 less the umask (mkstemp's file is 0o600)
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = None
+    to the -o file, else to stdout, and each (path, doc) of more to its path.
+    Files are all or nothing: each is written to a temporary file beside its
+    target before any target is replaced."""
+    staged: list[tuple[str, str]] = []  # (temporary file, target)
     try:
-        try:
-            mode = stat.S_IMODE(os.stat(path).st_mode)
-        except FileNotFoundError:
-            umask = os.umask(0)
-            os.umask(umask)
-            mode = 0o666 & ~umask
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".stringdet-")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(doc)
-        os.chmod(tmp, mode)
-        os.replace(tmp, path)
+        for path, doc in ((ns.output, doc), *more):
+            if isinstance(doc, dict):
+                doc = _render(doc) + "\n"
+            elif isinstance(doc, list):
+                doc = "\n".join(doc) + "\n"
+            if path is None:
+                sys.stdout.write(doc)
+                continue
+            # the mode open(path, "w") would leave: the replaced file's, else
+            # 0o666 less the umask (mkstemp's file is 0o600)
+            try:
+                mode = stat.S_IMODE(os.stat(path).st_mode)
+            except FileNotFoundError:
+                umask = os.umask(0)
+                os.umask(umask)
+                mode = 0o666 & ~umask
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                       prefix=".stringdet-")
+            staged.append((tmp, path))
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(doc)
+            os.chmod(tmp, mode)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except OSError as exc:
         # name the path given, not the temporary file
         raise OSError(exc.errno, exc.strerror, path) from None
     finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def _cmd_validate(ns, alg: BoundQuiverAlgebra) -> None:
@@ -152,11 +157,14 @@ def _cmd_ideals(ns, alg: BoundQuiverAlgebra) -> None:
 
 def _cmd_determiners(ns, alg: BoundQuiverAlgebra) -> None:
     report = determiner_report(alg)
-    shape = dynkin_type(alg, report)
+    shape = dynkin_type(alg)
     if ns.format == "json":
-        _emit(ns, {**report.to_dict(), "dynkin": shape.to_dict()})
+        _emit(ns, {**report.to_dict(),
+                   "dynkin": {**shape.to_dict(), "p": report.p, "q": report.q}})
     else:
-        _emit(ns, report.to_text() + "\n" + shape.to_text())
+        _emit(ns, report.to_text() + "\n" + shape.to_text()
+              + f"p (interior fork sources): {report.p}\n"
+              f"q (non-zero vertex ideals): {report.q}\n")
 
 
 def _cmd_oracle(ns, alg: BoundQuiverAlgebra) -> None:
@@ -206,11 +214,9 @@ def _cmd_check(ns, alg: BoundQuiverAlgebra) -> int:
 
 
 def _cmd_export_dot(ns, alg: BoundQuiverAlgebra) -> None:
-    # the AR quiver is built first, so a refused one leaves no file written
-    ar_doc = ns.ar_output and ar_quiver_dot(ar_quiver(alg, max_nodes=ns.max_nodes))
-    _emit(ns, quiver_dot(alg))
-    if ns.ar_output:
-        _emit(ns, ar_doc, ns.ar_output)
+    more = ([(ns.ar_output, ar_quiver_dot(ar_quiver(alg, max_nodes=ns.max_nodes)))]
+            if ns.ar_output else [])
+    _emit(ns, quiver_dot(alg), *more)
 
 
 def _cmd_gen_example(ns, alg: None) -> None:

@@ -133,17 +133,14 @@ class SinkOrientationCheck:
         return self.determiners_cover_all_but_sink == self.unique_sink
 
 
-def check_unique_sink_characterization(algebra: BoundQuiverAlgebra, j: int,
-                                       report: DeterminerReport | None) -> SinkOrientationCheck:
+def check_unique_sink_characterization(algebra: BoundQuiverAlgebra,
+                                       j: int) -> SinkOrientationCheck:
     """Evaluate both sides of the equivalence 'the projective determiners are
     everything except P(j)' <-> 'j is the unique sink'.  Only applicable when
-    the quiver has no crossing vertex and j is a sink (leaf or meet).  report
-    is determiner_report(algebra), computed once by the caller."""
+    the quiver has no crossing vertex and j is a sink (leaf or meet)."""
     if not algebra.is_valid:
         raise ValueError("algebra must be validated and valid")
     q = algebra.quiver
-    if report is None or report.n != q.vertex_count():
-        raise ValueError("the unique-sink check needs this algebra's determiner report")
     if not q.has_vertex(j):
         return SinkOrientationCheck(j, False, f"unknown vertex {j}", None, None)
     classes = vertex_classes(algebra)
@@ -153,7 +150,7 @@ def check_unique_sink_characterization(algebra: BoundQuiverAlgebra, j: int,
     if cls not in (VertexClass.SINK_LEAF, VertexClass.MEET_SINK):
         return SinkOrientationCheck(j, False, f"vertex {j} is not a sink ({cls.value})",
                                     None, None)
-    left = set(report.projective_determiners) == set(q.vertices) - {j}
+    left = set(determiner_report(algebra).projective_determiners) == set(q.vertices) - {j}
     right = q.sinks() == (j,)
     return SinkOrientationCheck(j, True, None, left, right)
 
@@ -168,8 +165,6 @@ class DynkinReport:
     branch_vertex: int | None
     limb_lengths: tuple[int, ...]   # sorted, empty for shape A / other
     branch_ideal_nonzero: bool | None
-    p: int | None
-    q: int | None
 
     def to_dict(self) -> dict:
         return {
@@ -178,8 +173,6 @@ class DynkinReport:
             "branch_vertex": self.branch_vertex,
             "limb_lengths": list(self.limb_lengths),
             "branch_ideal_nonzero": self.branch_ideal_nonzero,
-            "p": self.p,
-            "q": self.q,
         }
 
     def to_text(self) -> str:
@@ -190,9 +183,6 @@ class DynkinReport:
                          f"limb lengths {list(self.limb_lengths)}")
             lines.append(f"relation inside the branch star: "
                          f"{'yes' if self.branch_ideal_nonzero else 'no'}")
-        if self.p is not None:
-            lines.append(f"p (interior fork sources): {self.p}")
-            lines.append(f"q (non-zero vertex ideals): {self.q}")
         return "\n".join(lines) + "\n"
 
 
@@ -214,13 +204,9 @@ def _limb_lengths(algebra: BoundQuiverAlgebra, branch: int) -> list[int]:
     return sorted(lengths)
 
 
-def dynkin_type(algebra: BoundQuiverAlgebra,
-                report: DeterminerReport | None) -> DynkinReport:
+def dynkin_type(algebra: BoundQuiverAlgebra) -> DynkinReport:
     """Detect whether the underlying tree is a path, a fork-ended path or one
-    of the three exceptional shapes, and report the specialized counting
-    parameters for those families.  report is determiner_report(algebra),
-    computed once by the caller; p and q are taken from it, and stay None on
-    fewer than two vertices, where no report exists.
+    of the three exceptional shapes.
 
     branch_ideal_nonzero is True whenever a branch vertex is reported:
     validity forces it.  A degree-3 vertex has in/out degrees (2, 1) or
@@ -234,32 +220,25 @@ def dynkin_type(algebra: BoundQuiverAlgebra,
     degrees = {v: len(ins_of[v]) + len(outs) for v, outs in q.outgoing.items()}
     branches = [v for v, d in degrees.items() if d >= 3]
 
-    p_val = q_val = None
-    if n >= 2:
-        if report is None or report.n != n:
-            raise ValueError(f"dynkin_type needs the determiner report of this "
-                             f"{n}-vertex algebra")
-        p_val, q_val = report.p, report.q
-
     if not branches and max(degrees.values(), default=0) <= 2:
-        return DynkinReport("A", n, None, (), None, p_val, q_val)
+        return DynkinReport("A", n, None, (), None)
     if len(branches) != 1 or degrees[branches[0]] != 3:
-        return DynkinReport("other", n, None, (), None, p_val, q_val)
+        return DynkinReport("other", n, None, (), None)
 
     branch = branches[0]
     limbs = tuple(_limb_lengths(algebra, branch))
     if not limbs:
-        return DynkinReport("other", n, None, (), None, p_val, q_val)
+        return DynkinReport("other", n, None, (), None)
     # on a tree the arrows among the branch vertex and its neighbours are the
     # arrows at the branch vertex
     star = {a.name for a in q.incoming[branch] + q.outgoing[branch]}
     ideal_flag = any(star.issuperset(gen) for gen in algebra.relations.generators)
     if limbs[:2] == (1, 1):
-        return DynkinReport("D", n, branch, limbs, ideal_flag, p_val, q_val)
+        return DynkinReport("D", n, branch, limbs, ideal_flag)
     if limbs == (1, 2, 2):
-        return DynkinReport("E6", n, branch, limbs, ideal_flag, p_val, q_val)
+        return DynkinReport("E6", n, branch, limbs, ideal_flag)
     if limbs == (1, 2, 3):
-        return DynkinReport("E7", n, branch, limbs, ideal_flag, p_val, q_val)
+        return DynkinReport("E7", n, branch, limbs, ideal_flag)
     if limbs == (1, 2, 4):
-        return DynkinReport("E8", n, branch, limbs, ideal_flag, p_val, q_val)
-    return DynkinReport("other", n, None, (), None, p_val, q_val)
+        return DynkinReport("E8", n, branch, limbs, ideal_flag)
+    return DynkinReport("other", n, None, (), None)

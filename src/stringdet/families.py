@@ -7,6 +7,14 @@ from __future__ import annotations
 from .algebra import (Arrow, BoundQuiverAlgebra, Quiver, RelationSet, serialize,
                       validate)
 
+#: Most vertices an example may have; a larger one is refused before it is built.
+MAX_VERTICES = 10**6
+
+
+def _check_size(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise ValueError(f"{n} vertices are more than the limit of {MAX_VERTICES}")
+
 
 def _algebra(vertices: list[int], arrows: list[tuple[str, int, int]],
              relations: list[tuple[str, ...]]) -> BoundQuiverAlgebra:
@@ -21,6 +29,7 @@ def linear_algebra(n: int, orientation: str | None = None,
     (default all '>'), edge i joining vertices i and i+1 via arrow a<i>."""
     if n < 1:
         raise ValueError("need at least one vertex")
+    _check_size(n)
     orientation = orientation or ">" * (n - 1)
     if len(orientation) != n - 1 or any(c not in "><" for c in orientation):
         raise ValueError("orientation must be '>'/'<' per edge")
@@ -31,15 +40,16 @@ def linear_algebra(n: int, orientation: str | None = None,
     return _algebra(list(range(1, n + 1)), arrows, relations or [])
 
 
-def fork_algebra(n: int, orientation: str | None = None,
-                 relations: list[tuple[str, ...]] | str = "auto") -> BoundQuiverAlgebra:
+def fork_algebra(n: int, orientation: str | None = None) -> BoundQuiverAlgebra:
     """Fork-ended line on n >= 4 vertices: prongs 1 and 2 joined to 3, then a
     line 3..n.  Arrows a1: 1-3, a2: 2-3, a<i>: i-(i+1) for i >= 3; orientation
     one '>'/'<' per arrow in that order ('>' points toward the larger-numbered
-    end).  relations='auto' inserts one zero relation at the branching vertex
-    when its degrees require it."""
+    end).  Vertex 3 gets the zero relations its degrees force: with two
+    arrows in and one out, the first arrow in followed by the arrow out; with
+    one in and two out, the arrow in followed by the first arrow out."""
     if n < 4:
         raise ValueError("fork shape needs at least 4 vertices")
+    _check_size(n)
     orientation = orientation or ">" * (n - 1)
     if len(orientation) != n - 1 or any(c not in "><" for c in orientation):
         raise ValueError("orientation must be '>'/'<' per arrow")
@@ -47,10 +57,7 @@ def fork_algebra(n: int, orientation: str | None = None,
     for k, (lo, hi) in enumerate([(1, 3), (2, 3)] + [(i, i + 1) for i in range(3, n)]):
         src, tgt = (lo, hi) if orientation[k] == ">" else (hi, lo)
         arrows.append((f"a{k + 1}", src, tgt))
-
-    if relations == "auto":
-        relations = _auto_branch_relations(arrows)
-    return _algebra(list(range(1, n + 1)), arrows, list(relations))
+    return _algebra(list(range(1, n + 1)), arrows, _auto_branch_relations(arrows))
 
 
 def _auto_branch_relations(arrows: list[tuple[str, int, int]]) -> list[tuple[str, ...]]:
@@ -109,6 +116,8 @@ def crossing_tree_algebra(levels: int) -> BoundQuiverAlgebra:
     The vertex count at level k is 2 * 3^k - 1."""
     if levels < 0:
         raise ValueError("levels must be non-negative")
+    if levels > 11:  # 354,293 vertices; level 12 has 1,062,881 (never compute 3**levels)
+        raise ValueError(f"level {levels} has more than the limit of {MAX_VERTICES} vertices")
     vertices = [1]
     arrows: list[tuple[str, int, int]] = []
     in_deg = {1: 0}

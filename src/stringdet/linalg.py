@@ -8,9 +8,9 @@ a Fraction.  No floating point anywhere.  There is one elimination routine:
 `SpanBuilder` keeps a row space in reduced row echelon form, each row a
 sparse {column: value} dict, so that reducing a vector touches only the
 pivots it meets and costs O(fill), not O(length), per row.  `nullspace`,
-`Mat.rank`, `kernel_inclusion` and `quotient_projection` all read its pivot
-rows.  The systems that come up (intertwining constraints, kernels,
-quotients) have a few non-zeros per row.
+`Mat.rank`, `kernel_inclusion` and `quotient_projection` (a left kernel)
+all read its pivot rows.  The systems that come up (intertwining
+constraints, kernels, quotients) have a few non-zeros per row.
 
 Each distinct block is eliminated once.  The blocks of maps between thin
 modules are few and come back again and again (a 1 x 1 [1], a 1 x 2 sink
@@ -109,11 +109,10 @@ class Mat:
         return Mat([[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows],
                    ncols=other.ncols)
 
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.rows)
-
-    def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(self.ncols)]
+    def transpose(self) -> "Mat":
+        if not (self.nrows and self.ncols):
+            return Mat.zeros(self.ncols, self.nrows)
+        return Mat(zip(*self.rows), ncols=self.nrows)
 
     def is_zero(self) -> bool:
         return not any(any(r) for r in self.rows)
@@ -250,15 +249,6 @@ def quotient_projection(m: Mat) -> tuple[Mat, Mat]:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _quotient(m: Mat) -> tuple[Mat, Mat]:
-    n = m.nrows
-    span = SpanBuilder(n)
-    for col in m.columns():
-        span.add(col)
-    free = span.free_columns()
-    # projection of e_i = coordinates of (e_i reduced mod span) on the free columns
-    cols = []
-    for unit in _unit_rows(range(n), n):
-        red = span.reduce(unit)
-        cols.append([red[c] for c in free])
-    section = Mat.from_columns(_unit_rows(free, n), nrows=n)
-    return Mat.from_columns(cols, nrows=len(free)), section
+    # the projection's rows span the left kernel {y : y @ m = 0}
+    _, inclusion, retraction = _kernel(m.transpose())
+    return inclusion.transpose(), retraction.transpose()

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .algebra import BoundQuiverAlgebra
-from .arquiver import (ArArrow, ARQuiver, MiddleKind, OracleError, ar_quiver,
-                       single_middle_count)
+from .arquiver import ArArrow, ARQuiver, OracleError, ar_quiver
 from .modules import ModuleMap, cokernel, is_epimorphism, is_monomorphism, kernel, socle
 
 
@@ -143,13 +142,13 @@ def brute_force_det(algebra: BoundQuiverAlgebra,
     det_nodes = frozenset(e.determiner_node for e in entries)
 
     epi_dets = {e.determiner_node for e in entries if e.kind is MapKind.EPI}
-    single_ends = {m.right for m in ar.meshes if m.kind is MiddleKind.SINGLE}
-    if epi_dets != single_ends:
+    single_ends = [m.right for m in ar.meshes if len(m.middles) == 1]
+    if epi_dets != set(single_ends):
         raise OracleError("epi determiners do not match the single-middle mesh ends")
     n = algebra.quiver.vertex_count()
-    if len(epi_dets) != n - 1 or single_middle_count(ar) != n - 1:
+    if len(epi_dets) != n - 1 or len(single_ends) != n - 1:
         raise OracleError(
-            f"expected {n - 1} single-middle meshes, got {single_middle_count(ar)}; "
+            f"expected {n - 1} single-middle meshes, got {len(single_ends)}; "
             f"epi determiner count {len(epi_dets)}")
 
     projective_vertices = frozenset(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator
 
-from .algebra import BoundQuiverAlgebra, path_in_ideal
+from .algebra import BoundQuiverAlgebra
 from .treewalk import TreeWalk, walk_between
 
 
@@ -79,15 +79,14 @@ def make_string(algebra: BoundQuiverAlgebra, start: int,
         raise InvalidStringError(f"unknown vertex {start}")
     walk = StringWalk(start, letters)
     verts = walk_vertices(algebra, walk)
+    # a backtrack revisits a vertex, and walk_vertices has checked that runs compose
     if len(set(verts)) != len(verts):
         raise InvalidStringError("walk revisits a vertex")
-    for a, b in zip(letters, letters[1:]):
-        if a.arrow == b.arrow:
-            raise InvalidStringError(f"immediate backtrack on {a.arrow}")
     for run in _direction_runs(letters):
-        if path_in_ideal(algebra, run):
+        if algebra.relations.contains_path(run):
             raise InvalidStringError(f"run {run} lies in the relation ideal")
-    return _canonical(algebra, walk, verts[-1])
+    other = _inverse(verts[-1], letters)
+    return walk if walk.rendering() <= other.rendering() else other
 
 
 def _direction_runs(letters: tuple[Letter, ...]) -> list[tuple[str, ...]]:
@@ -103,13 +102,6 @@ def _direction_runs(letters: tuple[Letter, ...]) -> list[tuple[str, ...]]:
         runs.append(tuple(chunk) if letters[i].direct else tuple(reversed(chunk)))
         i = j + 1
     return runs
-
-
-def _canonical(algebra: BoundQuiverAlgebra, walk: StringWalk, end: int) -> StringWalk:
-    if walk.is_trivial:
-        return walk
-    other = _inverse(end, walk.letters)
-    return walk if walk.rendering() <= other.rendering() else other
 
 
 def string_from_tree_walk(algebra: BoundQuiverAlgebra,

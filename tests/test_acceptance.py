@@ -16,7 +16,6 @@ import pytest
 
 from stringdet import (brute_force_det, check_unique_sink_characterization,
                        classify_vertex, determiner_report)
-from stringdet.arquiver import single_middle_count
 from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
                                 linear_algebra, zigzag4_algebra)
 from stringdet.linalg import Mat
@@ -195,7 +194,7 @@ def test_criterion_7_structural_checks(sweep_records):
     for rec in sweep_records:
         ar = rec.oracle.ar
         n = rec.algebra.quiver.vertex_count()
-        if single_middle_count(ar) != n - 1:
+        if sum(len(mesh.middles) == 1 for mesh in ar.meshes) != n - 1:
             ok = False
         for mesh in ar.meshes:
             left = ar.nodes[mesh.left].rep.total_dim
@@ -227,7 +226,7 @@ def test_criterion_8_unique_sink_equivalence(sweep_records):
             continue
         for v, c in classes.items():
             if c in (VertexClass.SINK_LEAF, VertexClass.MEET_SINK):
-                out = check_unique_sink_characterization(alg, v, rec.report)
+                out = check_unique_sink_characterization(alg, v)
                 if not out.applicable or not out.sides_agree:
                     ok = False
                 checked += 1

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stringdet import ar_quiver, arquiver, strings
-from stringdet.arquiver import (GuardExceeded, MiddleKind, OracleError, _build_arrows,
-                                _build_meshes, single_middle_count)
+from stringdet.arquiver import GuardExceeded, OracleError, _build_arrows, _build_meshes
 from stringdet.cli import main
 from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
                                 generate_example, linear_algebra)
@@ -22,7 +21,7 @@ def test_line2_quiver():
     assert len(ar.nodes) == 3
     assert len(ar.meshes) == 1
     mesh = ar.meshes[0]
-    assert mesh.kind is MiddleKind.SINGLE
+    assert len(mesh.middles) == 1
     left, (mid,), right = mesh.left, mesh.middles, mesh.right
     assert ar.nodes[left].walk.is_trivial and ar.nodes[left].walk.start == 2
     assert ar.nodes[mid].projective_vertex == 1
@@ -48,7 +47,7 @@ def test_single_middle_count_is_n_minus_1():
     for alg in (linear_algebra(2), linear_algebra(5), fan5_algebra("one"),
                 crossing_tree_algebra(1)):
         ar = ar_quiver(alg)
-        assert single_middle_count(ar) == alg.quiver.vertex_count() - 1
+        assert sum(len(m.middles) == 1 for m in ar.meshes) == alg.quiver.vertex_count() - 1
 
 
 def test_translate_bijection():
@@ -333,7 +332,7 @@ def test_requires_valid_algebra():
 def test_random_instances_satisfy_contract(seed, n):
     alg = random_tree_algebra(random.Random(seed), n)
     ar = ar_quiver(alg)  # raises OracleError on any breach
-    assert single_middle_count(ar) == n - 1
+    assert sum(len(m.middles) == 1 for m in ar.meshes) == n - 1
     for mesh in ar.meshes:
         left = ar.nodes[mesh.left].rep.total_dim
         right = ar.nodes[mesh.right].rep.total_dim

@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -121,6 +122,22 @@ def test_export_dot_refused_ar_quiver_writes_no_file(tmp_path, capsys):
     assert ar_out.read_text().startswith("digraph ar_quiver")
 
 
+def test_export_dot_failed_ar_write_changes_no_file(tmp_path, capsys, monkeypatch):
+    """When the --ar-output write fails, the -o file is neither created nor
+    changed, and no temporary file is left behind."""
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "z.txt", generate_example("zigzag4"))
+    argv = ["export-dot", "z.txt", "-o", "q.dot", "--ar-output", "nodir/ar.dot"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'nodir/ar.dot'" in err, err
+    assert sorted(os.listdir(tmp_path)) == ["z.txt"]
+    (tmp_path / "q.dot").write_bytes(b"digraph old {}\n")
+    assert main(argv) == 1
+    assert (tmp_path / "q.dot").read_bytes() == b"digraph old {}\n"
+    assert sorted(os.listdir(tmp_path)) == ["q.dot", "z.txt"]
+
+
 def test_export_dot_format_applies_to_the_certificate(tmp_path, capsys):
     """--format json gives the JSON certificate for an invalid input, and DOT
     for a valid one."""
@@ -153,6 +170,21 @@ def test_gen_example_to_file(tmp_path):
     body = out.read_text()
     assert body.startswith("vertices: 1, 2, 3, 4, 5, 6")
     assert main(["validate", str(out)]) == 0
+
+
+@pytest.mark.parametrize("args", [["line", "--n", str(10**6 + 1)],
+                                  ["line", "--n", str(10**30)],
+                                  ["crossing-tree", "--levels", "12"],
+                                  ["crossing-tree", "--levels", str(10**20)]],
+                         ids=["line-1e6+1", "line-1e30", "crossing-tree-12", "crossing-tree-1e20"])
+def test_gen_example_refuses_huge_examples(args, capsys):
+    """An example of more than 10^6 vertices is refused before it is built."""
+    start = time.perf_counter()
+    assert main(["gen-example", *args]) == 1
+    assert time.perf_counter() - start < 5
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "1000000" in err, err
+    assert "Traceback" not in err
 
 
 def test_output_file_gets_the_mode_open_would_give(tmp_path):

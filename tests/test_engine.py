@@ -61,7 +61,6 @@ def test_report_serialization():
 
 
 def test_single_vertex_rejected():
-    import pytest
     from stringdet import parse_algebra, validate
     alg = validate(parse_algebra("vertices: 1\n"))
     assert alg.is_valid
@@ -71,7 +70,7 @@ def test_single_vertex_rejected():
 
 def test_unique_sink_check_line():
     alg = linear_algebra(5)
-    out = check_unique_sink_characterization(alg, 5, determiner_report(alg))
+    out = check_unique_sink_characterization(alg, 5)
     assert out.applicable
     assert out.determiners_cover_all_but_sink is True
     assert out.unique_sink is True
@@ -80,7 +79,7 @@ def test_unique_sink_check_line():
 
 def test_unique_sink_check_zigzag():
     alg = zigzag4_algebra()
-    out = check_unique_sink_characterization(alg, 4, determiner_report(alg))
+    out = check_unique_sink_characterization(alg, 4)
     assert out.applicable
     assert out.determiners_cover_all_but_sink is False
     assert out.unique_sink is False
@@ -89,52 +88,34 @@ def test_unique_sink_check_zigzag():
 
 def test_unique_sink_check_not_applicable():
     alg = crossing6_algebra()
-    out = check_unique_sink_characterization(alg, 4, determiner_report(alg))
+    out = check_unique_sink_characterization(alg, 4)
     assert not out.applicable
     assert "crossing" in out.reason
 
 
 def test_unique_sink_check_wrong_vertex():
     alg = linear_algebra(4)
-    out = check_unique_sink_characterization(alg, 1, determiner_report(alg))
+    out = check_unique_sink_characterization(alg, 1)
     assert not out.applicable
-
-
-def test_unique_sink_check_report_argument():
-    alg = linear_algebra(4)
-    with pytest.raises(ValueError):
-        check_unique_sink_characterization(alg, 4, None)
-    with pytest.raises(ValueError):
-        check_unique_sink_characterization(alg, 4, determiner_report(linear_algebra(5)))
 
 
 def test_dynkin_shapes():
     zigzag, fan5, tree = zigzag4_algebra(), fan5_algebra("both"), crossing_tree_algebra(1)
-    assert dynkin_type(zigzag, determiner_report(zigzag)).shape == "A"
-    fan = dynkin_type(fan5, determiner_report(fan5))
+    assert dynkin_type(linear_algebra(1)).shape == "A"
+    assert dynkin_type(zigzag).shape == "A"
+    fan = dynkin_type(fan5)
     assert fan.shape == "D"
     assert fan.n == 5
     assert fan.limb_lengths == (1, 1, 2)
     assert fan.branch_ideal_nonzero
-    assert dynkin_type(tree, determiner_report(tree)).shape == "other"
+    assert dynkin_type(tree).shape == "other"
 
 
 def test_dynkin_fork():
     alg = fork_algebra(6)
-    rep = dynkin_type(alg, determiner_report(alg))
+    rep = dynkin_type(alg)
     assert rep.shape == "D"
     assert rep.n == 6
-
-
-def test_dynkin_report_argument():
-    single = linear_algebra(1)
-    rep = dynkin_type(single, None)
-    assert rep.shape == "A"
-    assert (rep.p, rep.q) == (None, None)
-    with pytest.raises(ValueError):
-        dynkin_type(linear_algebra(4), None)
-    with pytest.raises(ValueError):
-        dynkin_type(linear_algebra(4), determiner_report(linear_algebra(5)))
 
 
 def test_dynkin_exceptional():
@@ -143,7 +124,7 @@ def test_dynkin_exceptional():
             "arrow a4: 4 -> 5\narrow a5: 6 -> 3\nrelation: a2 a3\n")
     alg = validate(parse_algebra(base))
     assert alg.is_valid
-    rep = dynkin_type(alg, determiner_report(alg))
+    rep = dynkin_type(alg)
     assert rep.shape == "E6"
     assert rep.branch_ideal_nonzero
 
@@ -157,7 +138,7 @@ def test_branch_star_always_holds_a_relation():
             q = alg.quiver
             if not any(len(q.incoming[v]) + len(q.outgoing[v]) == 3 for v in q.vertices):
                 continue
-            rep = dynkin_type(alg, determiner_report(alg))
+            rep = dynkin_type(alg)
             assert rep.branch_vertex is not None
             assert rep.branch_ideal_nonzero is True
             branched += 1
@@ -203,10 +184,9 @@ def test_line_shape_parameters(seed, n):
     if not alg.is_valid:
         return
     rep = determiner_report(alg)
-    shape = dynkin_type(alg, determiner_report(alg))
+    shape = dynkin_type(alg)
     assert shape.shape == "A"
     interior_sources = sum(
         1 for v in alg.quiver.vertices
         if not alg.quiver.incoming[v] and len(alg.quiver.neighbours(v)) == 2)
     assert rep.p == interior_sources
-    assert (shape.p, shape.q) == (rep.p, rep.q)

@@ -1,6 +1,6 @@
 import pytest
 
-from stringdet import parse_algebra, validate
+from stringdet import families, parse_algebra, validate
 from stringdet.algebra import serialize
 from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
                                 fork_algebra, generate_example, linear_algebra, zigzag4_algebra)
@@ -56,3 +56,14 @@ def test_fork_auto_relations():
     alg = fork_algebra(5)
     assert alg.is_valid
     assert alg.relations.generators  # branch vertex forces a relation
+
+
+def test_size_limit():
+    """Examples beyond MAX_VERTICES are refused before anything is built; the
+    crossing-tree depth is compared directly, never through 3**levels."""
+    assert families.MAX_VERTICES == 10**6
+    assert 2 * 3**11 - 1 <= families.MAX_VERTICES < 2 * 3**12 - 1
+    for build in (lambda: linear_algebra(10**6 + 1), lambda: fork_algebra(10**30),
+                  lambda: crossing_tree_algebra(12), lambda: crossing_tree_algebra(10**20)):
+        with pytest.raises(ValueError, match="1000000"):
+            build()

@@ -86,7 +86,7 @@ def test_echelon_properties(m, data):
     reordered = Mat([m.rows[i] for i in list(order) + extra], ncols=m.ncols)
     assert nullspace(reordered) == basis
     inclusion, retraction = kernel_inclusion(m)
-    assert inclusion.columns() == basis
+    assert list(inclusion.transpose().rows) == basis
     assert retraction @ inclusion == Mat.identity(len(basis))
 
 
@@ -190,7 +190,7 @@ def test_sparse_echelon_matches_dense_reference(m, data):
     assert retraction == Mat([[int(i == c) for i in range(m.ncols)] for c in free],
                              ncols=m.ncols)
     proj, section = quotient_projection(m)
-    assert (proj, section) == _dense_quotient_projection(m.columns(), m.nrows)
+    assert (proj, section) == _dense_quotient_projection(m.transpose().rows, m.nrows)
     assert _exact(_entries(inclusion, retraction, proj, section))
 
 
@@ -255,7 +255,7 @@ def test_memo_matches_fresh_and_dense_computations(m):
         assert got[0] == m.ncols - len(free)
         assert got[1] == basis
         assert got[2][0] == Mat.from_columns(basis, nrows=m.ncols)
-        assert got[3] == _dense_quotient_projection(m.columns(), m.nrows)
+        assert got[3] == _dense_quotient_projection(m.transpose().rows, m.nrows)
         assert _exact(_entries(*got[2], *got[3])) and all(_exact(v) for v in got[1])
 
 

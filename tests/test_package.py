@@ -1,7 +1,13 @@
+import ast
+import dataclasses
+import inspect
+from pathlib import Path
+
 import pytest
 
 import stringdet
-from stringdet import arquiver, engine, families, strings, taxonomy, treewalk
+from stringdet import arquiver, engine, families, linalg, strings, taxonomy, treewalk
+from stringdet.algebra import ParseError
 
 # per-vertex duplicates of vertex_ideals / determiner_report, and the
 # neighbourhood layer that dynkin_type no longer needs
@@ -18,6 +24,9 @@ DELETED = [
     (arquiver.ARQuiver, "node_of_walk"),
     # the sweep's enumerator and sampler live in tests/tree_algebras.py
     (families, "iter_tree_algebras"), (families, "random_tree_algebra"),
+    # a mesh's shape is its list of middle terms; quotients are left kernels
+    (arquiver, "MiddleKind"), (arquiver, "single_middle_count"),
+    (linalg.Mat, "column"), (linalg.Mat, "columns"),
 ]
 
 
@@ -35,3 +44,27 @@ def test_deleted_names_are_gone(owner, name):
 def test_engine_needs_no_tree_walks():
     assert not [name for name, value in vars(engine).items()
                 if getattr(value, "__module__", None) == treewalk.__name__]
+
+
+def test_each_fact_has_one_owner():
+    """p and q live in the counting report alone, and no parameter is left
+    that no caller sets."""
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(engine.dynkin_type) == ["algebra"]
+    assert params(engine.check_unique_sink_characterization) == ["algebra", "j"]
+    assert not {"p", "q"} & {f.name for f in dataclasses.fields(engine.DynkinReport)}
+    assert params(ParseError) == ["message", "line"]
+    assert params(families.fork_algebra) == ["n", "orientation"]
+    assert not hasattr(ParseError("bad", 3), "column")
+
+
+def test_sources_parse_as_python_3_10():
+    """Every source file keeps to Python 3.10 syntax, the oldest version the
+    package supports: no except*, no PEP 695 generics."""
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted(p for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
