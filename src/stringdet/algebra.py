@@ -160,16 +160,6 @@ class BoundQuiverAlgebra:
         return all(a.target == b.source for a, b in zip(arrows, arrows[1:]))
 
 
-def path_in_ideal(algebra: BoundQuiverAlgebra, path: tuple[str, ...] | list[str]) -> bool:
-    """True iff the composable path lies in the relation ideal, i.e. contains
-    some generator as a consecutive subpath.  Correct for monomial ideals on
-    tree quivers, where no linear combination of distinct paths shares
-    endpoints."""
-    if not algebra.path_composable(path):
-        raise ValueError(f"path {list(path)} is not composable in the quiver")
-    return algebra.relations.contains_path(tuple(path))
-
-
 # --------------------------------------------------------------------------
 # parsing
 

@@ -32,7 +32,7 @@ from .linalg import Mat
 from .modules import (ModuleMap, Representation, direct_sum, hom_space, is_epimorphism,
                       kernel, module_map, string_module)
 from .strings import (StringWalk, _arm, _iter_strings, _sorted_strings, injective_support,
-                      projective_support, radical_supports, walk_vertices)
+                      projective_support, radical_supports)
 
 
 class OracleError(RuntimeError):
@@ -102,17 +102,17 @@ class ARQuiver:
 
     def image(self, a: int, b: int) -> frozenset[int]:
         """Support of the basis map of Hom(a, b), empty when Hom(a, b) = 0: the
-        overlap C of the supports, unless an arrow of node a enters C or an
-        arrow of node b leaves C."""
+        overlap C of the supports, unless an arrow x -> v enters C from x in
+        supp a - C or an arrow v -> y leaves C for y in supp b - C.  On a tree
+        the arrows with both ends in a node's support are exactly its letters,
+        so the supports alone decide Hom."""
         key = (a, b)
         if key not in self._image:
-            c = self.nodes[a].rep.support & self.nodes[b].rep.support
-            arrows = self.algebra.quiver.arrow_map
-            enters = any(arrows[l.arrow].target in c and arrows[l.arrow].source not in c
-                         for l in self.nodes[a].walk.letters)
-            leaves = any(arrows[l.arrow].source in c and arrows[l.arrow].target not in c
-                         for l in self.nodes[b].walk.letters)
-            self._image[key] = frozenset() if enters or leaves else c
+            sa, sb = self.nodes[a].rep.support, self.nodes[b].rep.support
+            c, q = sa & sb, self.algebra.quiver
+            shut = (any(x.source in sa and x.source not in sb for v in c for x in q.incoming[v])
+                    or any(y.target in sb and y.target not in sa for v in c for y in q.outgoing[v]))
+            self._image[key] = frozenset() if shut else c
         return self._image[key]
 
     def hom(self, a: int, b: int) -> list[ModuleMap]:
@@ -165,7 +165,7 @@ def ar_quiver(algebra: BoundQuiverAlgebra, max_nodes: int | None = None) -> ARQu
         if len(found) > max_nodes:
             raise GuardExceeded(f"algebra has more than {max_nodes} indecomposables")
 
-    nodes = [ArNode(i, w, string_module(algebra, walk_vertices(algebra, w)))
+    nodes = [ArNode(i, w, string_module(algebra, w.vertices))
              for i, w in enumerate(_sorted_strings(found))]
     ar = ARQuiver(algebra, nodes, [], [], {}, {})
     ar._node_by_support = {n.rep.support: n.index for n in nodes}
@@ -215,7 +215,7 @@ def _build_arrows(ar: ARQuiver) -> None:
     lookups, l the longest string."""
     found = []
     for a, node in enumerate(ar.nodes):
-        path = walk_vertices(ar.algebra, node.walk)
+        path = node.walk.vertices
         # the arrow between x_i and x_(i+1) points away from x_0: x_i -> x_(i+1)
         away = [letter.direct for letter in node.walk.letters]
         sides = [(path, away)]

@@ -88,9 +88,11 @@ def _emit(ns: argparse.Namespace, doc: dict | list[str] | str,
           *more: tuple[str, dict | list[str] | str]) -> None:
     """Write doc, a dict as JSON, a list as text lines and a string as it is,
     to the -o file, else to stdout, and each (path, doc) of more to its path.
-    Files are all or nothing: each is written to a temporary file beside its
-    target before any target is replaced."""
+    The command is all or nothing: each file is written to a temporary file
+    beside its target, and stdout is written only once every target is
+    replaced."""
     staged: list[tuple[str, str]] = []  # (temporary file, target)
+    out = ""
     try:
         for path, doc in ((ns.output, doc), *more):
             if isinstance(doc, dict):
@@ -98,7 +100,7 @@ def _emit(ns: argparse.Namespace, doc: dict | list[str] | str,
             elif isinstance(doc, list):
                 doc = "\n".join(doc) + "\n"
             if path is None:
-                sys.stdout.write(doc)
+                out = doc
                 continue
             # the mode open(path, "w") would leave: the replaced file's, else
             # 0o666 less the umask (mkstemp's file is 0o600)
@@ -123,6 +125,7 @@ def _emit(ns: argparse.Namespace, doc: dict | list[str] | str,
         for tmp, _ in staged:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+    sys.stdout.write(out)
 
 
 def _cmd_validate(ns, alg: BoundQuiverAlgebra) -> None:

@@ -139,9 +139,9 @@ def _unit_rows(cols: Iterable[int], n: int) -> list[list[int]]:
 
 
 class SpanBuilder:
-    """Incremental row space: add vectors, reduce against the span, query
-    membership and dimension.  Rows are kept in reduced echelon form, each
-    as a sparse {column: non-zero value} dict."""
+    """Incremental row space: add vectors, read the dimension and the free
+    columns.  Rows are kept in reduced echelon form, each as a sparse
+    {column: non-zero value} dict."""
 
     def __init__(self, length: int):
         self.length = length
@@ -164,13 +164,6 @@ class SpanBuilder:
         for piv in [p for p in v if p in self._rows]:
             _eliminate(v, piv, self._rows[piv])
         return v
-
-    def reduce(self, vec: Sequence) -> list[int | Fraction]:
-        v = self._reduce(vec)
-        return [v.get(i, 0) for i in range(self.length)]
-
-    def contains(self, vec: Sequence) -> bool:
-        return not self._reduce(vec)
 
     def add(self, vec: Sequence) -> bool:
         """Insert vec into the span; True if the dimension grew."""

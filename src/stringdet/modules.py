@@ -199,15 +199,6 @@ def _check_intertwining(f: ModuleMap) -> None:
                     raise ValueError(f"map does not intertwine along arrow {a.name}")
 
 
-def zero_map(source: Representation, target: Representation) -> ModuleMap:
-    return module_map(source, target, {})
-
-
-def identity_map(rep: Representation) -> ModuleMap:
-    blocks = {v: Mat.identity(d) for v, d in rep.dims.items()}
-    return ModuleMap(rep, rep, blocks)
-
-
 def compose(g: ModuleMap, f: ModuleMap) -> ModuleMap:
     """g after f."""
     if f.target is not g.source and f.target != g.source:

@@ -5,7 +5,8 @@ A walk alternates arrows traversed forwards (direct letters) and backwards
 a simple path, so the walks here are exactly the simple paths whose maximal
 same-direction runs avoid the relation ideal.  A walk and its reverse present
 the same module; the lexicographically smaller rendering is the canonical
-representative.
+representative.  Each string keeps its vertex path, built once by make_string;
+on a tree its letters are exactly the arrows with both ends in that path.
 """
 
 from __future__ import annotations
@@ -26,8 +27,14 @@ class Letter:
 
 @dataclass(frozen=True)
 class StringWalk:
-    start: int
+    """letters[i] joins vertices[i] to vertices[i + 1]; on a tree the letters
+    are the arrows with both ends in the support, set(vertices)."""
+    vertices: tuple[int, ...]
     letters: tuple[Letter, ...]
+
+    @property
+    def start(self) -> int:
+        return self.vertices[0]
 
     @property
     def is_trivial(self) -> bool:
@@ -49,44 +56,35 @@ class InvalidStringError(ValueError):
     pass
 
 
-def _letter_endpoints(algebra: BoundQuiverAlgebra, letter: Letter) -> tuple[int, int]:
-    a = algebra.quiver.arrow_map[letter.arrow]
-    return (a.source, a.target) if letter.direct else (a.target, a.source)
-
-
-def walk_vertices(algebra: BoundQuiverAlgebra, s: StringWalk) -> tuple[int, ...]:
-    out = [s.start]
-    for letter in s.letters:
-        frm, to = _letter_endpoints(algebra, letter)
-        if frm != out[-1]:
-            raise InvalidStringError(f"letter {letter} does not compose at {out[-1]}")
-        out.append(to)
-    return tuple(out)
-
-
-def _inverse(start_of_inverse: int, letters: tuple[Letter, ...]) -> StringWalk:
-    inv = tuple(Letter(l.arrow, not l.direct) for l in reversed(letters))
-    return StringWalk(start_of_inverse, inv)
+def _inverse(walk: StringWalk) -> StringWalk:
+    inv = tuple(Letter(l.arrow, not l.direct) for l in reversed(walk.letters))
+    return StringWalk(walk.vertices[::-1], inv)
 
 
 def make_string(algebra: BoundQuiverAlgebra, start: int,
                 letters: tuple[Letter, ...] | list[Letter]) -> StringWalk:
-    """Validate and canonicalize a walk.  Raises InvalidStringError when the
-    letters do not compose, backtrack, revisit a vertex, or contain a
-    same-direction run lying in the relation ideal."""
+    """Validate and canonicalize a walk, building its vertex path.  Raises
+    InvalidStringError when the letters do not compose, backtrack, revisit a
+    vertex, or contain a same-direction run lying in the relation ideal."""
     letters = tuple(letters)
     if not algebra.quiver.has_vertex(start):
         raise InvalidStringError(f"unknown vertex {start}")
-    walk = StringWalk(start, letters)
-    verts = walk_vertices(algebra, walk)
-    # a backtrack revisits a vertex, and walk_vertices has checked that runs compose
+    arrows = algebra.quiver.arrow_map
+    verts = [start]
+    for letter in letters:
+        a = arrows[letter.arrow]
+        frm, to = (a.source, a.target) if letter.direct else (a.target, a.source)
+        if frm != verts[-1]:
+            raise InvalidStringError(f"letter {letter} does not compose at {verts[-1]}")
+        verts.append(to)
+    # a backtrack revisits a vertex, and the loop above has checked that runs compose
     if len(set(verts)) != len(verts):
         raise InvalidStringError("walk revisits a vertex")
     for run in _direction_runs(letters):
         if algebra.relations.contains_path(run):
             raise InvalidStringError(f"run {run} lies in the relation ideal")
-    other = _inverse(verts[-1], letters)
-    return walk if walk.rendering() <= other.rendering() else other
+    walk = StringWalk(tuple(verts), letters)
+    return min(walk, _inverse(walk), key=StringWalk.rendering)
 
 
 def _direction_runs(letters: tuple[Letter, ...]) -> list[tuple[str, ...]]:
@@ -128,7 +126,7 @@ def _iter_strings(algebra: BoundQuiverAlgebra) -> Iterator[StringWalk]:
     verts = algebra.quiver.vertices
     paths = (string_from_tree_walk(algebra, walk_between(algebra, a, b))
              for i, a in enumerate(verts) for b in verts[i + 1:])
-    return chain((StringWalk(v, ()) for v in verts), (s for s in paths if s is not None))
+    return chain((StringWalk((v,), ()) for v in verts), (s for s in paths if s is not None))
 
 
 def _sorted_strings(found: Iterable[StringWalk]) -> tuple[StringWalk, ...]:

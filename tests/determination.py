@@ -6,8 +6,10 @@ instances only."""
 from __future__ import annotations
 
 from stringdet.arquiver import ARQuiver
-from stringdet.linalg import Mat, SpanBuilder, nullspace
+from stringdet.linalg import Mat, nullspace
 from stringdet.modules import ModuleMap, compose
+
+from helpers import SpanBuilder
 
 
 def is_right_determined(ar: ARQuiver, f: ModuleMap, src_node: int, tgt_node: int,

@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stringdet import parse_algebra, validate
-from stringdet.algebra import ParseError, RelationReductionWarning, path_in_ideal, serialize
+from stringdet.algebra import ParseError, RelationReductionWarning, serialize
 from stringdet.families import crossing6_algebra
 import random
 
+from helpers import path_in_ideal
 from tree_algebras import random_tree_algebra
 
 

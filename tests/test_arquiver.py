@@ -292,6 +292,42 @@ def test_support_rule_arrows_match_radical_square(small_sweep_homs):
     assert arrows == 3076
 
 
+# --------------------------------------------------------------------------
+# Hom from supports against the scan of both walks' letters it replaced
+
+def _letter_scan_image(ar, a, b):
+    """Reference image(a, b): the overlap C of the supports, unless a letter
+    of node a's walk enters C or a letter of node b's walk leaves C."""
+    c = ar.nodes[a].rep.support & ar.nodes[b].rep.support
+    arrows = ar.algebra.quiver.arrow_map
+    enters = any(arrows[l.arrow].target in c and arrows[l.arrow].source not in c
+                 for l in ar.nodes[a].walk.letters)
+    leaves = any(arrows[l.arrow].source in c and arrows[l.arrow].target not in c
+                 for l in ar.nodes[b].walk.letters)
+    return frozenset() if enters or leaves else c
+
+
+def _image_against_letter_scan(ar):
+    """(ordered node pairs, pairs with a non-zero Hom), asserting image(a, b)
+    equals the letter scan on every pair."""
+    nonzero = 0
+    for a in range(len(ar.nodes)):
+        for b in range(len(ar.nodes)):
+            assert ar.image(a, b) == _letter_scan_image(ar, a, b), (a, b)
+            nonzero += bool(ar.image(a, b))
+    return len(ar.nodes) ** 2, nonzero
+
+
+def test_image_matches_letter_scan_on_sweep(sweep_records):
+    counts = [_image_against_letter_scan(rec.oracle.ar) for rec in sweep_records]
+    assert tuple(map(sum, zip(*counts))) == (56377, 18040)
+
+
+@pytest.mark.parametrize("levels, counts", [(2, (2401, 343)), (3, (29241, 1836))])
+def test_image_matches_letter_scan_on_crossing_tree(levels, counts):
+    assert _image_against_letter_scan(ar_quiver(crossing_tree_algebra(levels))) == counts
+
+
 def test_identify_rejects_decomposable():
     from stringdet.modules import direct_sum, simple
     alg = linear_algebra(2)

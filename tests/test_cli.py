@@ -138,6 +138,20 @@ def test_export_dot_failed_ar_write_changes_no_file(tmp_path, capsys, monkeypatc
     assert sorted(os.listdir(tmp_path)) == ["q.dot", "z.txt"]
 
 
+def test_export_dot_failed_ar_write_prints_nothing(tmp_path, capsys, monkeypatch):
+    """Without -o the quiver's DOT goes to stdout, and only once the
+    --ar-output file is in place: a failed write leaves stdout empty."""
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "z.txt", generate_example("zigzag4"))
+    assert main(["export-dot", "z.txt", "--ar-output", "nodir/ar.dot"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "'nodir/ar.dot'" in err, (out, err)
+    assert sorted(os.listdir(tmp_path)) == ["z.txt"]
+    assert main(["export-dot", "z.txt", "--ar-output", "ar.dot"]) == 0
+    assert capsys.readouterr().out.startswith("digraph quiver")
+    assert (tmp_path / "ar.dot").read_text().startswith("digraph ar_quiver")
+
+
 def test_export_dot_format_applies_to_the_certificate(tmp_path, capsys):
     """--format json gives the JSON certificate for an invalid input, and DOT
     for a valid one."""

@@ -9,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 from stringdet import ar_quiver, linalg
 from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
                                 linear_algebra)
-from stringdet.linalg import (Mat, SpanBuilder, kernel_inclusion, nullspace,
-                              quotient_projection)
+from stringdet.linalg import Mat, kernel_inclusion, nullspace, quotient_projection
 from stringdet.modules import (ModuleMap, cokernel, compose, direct_sum, hom_space,
-                               identity_map, injective, is_epimorphism, is_monomorphism,
-                               kernel, module_map, projective, radical_summands,
-                               representation, simple, socle, string_module, zero_map)
-from stringdet.strings import enumerate_strings, radical_supports, walk_vertices
+                               injective, is_epimorphism, is_monomorphism, kernel,
+                               module_map, projective, radical_summands, representation,
+                               simple, socle, string_module)
+from stringdet.strings import enumerate_strings, radical_supports
 
+from helpers import SpanBuilder, identity_map, zero_map
 from tree_algebras import random_tree_algebra
 
 
@@ -483,7 +483,7 @@ def test_hom_from_projective_counts_dimension(seed, n):
         p = projective(alg, i)
         inj = injective(alg, i)
         for w in sample:
-            m = string_module(alg, walk_vertices(alg, w))
+            m = string_module(alg, w.vertices)
             assert len(hom_space(p, m)) == m.dim(i)
             assert len(hom_space(m, inj)) == m.dim(i)
 

@@ -8,12 +8,12 @@ from stringdet.algebra import serialize
 from stringdet.arquiver import OracleError
 from stringdet.families import crossing6_algebra, crossing_tree_algebra, linear_algebra
 from stringdet.linalg import Mat, nullspace
-from stringdet.modules import (block_columns, cokernel, direct_sum, identity_map,
-                               intertwining_rows, module_map, projective, representation,
-                               simple, zero_map)
+from stringdet.modules import (block_columns, cokernel, direct_sum, intertwining_rows,
+                               module_map, projective, representation, simple)
 from stringdet.oracle import MapKind, almost_factors_through, minimal_right_determiner
 
 from determination import is_right_determined
+from helpers import identity_map, zero_map
 from tree_algebras import random_tree_algebra
 
 

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import stringdet
-from stringdet import arquiver, engine, families, linalg, strings, taxonomy, treewalk
+from stringdet import (algebra, arquiver, engine, families, linalg, modules, strings, taxonomy,
+                       treewalk)
 from stringdet.algebra import ParseError
 
 # per-vertex duplicates of vertex_ideals / determiner_report, and the
@@ -27,6 +28,11 @@ DELETED = [
     # a mesh's shape is its list of middle terms; quotients are left kernels
     (arquiver, "MiddleKind"), (arquiver, "single_middle_count"),
     (linalg.Mat, "column"), (linalg.Mat, "columns"),
+    # a string keeps its vertex path, built once by make_string
+    (strings, "walk_vertices"), (strings, "_letter_endpoints"),
+    # routines only the tests call live in tests/helpers.py
+    (algebra, "path_in_ideal"), (linalg.SpanBuilder, "reduce"),
+    (linalg.SpanBuilder, "contains"), (modules, "zero_map"), (modules, "identity_map"),
 ]
 
 

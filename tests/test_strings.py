@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stringdet import ar_quiver, parse_algebra
-from stringdet.algebra import path_in_ideal
 from stringdet.families import crossing_tree_algebra, fan5_algebra, linear_algebra
 from stringdet.modules import projective
 from stringdet.strings import (InvalidStringError, Letter, StringWalk, enumerate_strings,
                                injective_support, make_string, projective_support,
-                               radical_supports, string_from_tree_walk, walk_vertices)
+                               radical_supports, string_from_tree_walk)
 
+from helpers import path_in_ideal
 from tree_algebras import random_tree_algebra
 
 
@@ -21,7 +21,7 @@ def brute_force_strings(alg):
     comparing against the reversed rendering."""
     found = set()
     for v in alg.quiver.vertices:
-        found.add(StringWalk(v, ()))
+        found.add(StringWalk((v,), ()))
 
     def endpoint(letter):
         a = alg.quiver.arrow_map[letter.arrow]
@@ -41,13 +41,13 @@ def brute_force_strings(alg):
             i = j + 1
         return True
 
-    def grow(start, letters):
+    def grow(path, letters):
         if letters:
-            walk = StringWalk(start, tuple(letters))
-            inv = StringWalk(endpoint(letters[-1]),
+            walk = StringWalk(tuple(path), tuple(letters))
+            inv = StringWalk(tuple(reversed(path)),
                              tuple(Letter(l.arrow, not l.direct) for l in reversed(letters)))
             found.add(min(walk, inv, key=lambda w: w.rendering()))
-        at = endpoint(letters[-1]) if letters else start
+        at = path[-1]
         for a in alg.quiver.arrows:
             for direct in (True, False):
                 nxt = Letter(a.name, direct)
@@ -58,10 +58,10 @@ def brute_force_strings(alg):
                     continue
                 cand = letters + [nxt]
                 if run_ok(cand):
-                    grow(start, cand)
+                    grow(path + [endpoint(nxt)], cand)
 
     for v in alg.quiver.vertices:
-        grow(v, [])
+        grow([v], [])
     return found
 
 
@@ -154,12 +154,32 @@ def test_enumeration_matches_brute_force(seed, n):
 @given(seed=st.integers(0, 10**9), n=st.integers(2, 6))
 def test_distinguished_walks_are_strings(seed, n):
     alg = random_tree_algebra(random.Random(seed), n)
-    supports = {frozenset(walk_vertices(alg, s)) for s in enumerate_strings(alg)}
+    supports = {frozenset(s.vertices) for s in enumerate_strings(alg)}
     for v in alg.quiver.vertices:
         assert projective_support(alg, v) in supports
         assert injective_support(alg, v) in supports
         for s in radical_supports(alg, v):
             assert s in supports
+
+
+def _walked_path(alg, s):
+    """The vertex path from s.start through s.letters, read off the arrows."""
+    path = [s.start]
+    for letter in s.letters:
+        a = alg.quiver.arrow_map[letter.arrow]
+        assert path[-1] == (a.source if letter.direct else a.target)
+        path.append(a.target if letter.direct else a.source)
+    return tuple(path)
+
+
+def test_stored_path_is_the_walked_path_on_sweep(sweep_records):
+    count = 0
+    for rec in sweep_records:
+        for s in enumerate_strings(rec.algebra):
+            assert s.vertices == _walked_path(rec.algebra, s)
+            assert len(set(s.vertices)) == len(s.letters) + 1
+            count += 1
+    assert count == 5335
 
 
 def _reached(alg, path, tip, outgoing):
