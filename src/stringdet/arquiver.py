@@ -29,7 +29,7 @@ from itertools import islice
 
 from .algebra import BoundQuiverAlgebra
 from .linalg import Mat
-from .modules import (ModuleMap, Representation, direct_sum, hom_space, is_epimorphism,
+from .modules import (ModuleMap, Representation, direct_sum, hom_dim, is_epimorphism,
                       kernel, module_map, string_module)
 from .strings import (StringWalk, _arm, _iter_strings, _sorted_strings, injective_support,
                       projective_support, radical_supports)
@@ -118,7 +118,7 @@ class ARQuiver:
     def hom(self, a: int, b: int) -> list[ModuleMap]:
         """Basis of Hom(a, b): none, or the identity on image(a, b)."""
         c = self.image(a, b)
-        identity = {v: Mat([[1]]) for v in c}
+        identity = dict.fromkeys(c, Mat.identity(1))
         return [module_map(self.nodes[a].rep, self.nodes[b].rep, identity)] if c else []
 
     def node_of(self, rep: Representation) -> int:
@@ -186,7 +186,7 @@ def ar_quiver(algebra: BoundQuiverAlgebra, max_nodes: int | None = None) -> ARQu
                           f"found {n_proj} and {n_inj}")
 
     for nd in nodes:
-        if len(hom_space(nd.rep, nd.rep)) != 1:
+        if hom_dim(nd.rep, nd.rep) != 1:
             raise OracleError(f"endomorphism ring of {nd.label()} is not trivial")
 
     _build_arrows(ar)
@@ -283,7 +283,8 @@ def _build_meshes(ar: ARQuiver) -> None:
         if len(comps) > 2:
             raise OracleError(
                 f"node {node.label()} has {len(comps)} middle summands, expected 1 or 2")
-        total = direct_sum([ar.nodes[c.source].rep for c in comps])
+        middles = [ar.nodes[c.source].rep for c in comps]
+        total = middles[0] if len(middles) == 1 else direct_sum(middles)
         # concatenation order matches the summands' order in the direct sum;
         # blocks are kept on both supports only
         blocks = {v: reduce(Mat.hstack, [arr.map.block(v) for arr in comps])

@@ -25,7 +25,13 @@ Most blocks of a module map over a tree are empty (0 x k or k x 0): a string
 module lives on a path, its support.  Empty blocks cost no arithmetic:
 `Mat.zeros` hands out one shared instance per empty shape, a product with an
 empty result or an empty inner dimension is that zero matrix, and an empty
-shape has rank 0.  Shapes are still checked first.
+shape has rank 0.  Shapes are still checked first.  The other blocks of thin
+modules are 1 x 1: `Mat.identity(1)` is one shared [1], a 1 x 1 product is one
+multiplication (the shared [1] when it is the int 1), a 1 x 1 rank reads the
+entry, and a matrix keeps its hash once taken.  The public `Mat(rows, ncols)`
+checks that the rows have one width, equal to ncols if given; every caller
+outside this module uses it.  `Mat._trusted` takes a tuple of row tuples as
+they are; only this module calls it, on rows it built to one width.
 """
 
 from __future__ import annotations
@@ -43,9 +49,9 @@ _MEMO_SIZE = 1024
 class Mat:
     """Immutable dense matrix.  Zero-row and zero-column shapes are legal."""
 
-    __slots__ = ("rows", "nrows", "ncols", "shape")
+    __slots__ = ("rows", "nrows", "ncols", "shape", "_hash")
 
-    def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
+    def __new__(cls, rows: Iterable[Iterable], ncols: int | None = None):
         rs = tuple(tuple(row) for row in rows)
         if rs:
             width = len(rs[0])
@@ -56,10 +62,17 @@ class Mat:
             ncols = width
         elif ncols is None:
             raise ValueError("empty matrix needs explicit ncols")
-        object.__setattr__(self, "rows", rs)
-        object.__setattr__(self, "nrows", len(rs))
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "shape", (len(rs), ncols))
+        return cls._trusted(rs, ncols)
+
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple, ...], ncols: int) -> "Mat":
+        """Unchecked: rows is a tuple of row tuples, each ncols long."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "nrows", len(rows))
+        object.__setattr__(m, "ncols", ncols)
+        object.__setattr__(m, "shape", (len(rows), ncols))
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -67,35 +80,42 @@ class Mat:
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "Mat":
         if nrows and ncols:
-            return Mat([[0] * ncols for _ in range(nrows)], ncols=ncols)
+            return Mat._trusted(((0,) * ncols,) * nrows, ncols)
         m = _EMPTY.get((nrows, ncols))
         if m is None:
-            m = _EMPTY[nrows, ncols] = Mat([()] * nrows, ncols=ncols)
+            m = _EMPTY[nrows, ncols] = Mat._trusted(((),) * nrows, ncols)
         return m
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat(_unit_rows(range(n), n), ncols=n)
+        return _ONE if n == 1 else Mat._trusted(_unit_rows(range(n), n), n)
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence], nrows: int) -> "Mat":
         if not (nrows and cols):
             return Mat.zeros(nrows, len(cols))
-        return Mat([[col[i] for col in cols] for i in range(nrows)], ncols=len(cols))
+        return Mat._trusted(tuple(tuple(col[i] for col in cols) for i in range(nrows)), len(cols))
 
     @staticmethod
     def row_major(values: Sequence, start: int, nrows: int, ncols: int) -> "Mat":
         """The nrows x ncols matrix stored row-major in values from index start."""
         if not (nrows and ncols):
             return Mat.zeros(nrows, ncols)
-        return Mat([values[start + r * ncols:start + (r + 1) * ncols] for r in range(nrows)],
-                   ncols=ncols)
+        if start + nrows * ncols > len(values):
+            raise ValueError("values too short for the block")
+        return Mat._trusted(tuple(tuple(values[start + r * ncols:start + (r + 1) * ncols])
+                                  for r in range(nrows)), ncols)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Mat) and self.shape == other.shape and self.rows == other.rows
+        return self is other or (isinstance(other, Mat) and self.shape == other.shape
+                                 and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.shape, self.rows))
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.shape, self.rows)))
+            return self._hash
 
     def __repr__(self):
         return f"Mat({self.nrows}x{self.ncols}, {[[str(x) for x in r] for r in self.rows]})"
@@ -105,19 +125,24 @@ class Mat:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         if not (self.nrows and self.ncols and other.ncols):
             return Mat.zeros(self.nrows, other.ncols)
+        if self.nrows == self.ncols == other.ncols == 1:
+            x = self.rows[0][0] * other.rows[0][0]
+            return _ONE if x == 1 and type(x) is int else Mat._trusted(((x,),), 1)
         cols = list(zip(*other.rows))
-        return Mat([[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows],
-                   ncols=other.ncols)
+        return Mat._trusted(tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                                  for row in self.rows), other.ncols)
 
     def transpose(self) -> "Mat":
         if not (self.nrows and self.ncols):
             return Mat.zeros(self.ncols, self.nrows)
-        return Mat(zip(*self.rows), ncols=self.nrows)
+        return Mat._trusted(tuple(zip(*self.rows)), self.nrows)
 
     def is_zero(self) -> bool:
         return not any(any(r) for r in self.rows)
 
     def rank(self) -> int:
+        if self.shape == (1, 1):
+            return 1 if self.rows[0][0] else 0
         return self.ncols - len(_kernel(self)[0]) if self.nrows and self.ncols else 0
 
     def hstack(self, other: "Mat") -> "Mat":
@@ -125,17 +150,21 @@ class Mat:
             raise ValueError("row count mismatch")
         if not (self.nrows and (self.ncols or other.ncols)):
             return Mat.zeros(self.nrows, self.ncols + other.ncols)
-        return Mat([list(a) + list(b) for a, b in zip(self.rows, other.rows)],
-                   ncols=self.ncols + other.ncols)
+        return Mat._trusted(tuple(a + b for a, b in zip(self.rows, other.rows)),
+                            self.ncols + other.ncols)
 
 
 #: The shared instance of each empty shape, handed out by Mat.zeros.
 _EMPTY: dict[tuple[int, int], Mat] = {}
 
 
-def _unit_rows(cols: Iterable[int], n: int) -> list[list[int]]:
+def _unit_rows(cols: Iterable[int], n: int) -> tuple[tuple[int, ...], ...]:
     """The unit vectors e_c of length n, one per c in cols."""
-    return [[1 if i == c else 0 for i in range(n)] for c in cols]
+    return tuple(tuple(1 if i == c else 0 for i in range(n)) for c in cols)
+
+
+#: The shared [1], handed out by Mat.identity(1) and by 1 x 1 products equal to the int 1.
+_ONE = Mat._trusted(((1,),), 1)
 
 
 class SpanBuilder:
@@ -217,7 +246,7 @@ def _kernel(m: Mat) -> tuple[tuple[Vector, ...], Mat, Mat]:
             vec[p] = -row.get(c, 0)
         basis.append(tuple(vec))
     return (tuple(basis), Mat.from_columns(basis, nrows=m.ncols),
-            Mat(_unit_rows(free, m.ncols), ncols=m.ncols))
+            Mat._trusted(_unit_rows(free, m.ncols), m.ncols))
 
 
 def nullspace(m: Mat) -> list[Vector]:

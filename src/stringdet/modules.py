@@ -110,7 +110,7 @@ def string_module(algebra: BoundQuiverAlgebra, support: Iterable[int]) -> Repres
     support of a string is a path, and those arrows are exactly its letters."""
     dims = dict.fromkeys(support, 1)
     inside = (a.name for v in dims for a in algebra.quiver.outgoing.get(v, ()) if a.target in dims)
-    return representation(algebra, dims, dict.fromkeys(inside, Mat([[1]])))
+    return representation(algebra, dims, dict.fromkeys(inside, Mat.identity(1)))
 
 
 def simple(algebra: BoundQuiverAlgebra, v: int) -> Representation:
@@ -255,14 +255,14 @@ def block_columns(rows: dict[int, int], cols: dict[int, int],
     return at, start
 
 
-def hom_space(source: Representation, target: Representation) -> list[ModuleMap]:
-    """Basis of the space of module maps source -> target, from the exact
-    nullspace of the intertwining constraints."""
+def _hom_system(source: Representation, target: Representation) -> tuple[dict, list]:
+    """First column of each vertex's unknown block (see block_columns) and the
+    exact nullspace of the intertwining constraints on those unknowns."""
     if source.algebra is not target.algebra and source.algebra != target.algebra:
         raise ValueError("representations live over different algebras")
     at, nvars = block_columns(target.dims, source.dims, 0)
     if nvars == 0:
-        return []
+        return at, []
 
     quiver = source.algebra.quiver
     rows = []
@@ -272,10 +272,23 @@ def hom_space(source: Representation, target: Representation) -> list[ModuleMap]
                 # block[target] @ source map == target map @ block[source]
                 rows += intertwining_rows(at.get(a.target), source.map(a.name),
                                           target.map(a.name), at.get(v), nvars)
+    return at, nullspace(Mat(rows, ncols=nvars))
+
+
+def hom_space(source: Representation, target: Representation) -> list[ModuleMap]:
+    """Basis of the space of module maps source -> target, from the exact
+    nullspace of the intertwining constraints."""
+    at, basis = _hom_system(source, target)
     return [ModuleMap(source, target,
                       {v: Mat.row_major(vec, at[v], target.dims[v], source.dims[v])
                        for v in at})
-            for vec in nullspace(Mat(rows, ncols=nvars))]
+            for vec in basis]
+
+
+def hom_dim(source: Representation, target: Representation) -> int:
+    """Dimension of the space of module maps source -> target: the same exact
+    solve as hom_space, without building the basis maps."""
+    return len(_hom_system(source, target)[1])
 
 
 # --------------------------------------------------------------------------

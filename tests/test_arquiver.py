@@ -9,7 +9,7 @@ from stringdet.cli import main
 from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
                                 generate_example, linear_algebra)
 from stringdet.linalg import SpanBuilder
-from stringdet.modules import compose, hom_space, is_epimorphism, is_monomorphism
+from stringdet.modules import compose, hom_dim, hom_space, is_epimorphism, is_monomorphism
 from stringdet.strings import enumerate_strings
 
 from tree_algebras import random_tree_algebra
@@ -281,6 +281,34 @@ def test_support_rule_hom_matches_hom_space(small_sweep_homs):
             assert [h.blocks for h in ar.hom(a, b)] == [h.blocks for h in basis]
             pairs += 1
     assert pairs == 24888
+
+
+def test_hom_dim_counts_the_hom_space_basis(small_sweep_homs):
+    """hom_dim is the same exact solve as hom_space, counted without building
+    the basis maps, on every ordered node pair."""
+    pairs = 0
+    for ar, homs in small_sweep_homs:
+        for (a, b), basis in homs.items():
+            assert hom_dim(ar.nodes[a].rep, ar.nodes[b].rep) == len(basis)
+            pairs += 1
+    assert pairs == 24888
+
+
+def test_end_check_names_the_node_with_a_large_endomorphism_ring(monkeypatch):
+    """A node whose End is not k stops ar_quiver with an OracleError naming
+    its walk, whichever node it is."""
+    alg = crossing6_algebra()
+    nodes = ar_quiver(alg).nodes
+    for victim in nodes:
+        def fake(source, target, victim=victim.rep.support):
+            return 2 if source.support == victim else hom_dim(source, target)
+        monkeypatch.setattr(arquiver, "hom_dim", fake)
+        with pytest.raises(OracleError) as exc:
+            ar_quiver(alg)
+        # the label is the node's walk and its P/I tags
+        assert str(exc.value) == f"endomorphism ring of {victim.label()} is not trivial"
+    monkeypatch.undo()
+    assert len(ar_quiver(alg).nodes) == len(nodes)
 
 
 def test_support_rule_arrows_match_radical_square(small_sweep_homs):

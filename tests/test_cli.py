@@ -271,15 +271,29 @@ def test_check_refuses_long_line_under_default_guard(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _src_env():
+    """The environment with this package's source directory on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(stringdet.__file__))
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
 def _fresh_process(argv):
     """(exit code, stdout, stderr) of main(argv) in a new interpreter."""
-    src = os.path.dirname(os.path.dirname(stringdet.__file__))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from stringdet.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
-        env=env, capture_output=True, text=True, timeout=60)
+        env=_src_env(), capture_output=True, text=True, timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_python_m_stringdet_runs_the_command_line(tmp_path):
+    """`python -m stringdet` runs the CLI without installing: check on
+    crossing6 prints AGREE and exits 0."""
+    path = write(tmp_path, "crossing6.txt", generate_example("crossing6"))
+    proc = subprocess.run([sys.executable, "-m", "stringdet", "check", path],
+                          env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "AGREE"
 
 
 def test_main_calls_in_one_process_match_fresh_processes(tmp_path, capsys):

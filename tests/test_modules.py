@@ -300,6 +300,99 @@ def test_memo_is_bounded_and_stays_exact_past_its_bound():
         assert _memoised(m) == seen[m]
 
 
+# --------------------------------------------------------------------------
+# rows built once, the shared [1] and the 1 x 1 paths
+
+def _assert_as_checked(m):
+    """m equals its rows rebuilt through the public, checked constructor, with
+    the same shape and hash, and its rows are tuples of one width."""
+    rebuilt = Mat([list(row) for row in m.rows], ncols=m.ncols)
+    assert m == rebuilt and m.shape == rebuilt.shape == (len(m.rows), m.ncols)
+    assert hash(m) == hash(rebuilt)
+    assert type(m.rows) is tuple
+    assert all(type(row) is tuple and len(row) == m.ncols for row in m.rows)
+
+
+def _dense_product(a, b):
+    return [[sum(a.rows[i][k] * b.rows[k][j] for k in range(a.ncols)) for j in range(b.ncols)]
+            for i in range(a.nrows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_memo_matrices, data=st.data())
+def test_built_matrices_match_the_checked_constructor(a, data):
+    """@, transpose, hstack, row_major, from_columns, zeros and identity build
+    their rows unchecked; each result is what Mat(...) would build, on int
+    and Fraction entries, 1 x 1 and empty shapes included."""
+    c = data.draw(st.integers(0, 4))
+    b = data.draw(st.lists(st.lists(_scalars, min_size=c, max_size=c),
+                           min_size=a.ncols, max_size=a.ncols).map(lambda rows: Mat(rows, c)))
+    product = a @ b
+    _assert_as_checked(product)
+    assert [list(row) for row in product.rows] == _dense_product(a, b)
+    _assert_as_checked(a.transpose())
+    assert a.transpose().transpose() == a
+    w = data.draw(st.integers(0, 4))
+    right = data.draw(st.lists(st.lists(_scalars, min_size=w, max_size=w),
+                               min_size=a.nrows, max_size=a.nrows).map(lambda rows: Mat(rows, w)))
+    stacked = a.hstack(right)
+    _assert_as_checked(stacked)
+    assert stacked.rows == tuple(ra + rb for ra, rb in zip(a.rows, right.rows))
+    values = _entries(a)
+    start = data.draw(st.integers(0, 3))
+    padded = tuple([0] * start + values)
+    _assert_as_checked(Mat.row_major(padded, start, a.nrows, a.ncols))
+    assert Mat.row_major(padded, start, a.nrows, a.ncols) == a
+    _assert_as_checked(Mat.from_columns(a.transpose().rows, nrows=a.nrows))
+    assert Mat.from_columns(a.transpose().rows, nrows=a.nrows) == a
+    for m in (Mat.zeros(a.nrows, a.ncols), Mat.identity(a.nrows)):
+        _assert_as_checked(m)
+    assert Mat.identity(a.nrows) == Mat([[int(i == j) for j in range(a.nrows)]
+                                          for i in range(a.nrows)], ncols=a.nrows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_scalars)
+def test_one_by_one_rank_is_the_elimination_rank(x):
+    m = Mat([[x]])
+    assert m.rank() == 1 - len(nullspace(m)) == (1 if x else 0)
+    assert (m @ Mat([[1]])) == m and (m @ Mat([[1]])).rows[0][0] == x
+
+
+def test_checked_constructor_still_refuses_bad_rows():
+    with pytest.raises(ValueError, match="ragged"):
+        Mat([[1, 2], [3]])
+    with pytest.raises(ValueError, match="ncols"):
+        Mat([[1, 2]], ncols=3)
+    with pytest.raises(ValueError, match="ncols"):
+        Mat([])
+    with pytest.raises(ValueError, match="too short"):
+        Mat.row_major((1, 2, 3), 1, 2, 2)
+
+
+def test_shared_one_is_immutable_and_kept_by_products():
+    one = Mat.identity(1)
+    assert one is Mat.identity(1) and one == Mat([[1]])
+    assert Mat([[1]]) @ Mat([[1]]) is one
+    assert Mat([[-1]]) @ Mat([[-1]]) is one
+    # a Fraction product keeps its Fraction entry, equal to the shared [1]
+    product = Mat([[Fraction(1, 2)]]) @ Mat([[2]])
+    assert product == one and type(product.rows[0][0]) is Fraction
+    with pytest.raises(AttributeError):
+        one.rows = ((2,),)
+    with pytest.raises(AttributeError):
+        one.extra = 1
+    assert one.rows == ((1,),)
+    assert hash(Mat([[1]])) == hash(Mat([[Fraction(1)]])) == hash(one)
+
+
+def test_thin_modules_share_the_one_block():
+    alg = crossing6_algebra()
+    for s in enumerate_strings(alg):
+        rep = string_module(alg, s.vertices)
+        assert all(m is Mat.identity(1) for m in rep.maps.values())
+
+
 def test_string_module_trivial():
     alg = linear_algebra(2)
     s = simple(alg, 1)
