@@ -13,7 +13,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from typing import NamedTuple
 
 
 class ParseError(ValueError):
@@ -29,8 +29,7 @@ class RelationReductionWarning(UserWarning):
     consecutive subpath of it (the stored set is always reduced)."""
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     name: str
     source: int
     target: int
@@ -47,13 +46,32 @@ class Quiver:
 
     @cached_property
     def outgoing(self) -> dict[int, tuple[Arrow, ...]]:
-        """Vertex -> the arrows out of it: the out-degree table."""
-        return _by_end(self.vertices, self.arrows, attrgetter("source"))
+        """Vertex -> the arrows out of it: the out-degree table.  One pass over
+        the arrows fills it and `incoming`; the arrows at a shared end are in
+        natural name order."""
+        tables = outs, ins = dict.fromkeys(self.vertices, ()), dict.fromkeys(self.vertices, ())
+        # (0 out / 1 in, vertex) -> arrows, at an end met twice: no tuple grows
+        shared: dict[tuple[int, int], list[Arrow]] = {}
+        for a in self.arrows:
+            _, source, target = a
+            if outs[source]:
+                shared.setdefault((0, source), [*outs[source]]).append(a)
+            else:
+                outs[source] = (a,)
+            if ins[target]:
+                shared.setdefault((1, target), [*ins[target]]).append(a)
+            else:
+                ins[target] = (a,)
+        for (end, v), group in shared.items():
+            tables[end][v] = tuple(sorted(group, key=lambda a: _natural_key(a.name)))
+        self.__dict__["incoming"] = ins
+        return outs
 
     @cached_property
     def incoming(self) -> dict[int, tuple[Arrow, ...]]:
         """Vertex -> the arrows into it: the in-degree table."""
-        return _by_end(self.vertices, self.arrows, attrgetter("target"))
+        self.outgoing  # fills both tables
+        return self.__dict__["incoming"]
 
     @cached_property
     def rooted_parents(self) -> dict[int, tuple[int, Arrow] | None]:
@@ -63,13 +81,14 @@ class Quiver:
         root = self.vertices[0]
         parents: dict[int, tuple[int, Arrow] | None] = {root: None}
         stack = [root]
+        outs_of, ins_of = self.outgoing, self.incoming
         while stack:
             v = stack.pop()
-            for a in self.outgoing[v]:
+            for a in outs_of[v]:
                 if a.target not in parents:
                     parents[a.target] = (v, a)
                     stack.append(a.target)
-            for a in self.incoming[v]:
+            for a in ins_of[v]:
                 if a.source not in parents:
                     parents[a.source] = (v, a)
                     stack.append(a.source)
@@ -87,16 +106,6 @@ class Quiver:
 
     def vertex_count(self) -> int:
         return len(self.vertices)
-
-
-def _by_end(vertices, arrows, end) -> dict[int, tuple[Arrow, ...]]:
-    """Arrows grouped by one end, each group in natural name order."""
-    groups: dict[int, list[Arrow]] = {v: [] for v in vertices}
-    for a in arrows:
-        groups[end(a)].append(a)
-    # only a shared end needs the (regex) name key
-    return {v: tuple(lst if len(lst) < 2 else sorted(lst, key=lambda a: _natural_key(a.name)))
-            for v, lst in groups.items()}
 
 
 @dataclass(frozen=True)
@@ -197,15 +206,18 @@ def parse_algebra(text: str) -> BoundQuiverAlgebra:
     pending_relations: list[tuple[int, list[str]]] = []
     match_arrow = _ARROW_RE.match
 
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.partition("#")[0].strip()
+    for lineno, line in enumerate(lines, start=1):
+        if "#" in line:
+            line = line.partition("#")[0]
+        line = line.strip()
         if not line:
             continue
 
         m = match_arrow(line)
         if m:
             name, src, tgt = m.groups()
-            if len(src) > _MAX_ID_CHARS or len(tgt) > _MAX_ID_CHARS:
+            # an id can outrun the limit only on a line that does
+            if len(line) > _MAX_ID_CHARS and len(max(src, tgt, key=len)) > _MAX_ID_CHARS:
                 raise _long_id(max(src, tgt, key=len), lineno)
             src, tgt = int(src), int(tgt)
             if vertices is None:

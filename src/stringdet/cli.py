@@ -8,9 +8,11 @@ Exit codes: 0 success (or oracle/engine agreement), 1 usage or input problem,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -20,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 from .algebra import BoundQuiverAlgebra, ParseError, parse_algebra, validate
 from .arquiver import GuardExceeded, OracleError, ar_quiver
 from .dot import ar_quiver_dot, quiver_dot
-from .engine import determiner_report, dynkin_type
+from .engine import DeterminerReport, determiner_report, dynkin_type, rationale_row
 from .families import GENERATORS, generate_example
 from .oracle import brute_force_det
 from .taxonomy import vertex_classes, vertex_ideals
@@ -82,6 +84,33 @@ def _render(value, pad: str = "") -> str:
     else:
         body = (",\n" + inner).join(_render(v, inner) for v in value)
     return brackets[0] + "\n" + inner + body + "\n" + pad + brackets[1]
+
+
+#: Cuts a rendered rationale row where its vertex and witness go: a quote
+#: inside a JSON string is escaped, so only the row's own keys match.
+_CUT_ROW = re.compile(r'(?:(?<="vertex": )|(?<="witness": ))0').split
+
+
+def _render_determiners(report: DeterminerReport, dynkin: dict) -> str:
+    """_render of the determiners document, whose rationale rows are never
+    built as dicts: each row shape gets one template, a row of that shape
+    rendered by _render and cut where the vertex and witness go, and each
+    row is its template with its own ints put in."""
+    templates: dict[tuple, list[str]] = {}
+    rows = []
+    for d in report.decisions:
+        w = None if d.ideal is None else d.ideal.witness
+        shape = (d.vertex_class, None if d.ideal is None else d.ideal.kind, w is None,
+                 d.is_determiner, d.rule)
+        cut = templates.get(shape)
+        if cut is None:
+            cut = templates[shape] = _CUT_ROW(_render(
+                {**rationale_row(d), "vertex": 0, "witness": None if w is None else 0}, "    "))
+        rows.append(cut[0] + str(d.vertex) + cut[1] if w is None
+                    else cut[0] + str(d.vertex) + cut[1] + str(w) + cut[2])
+    head, _, tail = _render({**dataclasses.replace(report, decisions=()).to_dict(),
+                             "dynkin": dynkin}).rpartition('"rationale": []')
+    return head + '"rationale": [\n    ' + ",\n    ".join(rows) + "\n  ]" + tail
 
 
 def _emit(ns: argparse.Namespace, doc: dict | list[str] | str,
@@ -162,8 +191,8 @@ def _cmd_determiners(ns, alg: BoundQuiverAlgebra) -> None:
     report = determiner_report(alg)
     shape = dynkin_type(alg)
     if ns.format == "json":
-        _emit(ns, {**report.to_dict(),
-                   "dynkin": {**shape.to_dict(), "p": report.p, "q": report.q}})
+        _emit(ns, _render_determiners(
+            report, {**shape.to_dict(), "p": report.p, "q": report.q}) + "\n")
     else:
         _emit(ns, report.to_text() + "\n" + shape.to_text()
               + f"p (interior fork sources): {report.p}\n"

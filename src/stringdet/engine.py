@@ -10,13 +10,13 @@ module-level verification lives in the oracle package half).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import BoundQuiverAlgebra
 from .taxonomy import VertexClass, VertexIdealStatus, vertex_classes, vertex_ideals
 
 
-@dataclass(frozen=True, slots=True)
-class VertexDecision:
+class VertexDecision(NamedTuple):
     vertex: int
     vertex_class: VertexClass
     ideal: VertexIdealStatus | None
@@ -42,17 +42,7 @@ class DeterminerReport:
             "formula_value": self.formula_value,
             "projective_determiners": list(self.projective_determiners),
             "epi_determiner_count": self.epi_determiner_count,
-            "rationale": [
-                {
-                    "vertex": d.vertex,
-                    "class": d.vertex_class.value,
-                    "ideal": None if d.ideal is None else d.ideal.kind.value,
-                    "witness": None if d.ideal is None else d.ideal.witness,
-                    "is_determiner": d.is_determiner,
-                    "rule": d.rule,
-                }
-                for d in self.decisions
-            ],
+            "rationale": [rationale_row(d) for d in self.decisions],
         }
 
     def to_text(self) -> str:
@@ -75,6 +65,18 @@ class DeterminerReport:
                    if d.ideal is not None and d.ideal.witness is not None else "")
             lines.append(f"  P({d.vertex}): {mark}  [{d.vertex_class.value}{ideal}{wit}; {d.rule}]")
         return "\n".join(lines) + "\n"
+
+
+def rationale_row(d: VertexDecision) -> dict:
+    """One row of the report's "rationale" list."""
+    return {
+        "vertex": d.vertex,
+        "class": d.vertex_class.value,
+        "ideal": None if d.ideal is None else d.ideal.kind.value,
+        "witness": None if d.ideal is None else d.ideal.witness,
+        "is_determiner": d.is_determiner,
+        "rule": d.rule,
+    }
 
 
 def _decide(v: int, cls: VertexClass, ideal: VertexIdealStatus | None) -> VertexDecision:
@@ -102,7 +104,7 @@ def determiner_report(algebra: BoundQuiverAlgebra) -> DeterminerReport:
         raise ValueError("the counting formula needs at least two vertices")
     ideals = vertex_ideals(algebra)
     classes = vertex_classes(algebra)
-    decisions = tuple(_decide(v, cls, ideals.get(v)) for v, cls in classes.items())
+    decisions = tuple(map(_decide, classes, classes.values(), map(ideals.get, classes)))
     p = list(classes.values()).count(VertexClass.FORK_SOURCE)
     q = sum(1 for s in ideals.values() if s.is_nonzero)
     projective = tuple(d.vertex for d in decisions if d.is_determiner)

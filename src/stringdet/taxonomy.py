@@ -62,13 +62,6 @@ _BY_DEGREES = {
     (2, 2): VertexClass.CROSSING,
 }
 
-#: Classes that carry a vertex ideal.
-IDEAL_BEARING = frozenset({
-    VertexClass.SINK_LEAF, VertexClass.MEET_SINK, VertexClass.MEET_FLOW,
-    VertexClass.FORK_FLOW, VertexClass.CROSSING,
-})
-
-
 def classify_vertex(algebra: BoundQuiverAlgebra, v: int) -> VertexClass:
     q = algebra.quiver
     if not q.has_vertex(v):
@@ -103,7 +96,7 @@ class IdealKind(Enum):
     NEIGHBOURHOOD_IDEAL = "neighbourhood ideal"  # restriction to the branching star
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VertexIdealStatus:
     vertex: int
     kind: IdealKind
@@ -234,7 +227,9 @@ def vertex_ideals(algebra: BoundQuiverAlgebra) -> dict[int, VertexIdealStatus]:
     sinks = q.sinks()
     statuses: dict[int, VertexIdealStatus] = {}
     for v, cls in vertex_classes(algebra).items():
-        if cls not in IDEAL_BEARING:
+        # the classes without a vertex ideal, by identity: an Enum hashes in Python
+        if (cls is VertexClass.FLOW_THROUGH or cls is VertexClass.SOURCE_LEAF
+                or cls is VertexClass.FORK_SOURCE):
             continue
         if cls is VertexClass.MEET_FLOW:
             statuses[v] = VertexIdealStatus(v, IdealKind.ZERO)

@@ -1,6 +1,7 @@
 """Routines only the tests call: a relation-ideal test that first checks the
 path composes, a row space that also reduces vectors and tests membership,
-and the zero and identity module maps."""
+the zero and identity module maps, and a reference grouping of arrows by
+one end."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from stringdet import linalg
-from stringdet.algebra import BoundQuiverAlgebra
+from stringdet.algebra import Arrow, BoundQuiverAlgebra, _natural_key
 from stringdet.linalg import Mat
 from stringdet.modules import ModuleMap, Representation, module_map
 
@@ -41,3 +42,13 @@ def zero_map(source: Representation, target: Representation) -> ModuleMap:
 def identity_map(rep: Representation) -> ModuleMap:
     blocks = {v: Mat.identity(d) for v, d in rep.dims.items()}
     return ModuleMap(rep, rep, blocks)
+
+
+def by_end(vertices, arrows, end) -> dict[int, tuple[Arrow, ...]]:
+    """Arrows grouped by one end, each group in natural name order, in one
+    pass per table: the reference for `Quiver.outgoing` and `incoming`."""
+    groups: dict[int, list[Arrow]] = {v: [] for v in vertices}
+    for a in arrows:
+        groups[end(a)].append(a)
+    return {v: tuple(sorted(lst, key=lambda a: _natural_key(a.name)))
+            for v, lst in groups.items()}

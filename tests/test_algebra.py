@@ -1,12 +1,14 @@
+from operator import attrgetter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stringdet import parse_algebra, validate
-from stringdet.algebra import ParseError, RelationReductionWarning, serialize
-from stringdet.families import crossing6_algebra
+from stringdet.algebra import Arrow, ParseError, Quiver, RelationReductionWarning, serialize
+from stringdet.families import crossing6_algebra, crossing_tree_algebra
 import random
 
-from helpers import path_in_ideal
+from helpers import by_end, path_in_ideal
 from tree_algebras import random_tree_algebra
 
 
@@ -81,6 +83,14 @@ def test_parse_refuses_overlong_vertex_ids(doc, lineno):
     assert str(info.value) == (f"vertex id or count of {longest} characters is longer than "
                                f"the limit of 4300 (line {lineno})")
     assert info.value.line == lineno
+
+
+@pytest.mark.parametrize("comment", ["# to the sink", "#3 -> 4", "# " + "9" * 5000])
+def test_parse_drops_a_comment_after_an_arrow(comment):
+    """A comment after an arrow is dropped, a long one too: only an id, not a
+    line, is held to the length limit."""
+    alg = parse_algebra(f"vertices: 2\narrow a: 1 -> 2  {comment}\n")
+    assert alg.quiver.arrows == (Arrow("a", 1, 2),)
 
 
 def test_parse_accepts_ids_at_the_length_limit():
@@ -211,3 +221,29 @@ def test_relation_free_valid_is_path_graph(seed, n):
         if alg.relations.is_empty:
             assert all(len(alg.quiver.neighbours(v)) <= 2 for v in alg.quiver.vertices)
             return
+
+
+def _tables_match_reference(q: Quiver) -> None:
+    for first in ("outgoing", "incoming"):  # either table may be asked for first
+        fresh = Quiver(q.vertices, q.arrows)
+        getattr(fresh, first)
+        assert fresh.outgoing == by_end(q.vertices, q.arrows, attrgetter("source"))
+        assert fresh.incoming == by_end(q.vertices, q.arrows, attrgetter("target"))
+
+
+def test_degree_tables_match_the_reference_grouping(sweep_records):
+    """The one-pass degree tables equal a grouping per end on every sweep
+    algebra and on crossing-tree levels 1-5, whose crossing vertices share
+    both ends."""
+    for rec in sweep_records:
+        _tables_match_reference(rec.algebra.quiver)
+    for levels in range(1, 6):
+        _tables_match_reference(crossing_tree_algebra(levels).quiver)
+
+
+def test_degree_tables_keep_natural_name_order_at_shared_ends():
+    q = parse_algebra("vertices: 3\narrow a10: 1 -> 2\narrow a2: 3 -> 2\n"
+                      "arrow b10: 2 -> 1\narrow b9: 2 -> 3\n").quiver
+    assert [a.name for a in q.incoming[2]] == ["a2", "a10"]
+    assert [a.name for a in q.outgoing[2]] == ["b9", "b10"]
+    _tables_match_reference(q)

@@ -16,8 +16,13 @@ from hypothesis import given, settings, strategies as st
 import stringdet
 from stringdet import cli
 from stringdet.arquiver import OracleError
+from stringdet.algebra import parse_algebra, serialize, validate
 from stringdet.cli import main
-from stringdet.families import generate_example
+from stringdet.engine import determiner_report, dynkin_type
+from stringdet.families import crossing_tree_algebra, generate_example
+from stringdet.taxonomy import VertexClass
+
+from tree_algebras import iter_tree_algebras
 
 PINNED = Path(__file__).parent / "data" / "cli"
 CYCLE3 = "vertices: 3\narrow a: 1 -> 2\narrow b: 2 -> 3\narrow c: 3 -> 1\n"
@@ -413,6 +418,60 @@ def test_json_reports_at_scale_are_sorted_indented_json(doc, command, code, tmp_
     assert main([command, path, "--format", "json", *guard]) == code
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+def _determiners_json(alg, report) -> str:
+    return json.dumps({**report.to_dict(), "dynkin": {
+        **dynkin_type(alg).to_dict(), "p": report.p, "q": report.q}},
+        sort_keys=True, indent=2) + "\n"
+
+
+def _witnesses(report) -> int:
+    return sum(d.ideal is not None and d.ideal.witness is not None for d in report.decisions)
+
+
+def test_determiners_json_says_what_the_report_says(tmp_path, capsys):
+    """determiners --format json prints json.dumps of the report's dict: on
+    every sweep algebra with n <= 4 (seven vertex classes, 198 witnesses),
+    crossing-tree levels 1-5 (the crossing class, 2-269 witnesses a level),
+    the 5000-vertex line and a two-vertex algebra (two rows, two shapes)."""
+    groups = {
+        "sweep": [alg for n in (2, 3, 4) for alg in iter_tree_algebras(n)],
+        **{f"crossing-tree {k}": [crossing_tree_algebra(k)] for k in range(1, 6)},
+        "line 5000": [validate(parse_algebra(_LINE_5000))],
+        "two vertices": [validate(parse_algebra("vertices: 2\narrow a: 1 -> 2\n"))]}
+    classes, witnesses = {}, {}
+    for group, algebras in groups.items():
+        classes[group], witnesses[group] = set(), 0
+        for alg in algebras:
+            report = determiner_report(alg)
+            path = write(tmp_path, "q.txt", serialize(alg))
+            assert main(["determiners", path, "--format", "json"]) == 0
+            assert capsys.readouterr().out == _determiners_json(alg, report)
+            classes[group].update(d.vertex_class for d in report.decisions)
+            witnesses[group] += _witnesses(report)
+    assert len(classes["sweep"]) == 7 and witnesses["sweep"] == 198
+    assert VertexClass.CROSSING in classes["crossing-tree 1"]
+    assert [witnesses[f"crossing-tree {k}"] for k in range(1, 6)] == [2, 9, 29, 89, 269]
+    assert classes["two vertices"] == {VertexClass.SOURCE_LEAF, VertexClass.SINK_LEAF}
+
+
+def test_determiners_json_rows_hold_any_rule_text(tmp_path, capsys, monkeypatch):
+    """A rule with %, {}, quotes and the row's own key text in it is printed
+    as json.dumps prints it: rows are filled by position, not by text."""
+    engine_report = cli.determiner_report
+    odd = ' 100% {} {0} %s "vertex": 0, \\"witness\\": 0 \u00e9\n'
+
+    def odd_rules(alg):
+        report = engine_report(alg)
+        return dataclasses.replace(report, decisions=tuple(
+            d._replace(rule=d.rule + odd) for d in report.decisions))
+
+    monkeypatch.setattr(cli, "determiner_report", odd_rules)
+    for alg in (crossing_tree_algebra(3), validate(parse_algebra(generate_example("zigzag4")))):
+        path = write(tmp_path, "q.txt", serialize(alg))
+        assert main(["determiners", path, "--format", "json"]) == 0
+        assert capsys.readouterr().out == _determiners_json(alg, odd_rules(alg))
 
 
 def test_check_mismatch_exits_3(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from stringdet import check_unique_sink_characterization, determiner_report, dynkin_type
 from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
                                 fork_algebra, linear_algebra, zigzag4_algebra)
-from stringdet.taxonomy import VertexClass, classify_vertex
+from stringdet.algebra import Arrow
+from stringdet.engine import VertexDecision
+from stringdet.taxonomy import IdealKind, VertexClass, VertexIdealStatus, classify_vertex
 
 from tree_algebras import iter_tree_algebras, random_tree_algebra
 
@@ -190,3 +193,25 @@ def test_line_shape_parameters(seed, n):
         1 for v in alg.quiver.vertices
         if not alg.quiver.incoming[v] and len(alg.quiver.neighbours(v)) == 2)
     assert rep.p == interior_sources
+
+
+@pytest.mark.parametrize("make,field,value", [
+    (lambda: Arrow("a1", 1, 2), "source", 3),
+    (lambda: VertexIdealStatus(4, IdealKind.ZERO, witness=1), "witness", 2),
+    (lambda: VertexDecision(4, VertexClass.SINK_LEAF, VertexIdealStatus(4, IdealKind.ZERO, 1),
+                            True, "vertex ideal vanishes"), "is_determiner", False)],
+    ids=["Arrow", "VertexIdealStatus", "VertexDecision"])
+def test_records_are_immutable_values(make, field, value):
+    """Per-vertex records refuse assignment to a field or a new attribute, and
+    equal records are equal and hash alike."""
+    record = make()
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    # a frozen dataclass with slots raises TypeError, not AttributeError, for
+    # a new name on Python 3.10-3.13
+    with pytest.raises((AttributeError, TypeError)):
+        record.extra = 1
+    assert record == make() and hash(record) == hash(make())
+    changed = (record._replace(**{field: value}) if hasattr(record, "_replace")
+               else dataclasses.replace(record, **{field: value}))
+    assert changed != record

@@ -7,9 +7,15 @@ from stringdet import classify_vertex, determiner_report, vertex_ideals
 from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
                                 linear_algebra, zigzag4_algebra)
 from stringdet import parse_algebra
-from stringdet.taxonomy import IDEAL_BEARING, IdealKind, VertexClass, vertex_classes
+from stringdet.taxonomy import IdealKind, VertexClass, vertex_classes
 
 from tree_algebras import iter_tree_algebras, random_tree_algebra
+
+#: Classes that carry a vertex ideal: the sinks and the branching classes.
+IDEAL_BEARING = frozenset({
+    VertexClass.SINK_LEAF, VertexClass.MEET_SINK, VertexClass.MEET_FLOW,
+    VertexClass.FORK_FLOW, VertexClass.CROSSING,
+})
 
 
 def test_classify_crossing6():
