@@ -49,28 +49,31 @@ class Quiver:
         """Vertex -> the arrows out of it: the out-degree table.  One pass over
         the arrows fills it and `incoming`; the arrows at a shared end are in
         natural name order."""
-        tables = outs, ins = dict.fromkeys(self.vertices, ()), dict.fromkeys(self.vertices, ())
-        # (0 out / 1 in, vertex) -> arrows, at an end met twice: no tuple grows
-        shared: dict[tuple[int, int], list[Arrow]] = {}
+        outs, ins = dict.fromkeys(self.vertices, ()), dict.fromkeys(self.vertices, ())
+        # vertex -> arrows, at an end met twice: no tuple grows
+        shared_out: dict[int, list[Arrow]] = {}
+        shared_in: dict[int, list[Arrow]] = {}
         for a in self.arrows:
             _, source, target = a
             if outs[source]:
-                shared.setdefault((0, source), [*outs[source]]).append(a)
+                shared_out.setdefault(source, [*outs[source]]).append(a)
             else:
                 outs[source] = (a,)
             if ins[target]:
-                shared.setdefault((1, target), [*ins[target]]).append(a)
+                shared_in.setdefault(target, [*ins[target]]).append(a)
             else:
                 ins[target] = (a,)
-        for (end, v), group in shared.items():
-            tables[end][v] = tuple(sorted(group, key=lambda a: _natural_key(a.name)))
+        for table, shared in ((outs, shared_out), (ins, shared_in)):
+            for v, group in shared.items():
+                table[v] = tuple(sorted(group, key=lambda a: _natural_key(a.name)))
         self.__dict__["incoming"] = ins
         return outs
 
     @cached_property
     def incoming(self) -> dict[int, tuple[Arrow, ...]]:
-        """Vertex -> the arrows into it: the in-degree table."""
-        self.outgoing  # fills both tables
+        """Vertex -> the arrows into it: the in-degree table.  `outgoing` fills
+        it in the same pass as its own table, so this reads it from there."""
+        self.outgoing
         return self.__dict__["incoming"]
 
     @cached_property

@@ -16,13 +16,13 @@ import re
 import stat
 import sys
 import tempfile
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .algebra import BoundQuiverAlgebra, ParseError, parse_algebra, validate
 from .arquiver import GuardExceeded, OracleError, ar_quiver
 from .dot import ar_quiver_dot, quiver_dot
-from .engine import DeterminerReport, determiner_report, dynkin_type, rationale_row
+from .engine import (VERTEX_KEY, WITNESS_KEY, DeterminerReport, determiner_report,
+                     dynkin_type, rationale_row)
 from .families import GENERATORS, generate_example
 from .oracle import brute_force_det
 from .taxonomy import vertex_classes, vertex_ideals
@@ -44,16 +44,13 @@ _SCALARS = frozenset({str, int, float, bool, type(None)})
 # indentation rides in the item separator
 _flat_encode = functools.cache(
     lambda pad: json.JSONEncoder(sort_keys=True, separators=(",\n" + pad, ": ")).encode)
-# ensure_ascii escapes NUL inside strings as \u0000, so a literal NUL in this
-# encoder's output is always one of its own item separators
-_SENTINEL_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",\x00", ": ")).encode
 
 
 def _render(value, pad: str = "") -> str:
     """The text of json.dumps(value, sort_keys=True, indent=2), with pad the
     indentation of value's own line.  Python recurses only over containers
-    that hold containers; each container of scalars, and each list of
-    non-empty dicts of scalars, is one call into json's C encoder."""
+    that hold containers; each container of scalars is one call into json's
+    C encoder."""
     kind = type(value)
     if kind in _SCALARS:
         return _flat_encode(pad)(value)
@@ -74,13 +71,6 @@ def _render(value, pad: str = "") -> str:
     elif kind is dict:
         body = (",\n" + inner).join(encode_basestring_ascii(k) + ": " + _render(v, inner)
                                     for k, v in sorted(value.items()))
-    elif (kinds == {dict} and all(value)
-          and set(map(type, set().union(*value))) == {str}
-          and set(map(type, chain.from_iterable(map(dict.values, value)))) <= _SCALARS):
-        deep = inner + "  "
-        body = ("{\n" + deep + _SENTINEL_ENCODE(value)[2:-2]
-                .replace("},\x00{", "\n" + inner + "},\n" + inner + "{\n" + deep)
-                .replace(",\x00", ",\n" + deep) + "\n" + inner + "}")
     else:
         body = (",\n" + inner).join(_render(v, inner) for v in value)
     return brackets[0] + "\n" + inner + body + "\n" + pad + brackets[1]
@@ -88,7 +78,7 @@ def _render(value, pad: str = "") -> str:
 
 #: Cuts a rendered rationale row where its vertex and witness go: a quote
 #: inside a JSON string is escaped, so only the row's own keys match.
-_CUT_ROW = re.compile(r'(?:(?<="vertex": )|(?<="witness": ))0').split
+_CUT_ROW = re.compile(f'(?:(?<="{VERTEX_KEY}": )|(?<="{WITNESS_KEY}": ))0').split
 
 
 def _render_determiners(report: DeterminerReport, dynkin: dict) -> str:
@@ -105,7 +95,7 @@ def _render_determiners(report: DeterminerReport, dynkin: dict) -> str:
         cut = templates.get(shape)
         if cut is None:
             cut = templates[shape] = _CUT_ROW(_render(
-                {**rationale_row(d), "vertex": 0, "witness": None if w is None else 0}, "    "))
+                {**rationale_row(d), VERTEX_KEY: 0, WITNESS_KEY: None if w is None else 0}, "    "))
         rows.append(cut[0] + str(d.vertex) + cut[1] if w is None
                     else cut[0] + str(d.vertex) + cut[1] + str(w) + cut[2])
     head, _, tail = _render({**dataclasses.replace(report, decisions=()).to_dict(),

@@ -67,13 +67,17 @@ class DeterminerReport:
         return "\n".join(lines) + "\n"
 
 
+#: The rationale row's keys whose ints the CLI fills into a row template.
+VERTEX_KEY, WITNESS_KEY = "vertex", "witness"
+
+
 def rationale_row(d: VertexDecision) -> dict:
     """One row of the report's "rationale" list."""
     return {
-        "vertex": d.vertex,
+        VERTEX_KEY: d.vertex,
         "class": d.vertex_class.value,
         "ideal": None if d.ideal is None else d.ideal.kind.value,
-        "witness": None if d.ideal is None else d.ideal.witness,
+        WITNESS_KEY: None if d.ideal is None else d.ideal.witness,
         "is_determiner": d.is_determiner,
         "rule": d.rule,
     }

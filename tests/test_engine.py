@@ -215,3 +215,24 @@ def test_records_are_immutable_values(make, field, value):
     changed = (record._replace(**{field: value}) if hasattr(record, "_replace")
                else dataclasses.replace(record, **{field: value}))
     assert changed != record
+
+
+def _json_values(value):
+    """Every value inside a report dict, containers included."""
+    yield value
+    if isinstance(value, dict):
+        for v in value.values():
+            yield from _json_values(v)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _json_values(v)
+
+
+@pytest.mark.parametrize("alg", [crossing6_algebra(), zigzag4_algebra(), fan5_algebra("both"),
+                                 crossing_tree_algebra(2), linear_algebra(5)],
+                         ids=["crossing6", "zigzag4", "fan5", "crossing-tree-2", "line-5"])
+def test_report_dicts_hold_no_records(alg):
+    """Arrow and VertexDecision are tuples, so json would write a stray one as
+    a list: a report's dict must hold neither."""
+    doc = {**determiner_report(alg).to_dict(), "dynkin": dynkin_type(alg).to_dict()}
+    assert not [v for v in _json_values(doc) if isinstance(v, (Arrow, VertexDecision))]
