@@ -334,7 +334,8 @@ def _natural_key(s: str):
 def validate(algebra: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
     """Fill the certificate.  Checks, in order: tree shape of the underlying
     graph; in/out degree at most 2; the two zero-relation branching
-    conditions at every meeting/forking vertex; generators admissible.
+    conditions at every meeting/forking vertex of degrees in range;
+    generators admissible.
     Violations are reported, never raised."""
     q = algebra.quiver
     rels = algebra.relations
@@ -358,30 +359,25 @@ def validate(algebra: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
         if len(ins_of[v]) > 2:
             violations.append(f"vertex {v}: in-degree {len(ins_of[v])} exceeds 2")
 
-    # Branching conditions.  Paths are written in traversal order, so the
-    # composite "first a, then g" is the tuple (a, g).
+    # Branching conditions, only where both degrees are in range: a vertex
+    # over degree 2 already carries its violation, and its pairs would grow
+    # as d(d-1)/2.  Paths are written in traversal order, so the composite
+    # "first a, then g" is the tuple (a, g).
     for v in q.vertices:
         ins, outs = ins_of[v], outs_of[v]
-        if len(ins) < 2 and len(outs) < 2:
+        if len(ins) > 2 or len(outs) > 2:
             continue
-        for i in range(len(ins)):
-            for j in range(i + 1, len(ins)):
-                a, b = ins[i], ins[j]
-                for g in outs:
-                    if not (rels.contains_path((a.name, g.name))
-                            or rels.contains_path((b.name, g.name))):
-                        violations.append(
-                            f"vertex {v}: incoming pair ({a.name}, {b.name}) with outgoing "
-                            f"{g.name} needs a zero relation")
-        for i in range(len(outs)):
-            for j in range(i + 1, len(outs)):
-                a, b = outs[i], outs[j]
-                for g in ins:
-                    if not (rels.contains_path((g.name, a.name))
-                            or rels.contains_path((g.name, b.name))):
-                        violations.append(
-                            f"vertex {v}: outgoing pair ({a.name}, {b.name}) with incoming "
-                            f"{g.name} needs a zero relation")
+        for side, other, pair, others in (("incoming", "outgoing", ins, outs),
+                                          ("outgoing", "incoming", outs, ins)):
+            if len(pair) < 2:
+                continue
+            a, b = pair
+            for g in others:
+                ag, bg = (((a.name, g.name), (b.name, g.name)) if side == "incoming"
+                          else ((g.name, a.name), (g.name, b.name)))
+                if not (rels.contains_path(ag) or rels.contains_path(bg)):
+                    violations.append(f"vertex {v}: {side} pair ({a.name}, {b.name}) with "
+                                      f"{other} {g.name} needs a zero relation")
 
     for gen in rels.generators:
         if len(gen) < 2:

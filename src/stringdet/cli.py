@@ -25,7 +25,7 @@ from .engine import (VERTEX_KEY, WITNESS_KEY, DeterminerReport, determiner_repor
                      dynkin_type, rationale_row)
 from .families import GENERATORS, generate_example
 from .oracle import brute_force_det
-from .taxonomy import vertex_classes, vertex_ideals
+from .taxonomy import _vertex_ideals, vertex_classes
 
 DEFAULT_MAX_NODES = 100
 
@@ -160,8 +160,9 @@ def _cmd_classify(ns, alg: BoundQuiverAlgebra) -> None:
 
 
 def _cmd_ideals(ns, alg: BoundQuiverAlgebra) -> None:
-    ideals = vertex_ideals(alg)
-    rows = [(v, cls, ideals.get(v)) for v, cls in vertex_classes(alg).items()]
+    classes = vertex_classes(alg)
+    ideals = _vertex_ideals(alg, classes)
+    rows = [(v, cls, ideals.get(v)) for v, cls in classes.items()]
     if ns.format == "json":
         _emit(ns, {"vertex_ideals": {
             str(v): None if s is None else {"kind": s.kind.value, "witness": s.witness}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .algebra import BoundQuiverAlgebra
-from .taxonomy import VertexClass, VertexIdealStatus, vertex_classes, vertex_ideals
+from .taxonomy import VertexClass, VertexIdealStatus, _vertex_ideals, vertex_classes
 
 
 class VertexDecision(NamedTuple):
@@ -106,8 +106,8 @@ def determiner_report(algebra: BoundQuiverAlgebra) -> DeterminerReport:
     n = algebra.quiver.vertex_count()
     if n < 2:
         raise ValueError("the counting formula needs at least two vertices")
-    ideals = vertex_ideals(algebra)
     classes = vertex_classes(algebra)
+    ideals = _vertex_ideals(algebra, classes)
     decisions = tuple(map(_decide, classes, classes.values(), map(ideals.get, classes)))
     p = list(classes.values()).count(VertexClass.FORK_SOURCE)
     q = sum(1 for s in ideals.values() if s.is_nonzero)

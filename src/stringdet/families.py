@@ -4,7 +4,7 @@ tree algebras live with the tests, in tests/tree_algebras.py."""
 
 from __future__ import annotations
 
-from .algebra import (Arrow, BoundQuiverAlgebra, Quiver, RelationSet, serialize,
+from .algebra import (Arrow, BoundQuiverAlgebra, Quiver, _reduce_generators, serialize,
                       validate)
 
 #: Most vertices an example may have; a larger one is refused before it is built.
@@ -19,7 +19,7 @@ def _check_size(n: int) -> None:
 def _algebra(vertices: list[int], arrows: list[tuple[str, int, int]],
              relations: list[tuple[str, ...]]) -> BoundQuiverAlgebra:
     quiver = Quiver(tuple(sorted(vertices)), tuple(Arrow(*a) for a in arrows))
-    alg = BoundQuiverAlgebra(quiver, RelationSet(tuple(relations)))
+    alg = BoundQuiverAlgebra(quiver, _reduce_generators([tuple(g) for g in relations]))
     return validate(alg)
 
 

@@ -9,23 +9,24 @@ relation-free directed path; at fork-flow and crossing vertices its paths
 toward both out-neighbours must also each hit a relation.  The smallest
 such fork vertex is the witness.
 
-All statuses come from one pass over the arrows (`vertex_ideals`).  The
-reach of an arrow is the longest relation-free directed path ending with
-it.  Two facts make it well defined and cheap:
+All statuses come from one pass along the chains (`vertex_ideals`).  The
+successor of an arrow c is the arrow out of c's target that makes no
+length-2 relation with c; the branching conditions leave each arrow at most
+one successor and one predecessor, so the arrows split into disjoint
+chains.  A relation-free path is a run of one chain, and so is a generator
+of length at least 3, which (the set being reduced) contains no length-2
+generator; at most one generator ends with each arrow.
 
-- a relation-free path stays relation-free on every suffix, so the
-  relation-free paths ending with an arrow are suffixes of its reach;
-- in a valid algebra the branching conditions leave at most one arrow into
-  a vertex that continues a given arrow out of it without a length-2
-  relation, so each reach extends the reach of that one arrow.
-
-The pass visits arrows source first.  The reach of an arrow extends the
-reach before it, unless a generator ending with the arrow cuts it: then the
-reach is that generator minus its first arrow.  Each arrow keeps the length
-of its reach and the smallest fork vertex on it; each cut arrow keeps the
-running minima along its generator, which answer the fork-flow and crossing
-condition (only fork vertices upstream of a generator's start qualify).
-The cost is O(n + total relation length); nothing is cached between calls.
+The reach of an arrow, the longest relation-free path ending with it, is
+thus a window of its chain.  Along a chain the window's start only moves
+forward, where a generator ends: the reach becomes that generator minus its
+first arrow, and the segment before drops out.  Each arrow keeps the
+smallest fork vertex on its reach (for sinks) and, with a successor, the
+smallest one on the segment its successor's reach drops: only from there
+do paths through it meet relations toward both out-neighbours (for fork
+flows and crossings).  The dropped segments are disjoint and each restart
+scans one generator, so the pass costs O(n + total relation length);
+nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -111,122 +112,64 @@ class VertexIdealStatus:
         return self.kind is not IdealKind.ZERO
 
 
-class _Reaches:
-    """The reach of every arrow of a valid algebra: the longest relation-free
-    directed path ending with it.  Depth d on a reach is the arrow d steps
-    before its last one; a fork vertex is one with two outgoing arrows."""
-
-    def __init__(self, algebra: BoundQuiverAlgebra):
-        q = algebra.quiver
-        ins_of, outs_of = q.incoming, q.outgoing
-        pairs: set[tuple[str, ...]] = set()
-        longer: dict[str, list[tuple[str, ...]]] = {}
-        for gen in algebra.relations.generators:
-            if len(gen) == 2:
-                pairs.add(gen)
+def _chain_lows(algebra: BoundQuiverAlgebra) -> tuple[dict[str, float], dict[str, float]]:
+    """By arrow name, from one walk along each chain: the smallest fork vertex
+    on its reach, and the smallest one there from which every path through it
+    and one more arrow meets a relation (math.inf: none)."""
+    q = algebra.quiver
+    outs_of = q.outgoing
+    pairs: set[tuple[str, ...]] = set()
+    ending: dict[str, int] = {}  # arrow -> length of the generator ending with it
+    for gen in algebra.relations.generators:
+        if len(gen) == 2:
+            pairs.add(gen)
+        else:
+            ending[gen[-1]] = len(gen)
+    successor: dict[str, Arrow] = {}
+    for name, _, target in q.arrows:
+        for b in outs_of[target]:
+            if (name, b.name) not in pairs:
+                successor[name] = b
+    continuing = {b.name for b in successor.values()}
+    inf = math.inf
+    fork = {v: v for v, outs in outs_of.items() if len(outs) == 2}
+    sink_low: dict[str, float] = {}
+    branch_low: dict[str, float] = {}  # no entry: math.inf
+    for head in q.arrows:
+        if head.name in continuing:
+            continue
+        forks: list[float] = []  # fork vertex or inf per source; the reach: forks[start:]
+        a, start, low, prev = head, 0, inf, None
+        while a is not None:
+            name, source, _ = a
+            f = fork.get(source, inf)
+            forks.append(f)
+            span = ending.get(name)
+            if span is None:
+                if f < low:
+                    low = f
             else:
-                longer.setdefault(gen[-1], []).append(gen)
-        self._pairs, self._longer = pairs, longer
-        self._fork = {v: v for v, outs in outs_of.items() if len(outs) == 2}
-        self._arrows = q.arrow_map
-        # arrow name -> (the arrow before it on its reach or None, the
-        # reach's length, the smallest fork vertex among its sources, the
-        # nearest arrow at or before it whose reach a generator cut or None)
-        self.reach: dict[str, tuple[str | None, int, float, str | None]] = {}
-        # cut arrow -> running minima of fork vertices along its reach, from
-        # the far end
-        self._cut_lows: dict[str, list[float]] = {}
-
-        reach, inf, fork = self.reach, math.inf, self._fork
-        waiting = {v: len(ins) for v, ins in ins_of.items()}
-        ready = [v for v, count in waiting.items() if count == 0]
-        for v in ready:  # source-first order; the list grows while it is read
-            ins = ins_of[v]
-            fork_here = fork.get(v, inf)
-            for a in outs_of[v]:
-                name = a.name
-                # the branching conditions leave at most one arrow into v
-                # that continues a without a length-2 relation
-                prev = None
-                for c in ins:
-                    if (c.name, name) not in pairs:
-                        prev = c.name
-                if prev is None:
-                    reach[name] = (None, 1, fork_here, None)
-                else:
-                    _, span, low, cut = reach[prev]
-                    reach[name] = (prev, span + 1, fork_here if fork_here < low else low, cut)
-                if name in longer:
-                    self._cut_by(name, longer[name])
-                target = a.target
-                waiting[target] -= 1
-                if not waiting[target]:
-                    ready.append(target)
-
-    def _cut_by(self, name: str, gens: list[tuple[str, ...]]) -> None:
-        """Shorten the reach of name to the shortest generator ending with it
-        whose other arrows lie on the reach, minus that generator's first
-        arrow."""
-        prev, span, _, _ = self.reach[name]
-        cut_by = None
-        for gen in gens:
-            if len(gen) - 1 < span and self._on_reach(gen[:-1], prev):
-                span, cut_by = len(gen) - 1, gen
-        if cut_by is None:
-            return
-        running, low = [], math.inf
-        for arrow in cut_by[1:]:
-            low = min(low, self._fork.get(self._arrows[arrow].source, math.inf))
-            running.append(low)
-        self._cut_lows[name] = running
-        self.reach[name] = (prev, span, low, name)
-
-    def _on_reach(self, path: tuple[str, ...], arrow: str | None) -> bool:
-        """True iff path is a suffix of the reach of arrow."""
-        if arrow is None or len(path) > self.reach[arrow][1]:
-            return False
-        for name in reversed(path):
-            if name != arrow:
-                return False
-            arrow = self.reach[arrow][0]
-        return True
-
-    def blocked_low(self, arrow: str, outs: tuple[Arrow, ...]) -> float:
-        """Smallest fork vertex j on the reach of arrow such that, for every
-        b in outs, the path from j through arrow and b contains a relation:
-        j lies at or upstream of the start of a generator ending with
-        (arrow, b)."""
-        depth, first = 0, arrow  # the deepest such start, and its arrow
-        for b in outs:
-            if (arrow, b.name) in self._pairs:
-                continue
-            found = [gen for gen in self._longer.get(b.name, ())
-                     if self._on_reach(gen[:-1], arrow)]
-            if not found:
-                return math.inf
-            gen = min(found, key=len)
-            if len(gen) - 2 > depth:
-                depth, first = len(gen) - 2, gen[0]
-        _, span, _, cut = self.reach[arrow]
-        _, first_span, first_low, _ = self.reach[first]
-        if first_span == span - depth:
-            return first_low
-        # a generator cut the reach between first and arrow, so the far end
-        # of the reach, first included, lies on that generator
-        return self._cut_lows[cut][span - depth - 1]
+                # the generator is the last span arrows: the window restarts
+                # past its first arrow, and the reach before drops up to it
+                first = len(forks) - span
+                branch_low[prev] = min(forks[start:first + 1])
+                start = first + 1
+                low = min(forks[start:])
+            sink_low[name] = low
+            prev, a = name, successor.get(name)
+        branch_low[prev] = low  # no successor: every path meets a relation
+    return sink_low, branch_low
 
 
-def vertex_ideals(algebra: BoundQuiverAlgebra) -> dict[int, VertexIdealStatus]:
-    """Vertex-ideal status of every sink, meet-flow, fork-flow and crossing
-    vertex of a valid algebra, from one pass over its arrows."""
-    if not algebra.is_valid:
-        raise ValueError("algebra must be validated and valid")
+def _vertex_ideals(algebra: BoundQuiverAlgebra,
+                   classes: dict[int, VertexClass]) -> dict[int, VertexIdealStatus]:
+    """vertex_ideals of a valid algebra whose vertex_classes are classes."""
     q = algebra.quiver
     ins_of = q.incoming
-    reaches = _Reaches(algebra)
+    sink_low, branch_low = _chain_lows(algebra)
     sinks = q.sinks()
     statuses: dict[int, VertexIdealStatus] = {}
-    for v, cls in vertex_classes(algebra).items():
+    for v, cls in classes.items():
         # the classes without a vertex ideal, by identity: an Enum hashes in Python
         if (cls is VertexClass.FLOW_THROUGH or cls is VertexClass.SOURCE_LEAF
                 or cls is VertexClass.FORK_SOURCE):
@@ -235,7 +178,7 @@ def vertex_ideals(algebra: BoundQuiverAlgebra) -> dict[int, VertexIdealStatus]:
             statuses[v] = VertexIdealStatus(v, IdealKind.ZERO)
             continue
         if cls in (VertexClass.SINK_LEAF, VertexClass.MEET_SINK):
-            low = min(reaches.reach[a.name][2] for a in ins_of[v])
+            low = min(sink_low[a.name] for a in ins_of[v])
             if not algebra.relations.is_empty:
                 otherwise = IdealKind.DEFINING_IDEAL
             else:
@@ -245,9 +188,16 @@ def vertex_ideals(algebra: BoundQuiverAlgebra) -> dict[int, VertexIdealStatus]:
         else:
             # fork flow / crossing: the witness must also see relations
             # toward both forward branches
-            outs = q.outgoing[v]
-            low = min(reaches.blocked_low(a.name, outs) for a in ins_of[v])
+            low = min(branch_low.get(a.name, math.inf) for a in ins_of[v])
             otherwise = IdealKind.NEIGHBOURHOOD_IDEAL
         statuses[v] = (VertexIdealStatus(v, IdealKind.ZERO, witness=low) if low != math.inf
                        else VertexIdealStatus(v, otherwise))
     return statuses
+
+
+def vertex_ideals(algebra: BoundQuiverAlgebra) -> dict[int, VertexIdealStatus]:
+    """Vertex-ideal status of every sink, meet-flow, fork-flow and crossing
+    vertex of a valid algebra, from one pass along its chains."""
+    if not algebra.is_valid:
+        raise ValueError("algebra must be validated and valid")
+    return _vertex_ideals(algebra, vertex_classes(algebra))

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stringdet import parse_algebra, validate
-from stringdet.algebra import Arrow, ParseError, Quiver, RelationReductionWarning, serialize
+from stringdet.algebra import (Arrow, ParseError, Quiver, RelationReductionWarning, RelationSet,
+                              serialize)
 from stringdet.families import crossing6_algebra, crossing_tree_algebra
 import random
 
 from helpers import by_end, path_in_ideal
-from tree_algebras import random_tree_algebra
+from tree_algebras import iter_tree_candidates, random_tree_algebra
 
 
 ZIGZAG = """\
@@ -154,6 +155,85 @@ def test_validate_missing_branch_relation():
     alg = validate(parse_algebra(doc))
     assert not alg.is_valid
     assert any("needs a zero relation" in v for v in alg.certificate.violations)
+
+
+def _star(n: int) -> str:
+    """The out-star 1 -> 2, ..., n - 1 with the tail n -> 1."""
+    return (f"vertices: {n}\narrow t: {n} -> 1\n"
+            + "".join(f"arrow a{k}: 1 -> {k}\n" for k in range(2, n)))
+
+
+def _pair_messages(alg):
+    """Reference: the branching-condition messages of a double loop over
+    every pair of in- (out-) arrows at every vertex, whatever its degrees."""
+    q, rels = alg.quiver, alg.relations
+    messages = []
+    for v in q.vertices:
+        ins, outs = q.incoming[v], q.outgoing[v]
+        for i in range(len(ins)):
+            for j in range(i + 1, len(ins)):
+                a, b = ins[i], ins[j]
+                for g in outs:
+                    if not (rels.contains_path((a.name, g.name))
+                            or rels.contains_path((b.name, g.name))):
+                        messages.append(f"vertex {v}: incoming pair ({a.name}, {b.name}) "
+                                        f"with outgoing {g.name} needs a zero relation")
+        for i in range(len(outs)):
+            for j in range(i + 1, len(outs)):
+                a, b = outs[i], outs[j]
+                for g in ins:
+                    if not (rels.contains_path((g.name, a.name))
+                            or rels.contains_path((g.name, b.name))):
+                        messages.append(f"vertex {v}: outgoing pair ({a.name}, {b.name}) "
+                                        f"with incoming {g.name} needs a zero relation")
+    return messages
+
+
+def test_over_degree_vertex_gets_only_its_degree_message():
+    alg = validate(parse_algebra(_star(1001)))
+    assert alg.certificate.violations == ("vertex 1: out-degree 999 exceeds 2",)
+    # in-degree 3 and two outs: 9 pair messages by the reference, none here
+    doc = ("vertices: 6\narrow a: 1 -> 4\narrow b: 2 -> 4\narrow c: 3 -> 4\n"
+           "arrow d: 4 -> 5\narrow e: 4 -> 6\n")
+    alg = validate(parse_algebra(doc))
+    assert len(_pair_messages(alg)) == 9
+    assert alg.certificate.violations == ("vertex 4: in-degree 3 exceeds 2",)
+
+
+def test_validation_tests_no_pair_at_an_over_degree_star(monkeypatch):
+    calls = []
+    original = RelationSet.contains_path
+
+    def counted(self, path):
+        calls.append(path)
+        return original(self, path)
+
+    monkeypatch.setattr(RelationSet, "contains_path", counted)
+    validate(parse_algebra(CROSSING6))
+    assert calls  # the counter sees the checks of a valid crossing
+    calls.clear()
+    alg = validate(parse_algebra(_star(2001)))
+    assert calls == []
+    assert alg.certificate.violations == ("vertex 1: out-degree 1999 exceeds 2",)
+
+
+def test_pair_messages_unchanged_where_degrees_are_in_range(sweep_records):
+    """Every sweep algebra, and every candidate on n <= 5 vertices, valid or
+    not, keeps the reference's pair messages but at over-degree vertices."""
+    algebras = [rec.algebra for rec in sweep_records]
+    algebras += [alg for n in range(2, 6) for alg in iter_tree_candidates(n)]
+    dropped = 0
+    for alg in algebras:
+        q = alg.quiver
+        over = {f"vertex {v}" for v in q.vertices
+                if len(q.incoming[v]) > 2 or len(q.outgoing[v]) > 2}
+        reference = _pair_messages(alg)
+        expected = [m for m in reference if m.partition(": ")[0] not in over]
+        pairs = [m for m in validate(alg).certificate.violations
+                 if m.endswith("needs a zero relation")]
+        assert pairs == expected
+        dropped += len(reference) - len(expected)
+    assert dropped > 0  # some candidate has an over-degree vertex with pairs
 
 
 def test_path_in_ideal():

@@ -318,6 +318,84 @@ def test_reach_pass_matches_scan_long_relations():
     assert vertex_ideals(alg)[6].witness == 2
 
 
+# Hand-built documents that pin the chain windows of the pass: where a
+# generator restarts the window, which segment the next reach drops, and
+# what an in-arrow at the end of its chain reads.
+
+# the chain a1 ... a12 on 1 -> ... -> 13, cut by generators of length 3, 4, 5
+# and 4 (the last ends with d out of the fork flow 13), with the fork
+# vertices 3, 5, 8 and 11 hanging a sink off it, and the fork source 1
+LONG_CHAIN = ("vertices: 20\n"
+              + "".join(f"arrow a{k}: {k} -> {k + 1}\n" for k in range(1, 13))
+              + "arrow f3: 3 -> 14\narrow f5: 5 -> 15\narrow f8: 8 -> 16\n"
+              "arrow f11: 11 -> 17\narrow c: 13 -> 18\narrow d: 13 -> 19\narrow g: 1 -> 20\n"
+              "relation: a2 f3\nrelation: a4 f5\nrelation: a7 f8\nrelation: a10 f11\n"
+              "relation: a12 c\nrelation: a2 a3 a4\nrelation: a4 a5 a6 a7\n"
+              "relation: a6 a7 a8 a9 a10\nrelation: a10 a11 a12 d\n")
+
+# the chain p1 ... p4 ends at the fork flow 5 (relations toward both outs);
+# the chains q1 x0 x and y0 y meet at the crossing 9 and both go on, x to c
+# and y to d, each cut by a generator through the crossing
+CHAIN_ENDS = ("vertices: 16\n"
+              "arrow p1: 1 -> 2\narrow p2: 2 -> 3\narrow p3: 3 -> 4\narrow p4: 4 -> 5\n"
+              "arrow s: 2 -> 6\narrow o: 1 -> 7\narrow q1: 5 -> 8\narrow q2: 5 -> 10\n"
+              "arrow x0: 8 -> 11\narrow x: 11 -> 9\narrow y0: 12 -> 13\narrow y: 13 -> 9\n"
+              "arrow t: 12 -> 14\narrow c: 9 -> 15\narrow d: 9 -> 16\n"
+              "relation: p1 s\nrelation: p4 q1\nrelation: p4 q2\nrelation: p1 p2 p3\n"
+              "relation: x d\nrelation: y c\nrelation: q1 x0 x c\nrelation: y0 y d\n")
+
+# the crossing 7: its in-arrow b ends its chain, e goes on to d, and the
+# generator j e d cuts e's chain through the crossing
+CROSSING_ONE_GOES_ON = ("vertices: 13\n"
+                        "arrow a: 1 -> 2\narrow b: 2 -> 7\narrow h: 2 -> 8\narrow i: 9 -> 10\n"
+                        "arrow j: 10 -> 11\narrow e: 11 -> 7\narrow k: 10 -> 12\n"
+                        "arrow c: 7 -> 3\narrow d: 7 -> 4\narrow m: 4 -> 5\narrow n: 5 -> 6\n"
+                        "arrow r: 9 -> 13\n"
+                        "relation: a h\nrelation: b c\nrelation: b d\nrelation: i k\n"
+                        "relation: e c\nrelation: j e d\nrelation: d m n\n")
+
+# the generator b2 b3 b4 d through the fork flow 5 starts at 8: the segment
+# that the reach of d drops ends there, so of the fork vertices 9 and 7 (its
+# second arrow's source) only 9 witnesses 5
+FORK_PAST_CUT = ("vertices: 9\n"
+                 "arrow b1: 9 -> 8\narrow b2: 8 -> 7\narrow b3: 7 -> 6\narrow b4: 6 -> 5\n"
+                 "arrow c: 5 -> 1\narrow d: 5 -> 2\narrow s: 7 -> 3\narrow o: 9 -> 4\n"
+                 "relation: b4 c\nrelation: b2 s\nrelation: b2 b3 b4 d\n")
+
+# relation-free: the fork sources 2, 6 and 11 feed the sinks 1, 4, 9 and 12
+FREE_LINE = ("vertices: 12\n"
+             "arrow a1: 2 -> 1\narrow a2: 2 -> 3\narrow a3: 3 -> 4\narrow a4: 5 -> 4\n"
+             "arrow a5: 6 -> 5\narrow a6: 6 -> 7\narrow a7: 7 -> 8\narrow a8: 8 -> 9\n"
+             "arrow a9: 10 -> 9\narrow a10: 11 -> 10\narrow a11: 11 -> 12\n")
+
+
+@pytest.mark.parametrize("doc,witnesses", [
+    (LONG_CHAIN, {13: 8, 19: 11, 20: 1, 3: None, 11: None}),
+    (CHAIN_ENDS, {5: 2, 9: 5, 15: 9, 2: None}),
+    (CROSSING_ONE_GOES_ON, {7: 2, 3: 7, 6: None}),
+    (FORK_PAST_CUT, {5: 9, 2: 5, 3: 7}),
+    (FREE_LINE, {1: 2, 4: 2, 9: 6, 12: 11}),
+], ids=["long-chain", "chain-ends", "crossing-one-goes-on", "fork-past-cut", "free-line"])
+def test_chain_pass_matches_scan_hand_built(doc, witnesses):
+    from stringdet import validate
+    alg = validate(parse_algebra(doc))
+    assert alg.is_valid, alg.certificate
+    _assert_matches_scan(alg)
+    statuses = vertex_ideals(alg)
+    assert {v: statuses[v].witness for v in witnesses} == witnesses
+
+
+def test_families_store_their_relations_reduced():
+    # the chain pass reads a generator of length >= 3 as a run of one chain,
+    # which a generator containing another need not be
+    from stringdet.algebra import RelationReductionWarning
+    with pytest.warns(RelationReductionWarning):
+        alg = linear_algebra(6, relations=[("a1", "a2", "a3", "a4"), ("a2", "a3", "a4"),
+                                           ("a1", "a2")])
+    assert alg.relations.generators == (("a1", "a2"), ("a2", "a3", "a4"))
+    _assert_matches_scan(alg)
+
+
 def test_vertex_ideals_needs_valid_algebra():
     from stringdet import parse_algebra
     with pytest.raises(ValueError, match="valid"):
@@ -355,3 +433,47 @@ def test_ideals_command_makes_no_walks(monkeypatch, tmp_path, capsys):
     assert main(["ideals", str(path), "--format", "json"]) == 0
     assert '"vertex_ideals"' in capsys.readouterr().out
     assert calls == []
+
+
+def _count_classifications(monkeypatch):
+    """Wrap vertex_classes in every stringdet module that binds it."""
+    import sys
+    import stringdet.cli  # noqa: F401  (bound before the wrapping)
+    from stringdet import taxonomy
+    calls = []
+    original = taxonomy.vertex_classes
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    wrapped = set()
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "stringdet"
+                and getattr(module, "vertex_classes", None) is original):
+            monkeypatch.setattr(module, "vertex_classes", counted)
+            wrapped.add(name)
+    assert {"stringdet.taxonomy", "stringdet.engine", "stringdet.cli"} <= wrapped
+    return calls
+
+
+def test_report_classifies_each_vertex_once(monkeypatch):
+    calls = _count_classifications(monkeypatch)
+    for alg in (crossing_tree_algebra(3), linear_algebra(7, "><<>>>"), fan5_algebra("both"),
+                zigzag4_algebra()):
+        calls.clear()
+        determiner_report(alg)
+        assert len(calls) == 1
+
+
+def test_ideals_command_classifies_each_vertex_once(monkeypatch, tmp_path, capsys):
+    from stringdet.cli import main
+    from stringdet.families import generate_example
+    path = tmp_path / "ct3.txt"
+    path.write_text(generate_example("crossing-tree", levels=3))
+    calls = _count_classifications(monkeypatch)
+    for fmt in ("text", "json"):
+        calls.clear()
+        assert main(["ideals", str(path), "--format", fmt]) == 0
+        assert len(calls) == 1
+    assert "vertex ideals:" in capsys.readouterr().out

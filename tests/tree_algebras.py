@@ -68,6 +68,12 @@ def _antichains(paths: list[tuple[str, ...]]):
 def iter_tree_algebras(n: int):
     """Every validated string algebra on a labeled tree with n vertices: all
     trees, all orientations, all reduced monomial relation sets."""
+    return (alg for alg in iter_tree_candidates(n) if alg.is_valid)
+
+
+def iter_tree_candidates(n: int):
+    """Every validated algebra on a labeled tree with n vertices, valid or
+    not: all trees, all orientations, all reduced monomial relation sets."""
     for edges in _prufer_trees(n):
         for mask in itertools.product((0, 1), repeat=len(edges)):
             arrows = []
@@ -76,9 +82,7 @@ def iter_tree_algebras(n: int):
                 arrows.append((f"a{k}", s, t))
             paths = _directed_paths(arrows)
             for rels in _antichains(paths):
-                alg = _algebra(list(range(1, n + 1)), arrows, rels)
-                if alg.is_valid:
-                    yield alg
+                yield _algebra(list(range(1, n + 1)), arrows, rels)
 
 
 def _violates_antichain(paths: Sequence[tuple[str, ...]]) -> bool:
