@@ -335,7 +335,7 @@ def validate(algebra: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
     """Fill the certificate.  Checks, in order: tree shape of the underlying
     graph; in/out degree at most 2; the two zero-relation branching
     conditions at every meeting/forking vertex of degrees in range;
-    generators admissible.
+    generators admissible and reduced.
     Violations are reported, never raised."""
     q = algebra.quiver
     rels = algebra.relations
@@ -379,11 +379,17 @@ def validate(algebra: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
                     violations.append(f"vertex {v}: {side} pair ({a.name}, {b.name}) with "
                                       f"{other} {g.name} needs a zero relation")
 
+    by_first = rels._by_first
     for gen in rels.generators:
         if len(gen) < 2:
             violations.append(f"relation {' '.join(gen)} shorter than two arrows")
         elif not algebra.path_composable(gen):
             violations.append(f"relation {' '.join(gen)} is not a composable path")
+        # a parsed set is reduced; a hand-built one may not be
+        inner = dict.fromkeys(g for i, name in enumerate(gen) for g in by_first.get(name, ())
+                              if g != gen and gen[i:i + len(g)] == g)
+        violations.extend(f"relation {' '.join(gen)} contains relation {' '.join(g)}"
+                          for g in inner)
 
     return dataclasses.replace(algebra, certificate=Certificate(tuple(violations)))
 

@@ -13,7 +13,9 @@ reaches through maps M -> X -> N with overlapping images) is kept as a test
 reference.  Exact linear algebra verifies: every basis map intertwines,
 End = k is an exact hom-space solve, and the irreducible maps into each
 non-projective node form a surjection whose exact kernel is its translate.
-Each node is the thin module on its string's vertices, and each vertex's
+That kernel is taken from the arrow's own map at one middle (Butler-Ringel:
+at most two), and at two with f2 mono from f1 followed by the projection
+onto the cokernel of f2, the pullback along a mono.  Each node is the thin module on its string's vertices, and each vertex's
 projective, injective and radical-summand nodes are found once by support.
 Mesh sizes, the translate bijection and the arrows into each projective
 (exactly its radical summands) are checked too; any breach, a hook, cohook
@@ -24,13 +26,12 @@ naming the modules by their walks or supports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import islice
 
 from .algebra import BoundQuiverAlgebra
 from .linalg import Mat
-from .modules import (ModuleMap, Representation, direct_sum, hom_dim, is_epimorphism,
-                      kernel, module_map, string_module)
+from .modules import (ModuleMap, Representation, cokernel, compose, direct_sum, hom_dim,
+                      is_epimorphism, is_monomorphism, kernel, module_map, string_module)
 from .strings import (StringWalk, _arm, _iter_strings, _sorted_strings, injective_support,
                       projective_support, radical_supports)
 
@@ -107,13 +108,14 @@ class ARQuiver:
         the arrows with both ends in a node's support are exactly its letters,
         so the supports alone decide Hom."""
         key = (a, b)
-        if key not in self._image:
+        c = self._image.get(key)
+        if c is None:
             sa, sb = self.nodes[a].rep.support, self.nodes[b].rep.support
-            c, q = sa & sb, self.algebra.quiver
-            shut = (any(x.source in sa and x.source not in sb for v in c for x in q.incoming[v])
-                    or any(y.target in sb and y.target not in sa for v in c for y in q.outgoing[v]))
-            self._image[key] = frozenset() if shut else c
-        return self._image[key]
+            c = sa & sb
+            if _shut(self.algebra.quiver, sa, sb, c):
+                c = frozenset()
+            self._image[key] = c
+        return c
 
     def hom(self, a: int, b: int) -> list[ModuleMap]:
         """Basis of Hom(a, b): none, or the identity on image(a, b)."""
@@ -152,6 +154,20 @@ class ARQuiver:
                 if a.target in support and rep.map(a.name).is_zero():
                     return None
         return self._node_by_support.get(support)
+
+
+def _shut(quiver, sa: frozenset[int], sb: frozenset[int], c: frozenset[int]) -> bool:
+    """Does an arrow enter C from sa - C, or leave C for sb - C?  One pass
+    over C, stopped at the first such arrow."""
+    ins, outs = quiver.incoming, quiver.outgoing
+    for v in c:
+        for x in ins[v]:
+            if x.source in sa and x.source not in sb:
+                return True
+        for y in outs[v]:
+            if y.target in sb and y.target not in sa:
+                return True
+    return False
 
 
 def ar_quiver(algebra: BoundQuiverAlgebra, max_nodes: int | None = None) -> ARQuiver:
@@ -283,13 +299,7 @@ def _build_meshes(ar: ARQuiver) -> None:
         if len(comps) > 2:
             raise OracleError(
                 f"node {node.label()} has {len(comps)} middle summands, expected 1 or 2")
-        middles = [ar.nodes[c.source].rep for c in comps]
-        total = middles[0] if len(middles) == 1 else direct_sum(middles)
-        # concatenation order matches the summands' order in the direct sum;
-        # blocks are kept on both supports only
-        blocks = {v: reduce(Mat.hstack, [arr.map.block(v) for arr in comps])
-                  for v in total.dims if v in node.rep.dims}
-        g = ModuleMap(total, node.rep, blocks)
+        g = _sink_kernel_map(node, [arr.map for arr in comps])
         if not is_epimorphism(g):
             raise OracleError(f"sink map candidate into node {node.label()} is not onto")
         ker, _ = kernel(g)
@@ -297,11 +307,31 @@ def _build_meshes(ar: ARQuiver) -> None:
         if left is None:
             raise OracleError(
                 f"kernel of the sink map into node {node.label()} is not indecomposable")
-        if ker.total_dim + node.rep.total_dim != total.total_dim:
+        middle_dim = sum(ar.nodes[c.source].rep.total_dim for c in comps)
+        if ker.total_dim + node.rep.total_dim != middle_dim:
             raise OracleError(f"mesh at node {node.label()} violates dimension additivity")
         ar.meshes.append(Mesh(left, tuple(c.source for c in comps), node.index,
                               tuple(c.index for c in comps)))
         ar.tau[node.index] = left
+
+
+def _sink_kernel_map(node: ArNode, maps: list[ModuleMap]) -> ModuleMap:
+    """A map g whose kernel is that of the sink map [f1 f2] into node, up to
+    isomorphism, and which is onto exactly when the sink map is.  One
+    middle: the arrow's own map.  Two, f2 mono: g = pi f1, pi the projection
+    onto the cokernel of f2, since (x1, x2) -> x1 maps ker [f1 f2] onto
+    ker(pi f1) (the pullback along a mono).  Two epis: the sink map itself,
+    on the direct sum."""
+    if len(maps) == 1:
+        return maps[0]
+    mono = next((i for i in (1, 0) if is_monomorphism(maps[i])), None)
+    if mono is not None:
+        return compose(cokernel(maps[mono])[1], maps[1 - mono])
+    total = direct_sum([f.source for f in maps])
+    # concatenation order matches the summands' order in the direct sum;
+    # blocks are kept on both supports only
+    return ModuleMap(total, node.rep, {v: maps[0].block(v).hstack(maps[1].block(v))
+                                       for v in total.dims if v in node.rep.dims})
 
 
 def _check_translate(ar: ARQuiver) -> None:

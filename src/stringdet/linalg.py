@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 Vector = tuple[int | Fraction, ...]
@@ -129,7 +130,7 @@ class Mat:
             x = self.rows[0][0] * other.rows[0][0]
             return _ONE if x == 1 and type(x) is int else Mat._trusted(((x,),), 1)
         cols = list(zip(*other.rows))
-        return Mat._trusted(tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+        return Mat._trusted(tuple(tuple(sum(map(mul, row, col)) for col in cols)
                                   for row in self.rows), other.ncols)
 
     def transpose(self) -> "Mat":

@@ -22,7 +22,7 @@ every induced kernel and cokernel map.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
@@ -36,15 +36,13 @@ class Representation:
     algebra: BoundQuiverAlgebra
     dims: dict[int, int]       # the support only: every value is non-zero
     maps: dict[str, Mat]       # arrows with both ends in the support, dim(target) x dim(source)
+    # set once, when the record is built
+    support: frozenset[int] = field(init=False, compare=False, repr=False)
+    total_dim: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
-    @cached_property
-    def support(self) -> frozenset[int]:
-        """Vertices with a non-zero space, computed once per module."""
-        return frozenset(self.dims)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "support", frozenset(self.dims))
+        object.__setattr__(self, "total_dim", sum(self.dims.values()))
 
     def dim(self, v: int) -> int:
         """Dimension of the space at v, 0 off the support."""
@@ -61,18 +59,18 @@ class Representation:
 
 def _check_relations(rep: Representation) -> None:
     """Only a generator inside the support can fail: any other composite
-    factors through a zero space."""
-    quiver = rep.algebra.quiver
+    factors through a zero space.  Its arrows are then all stored, the
+    arrows with both ends in the support."""
     by_first = rep.algebra.relations._by_first
-    dims = rep.dims
-    for v, d in dims.items():
-        for a in quiver.outgoing[v]:
-            for gen in by_first.get(a.name, ()):
-                if not all(quiver.arrow_map[name].target in dims for name in gen):
-                    continue
-                acc = Mat.identity(d)
-                for name in gen:
-                    acc = rep.maps[name] @ acc
+    if not by_first:
+        return
+    maps = rep.maps
+    for first in maps:
+        for gen in by_first.get(first, ()):
+            if all(name in maps for name in gen):
+                acc = maps[first]
+                for name in gen[1:]:
+                    acc = maps[name] @ acc
                 if not acc.is_zero():
                     raise ValueError(f"relation {' '.join(gen)} does not vanish")
 
@@ -82,12 +80,13 @@ def representation(algebra: BoundQuiverAlgebra, dims: dict[int, int],
     """The module with the given spaces and maps, missing ones zero; zero
     spaces and (shape-checked) maps off the support are not stored."""
     quiver = algebra.quiver
+    outgoing, arrow_map = quiver.outgoing, quiver.arrow_map
     for v in dims:
-        if not quiver.has_vertex(v):
+        if v not in outgoing:
             raise ValueError(f"unknown vertex {v}")
     support = {v: d for v, d in dims.items() if d}
     for name, m in maps.items():
-        a = quiver.arrow_map.get(name)
+        a = arrow_map.get(name)
         if a is None:
             raise ValueError(f"unknown arrow {name}")
         expected = (support.get(a.target, 0), support.get(a.source, 0))
@@ -95,7 +94,7 @@ def representation(algebra: BoundQuiverAlgebra, dims: dict[int, int],
             raise ValueError(f"map for {name} has shape {m.shape}, expected {expected}")
     inside = {}
     for v, d in support.items():
-        for a in quiver.outgoing[v]:
+        for a in outgoing[v]:
             if a.target in support:
                 m = maps.get(a.name)
                 inside[a.name] = Mat.zeros(support[a.target], d) if m is None else m
@@ -168,16 +167,17 @@ def module_map(source: Representation, target: Representation,
                blocks: dict[int, Mat]) -> ModuleMap:
     """The map with the given blocks, missing ones zero; (shape-checked)
     blocks off the supports are not stored."""
-    quiver = source.algebra.quiver
+    sdims, tdims = source.dims, target.dims
+    outgoing = source.algebra.quiver.outgoing
     for v, b in blocks.items():
-        if not quiver.has_vertex(v):
+        if v not in outgoing:
             raise ValueError(f"unknown vertex {v}")
-        expected = (target.dim(v), source.dim(v))
+        expected = (tdims.get(v, 0), sdims.get(v, 0))
         if b.shape != expected:
             raise ValueError(f"block at {v} has shape {b.shape}, expected {expected}")
     full = {}
-    for v, d in source.dims.items():
-        e = target.dims.get(v)
+    for v, d in sdims.items():
+        e = tdims.get(v)
         if e:
             b = blocks.get(v)
             full[v] = Mat.zeros(e, d) if b is None else b
@@ -188,13 +188,16 @@ def module_map(source: Representation, target: Representation,
 
 def _check_intertwining(f: ModuleMap) -> None:
     """Each arrow from the source's support into the target's: the squares
-    with a non-empty side."""
-    quiver = f.source.algebra.quiver
-    for v in f.source.dims:
-        for a in quiver.outgoing[v]:
-            if a.target in f.target.dims:
-                lhs = f.block(a.target) @ f.source.map(a.name)
-                rhs = f.target.map(a.name) @ f.block(v)
+    with a non-empty side, a side through an empty space being zero."""
+    outgoing = f.source.algebra.quiver.outgoing
+    sdims, tdims, blocks = f.source.dims, f.target.dims, f.blocks
+    for v, d in sdims.items():
+        for a in outgoing[v]:
+            e = tdims.get(a.target)
+            if e:
+                lhs = (blocks[a.target] @ f.source.maps[a.name] if a.target in sdims
+                       else Mat.zeros(e, d))
+                rhs = f.target.maps[a.name] @ blocks[v] if v in tdims else Mat.zeros(e, d)
                 if lhs != rhs:
                     raise ValueError(f"map does not intertwine along arrow {a.name}")
 
@@ -208,11 +211,13 @@ def compose(g: ModuleMap, f: ModuleMap) -> ModuleMap:
 
 
 def is_monomorphism(f: ModuleMap) -> bool:
-    return all(f.block(v).rank() == d for v, d in f.source.dims.items())
+    blocks = f.blocks
+    return all(v in blocks and blocks[v].rank() == d for v, d in f.source.dims.items())
 
 
 def is_epimorphism(f: ModuleMap) -> bool:
-    return all(f.block(v).rank() == d for v, d in f.target.dims.items())
+    blocks = f.blocks
+    return all(v in blocks and blocks[v].rank() == d for v, d in f.target.dims.items())
 
 
 # --------------------------------------------------------------------------
@@ -296,12 +301,12 @@ def hom_dim(source: Representation, target: Representation) -> int:
 
 def kernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     """Vertex-wise kernel with induced arrow maps and its inclusion."""
-    source = f.source
+    source, blocks = f.source, f.blocks
     quiver = source.algebra.quiver
     incl: dict[int, Mat] = {}
     retractions: dict[int, Mat] = {}
-    for v in source.dims:
-        incl[v], retractions[v] = kernel_inclusion(f.block(v))
+    for v, d in source.dims.items():
+        incl[v], retractions[v] = kernel_inclusion(blocks.get(v) or Mat.zeros(0, d))
     dims = {v: b.ncols for v, b in incl.items() if b.ncols}
     maps = {}
     for v in dims:
@@ -323,15 +328,16 @@ def kernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
 
 def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     """Vertex-wise cokernel with induced arrow maps and its projection."""
-    target = f.target
+    target, blocks = f.target, f.blocks
     quiver = target.algebra.quiver
     proj: dict[int, Mat] = {}
     sections: dict[int, Mat] = {}
-    for v in target.dims:
-        proj[v], sections[v] = quotient_projection(f.block(v))
+    for v, d in target.dims.items():
+        proj[v], sections[v] = quotient_projection(blocks.get(v) or Mat.zeros(d, 0))
     dims = {v: p.nrows for v, p in proj.items() if p.nrows}
     maps = {}
-    for v in target.dims:
+    # a zero quotient carries nothing along any arrow
+    for v in target.dims if dims else ():
         for a in quiver.outgoing[v]:
             e = a.target
             if e not in dims:
@@ -379,7 +385,8 @@ def direct_sum(reps: list[Representation]) -> Representation:
             if a.target in dims:
                 rows, left = [], 0
                 for r in reps:
-                    block = r.map(a.name)
+                    block = (r.maps.get(a.name)
+                             or Mat.zeros(r.dims.get(a.target, 0), r.dims.get(s, 0)))
                     right = width - left - block.ncols
                     rows += [[0] * left + list(row) + [0] * right for row in block.rows]
                     left += block.ncols

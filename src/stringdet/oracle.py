@@ -61,14 +61,14 @@ def almost_factors_through(ar: ARQuiver, v: int, f: ModuleMap) -> bool:
     through f when it is zero or some map r -> M composes with f to a
     non-zero map."""
     m, n = ar.node_of(f.source), ar.node_of(f.target)
-    p = ar.projective_node(v)
+    p = ar._projective[v]
     c = ar.image(p, n)
     if not c:
         return False
     if not f.support.isdisjoint(ar.image(p, m)):
         return False
     return all(c.isdisjoint(ar.nodes[r].rep.support) or not f.support.isdisjoint(ar.image(r, m))
-               for r in ar.radical_nodes(v))
+               for r in ar._radical[v])
 
 
 def _arrow_text(ar: ARQuiver, arrow: ArArrow) -> str:

@@ -7,6 +7,8 @@ same-direction runs avoid the relation ideal.  A walk and its reverse present
 the same module; the lexicographically smaller rendering is the canonical
 representative.  Each string keeps its vertex path, built once by make_string;
 on a tree its letters are exactly the arrows with both ends in that path.
+Enumeration walks only the vertex pairs that are strings: a depth-first
+search from each vertex stops a branch at the first run holding a relation.
 """
 
 from __future__ import annotations
@@ -120,13 +122,44 @@ def enumerate_strings(algebra: BoundQuiverAlgebra) -> tuple[StringWalk, ...]:
 
 
 def _iter_strings(algebra: BoundQuiverAlgebra) -> Iterator[StringWalk]:
-    """The strings of enumerate_strings, unsorted and built one at a time."""
+    """The strings of enumerate_strings, unsorted and built one at a time:
+    the trivial strings, then for each vertex a in vertex order the string
+    to every later vertex b that the search from a reaches.  Any walk longer
+    than a pruned branch keeps its relation, so the pairs never reached are
+    exactly those whose walk is not a string.  A step that reaches a vertex
+    before a meets a string already built: O(N + n) steps for N strings."""
     if not algebra.is_valid:
         raise ValueError("algebra must be validated and valid")
     verts = algebra.quiver.vertices
-    paths = (string_from_tree_walk(algebra, walk_between(algebra, a, b))
-             for i, a in enumerate(verts) for b in verts[i + 1:])
-    return chain((StringWalk((v,), ()) for v in verts), (s for s in paths if s is not None))
+    return chain((StringWalk((v,), ()) for v in verts), _walked_strings(algebra))
+
+
+def _walked_strings(algebra: BoundQuiverAlgebra) -> Iterator[StringWalk]:
+    q, rels = algebra.quiver, algebra.relations
+    order = {v: i for i, v in enumerate(q.vertices)}
+    # a relation a new arrow completes lies in the last `keep` + 1 arrows of its run
+    keep = max(map(len, rels.generators), default=1) - 1
+    for a in q.vertices:
+        # (vertex, vertex before it, tail of its last run as a directed path,
+        # that run's direction: True when traversed source -> target)
+        stack = [(a, None, (), None)]
+        while stack:
+            v, before, run, forward = stack.pop()
+            if order[v] > order[a]:
+                yield string_from_tree_walk(algebra, walk_between(algebra, a, v))
+            for x in q.outgoing[v] + q.incoming[v]:
+                fwd = x.source == v
+                w = x.target if fwd else x.source
+                if w == before:
+                    continue
+                if fwd is not forward:
+                    grown = (x.name,)
+                elif fwd:
+                    grown = (run + (x.name,))[-keep - 1:]
+                else:
+                    grown = ((x.name,) + run)[:keep + 1]
+                if not rels.contains_path(grown):
+                    stack.append((w, v, grown, fwd))
 
 
 def _sorted_strings(found: Iterable[StringWalk]) -> tuple[StringWalk, ...]:

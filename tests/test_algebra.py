@@ -3,9 +3,9 @@ from operator import attrgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stringdet import parse_algebra, validate
-from stringdet.algebra import (Arrow, ParseError, Quiver, RelationReductionWarning, RelationSet,
-                              serialize)
+from stringdet import determiner_report, parse_algebra, validate
+from stringdet.algebra import (Arrow, BoundQuiverAlgebra, ParseError, Quiver,
+                              RelationReductionWarning, RelationSet, serialize)
 from stringdet.families import crossing6_algebra, crossing_tree_algebra
 import random
 
@@ -155,6 +155,27 @@ def test_validate_missing_branch_relation():
     alg = validate(parse_algebra(doc))
     assert not alg.is_valid
     assert any("needs a zero relation" in v for v in alg.certificate.violations)
+
+
+@pytest.mark.parametrize("inner", [("a1", "a2"), ("a2", "a3")])
+def test_validate_refuses_an_unreduced_hand_built_relation_set(inner):
+    # a prefix or a suffix of a longer generator; parsing would drop the longer one
+    quiver = Quiver((1, 2, 3, 4, 5),
+                    tuple(Arrow(f"a{k}", k, k + 1) for k in range(1, 5)))
+    alg = validate(BoundQuiverAlgebra(quiver, RelationSet((inner, ("a1", "a2", "a3")))))
+    assert alg.certificate.violations == (f"relation a1 a2 a3 contains relation {' '.join(inner)}",)
+    with pytest.raises(ValueError, match="must be validated and valid"):
+        determiner_report(alg)
+
+
+def test_validate_reports_no_containment_on_reduced_sets(sweep_records):
+    assert all(alg.certificate.violations == ()
+               for alg in [rec.algebra for rec in sweep_records] + [crossing_tree_algebra(3)])
+    # parsing drops the longer generator before validation sees it
+    with pytest.warns(RelationReductionWarning):
+        alg = validate(parse_algebra("vertices: 4\narrow a: 1 -> 2\narrow b: 2 -> 3\n"
+                                     "arrow c: 3 -> 4\nrelation: a b c\nrelation: b c\n"))
+    assert alg.is_valid and alg.relations.generators == (("b", "c"),)
 
 
 def _star(n: int) -> str:

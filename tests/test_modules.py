@@ -698,3 +698,26 @@ def test_support_local_intertwining_check_matches_whole_quiver(comparison_quiver
                     outcomes["accepted"] += 1
                     assert expected
     assert outcomes == {"refused": 5778, "accepted": 3580}
+
+
+def test_pullback_translate_matches_the_direct_sum_kernel(comparison_quivers):
+    """ar_quiver reads tau of a two-middle mesh with a mono middle arrow f2
+    from ker(pi f1), pi the cokernel projection of f2; the kernel of the
+    sink map [f1 f2] on the direct sum must be the same node."""
+    split = Counter()
+    for ar in comparison_quivers:
+        for mesh in ar.meshes:
+            comps = [ar.arrows[i].map for i in mesh.arrow_indices]
+            if len(comps) == 1:
+                split["single"] += 1
+                continue
+            split["mono" if any(map(is_monomorphism, comps)) else "two epis"] += 1
+            total = direct_sum([f.source for f in comps])
+            blocks = {v: reduce(Mat.hstack, [f.block(v) for f in comps])
+                      for v in ar.algebra.quiver.vertices}
+            g = module_map(total, ar.nodes[mesh.right].rep, blocks)
+            assert is_epimorphism(g)
+            ker, _ = kernel(g)
+            assert ker.total_dim == total.total_dim - g.target.total_dim
+            assert ar.identify(ker) == ar.tau[mesh.right]
+    assert split == {"mono": 908, "two epis": 363, "single": 1790}

@@ -3,12 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stringdet import ar_quiver, parse_algebra
+from stringdet import ar_quiver, parse_algebra, strings
 from stringdet.families import crossing_tree_algebra, fan5_algebra, linear_algebra
 from stringdet.modules import projective
-from stringdet.strings import (InvalidStringError, Letter, StringWalk, enumerate_strings,
-                               injective_support, make_string, projective_support,
-                               radical_supports, string_from_tree_walk)
+from stringdet.strings import (InvalidStringError, Letter, StringWalk, _sorted_strings,
+                               enumerate_strings, injective_support, make_string,
+                               projective_support, radical_supports, string_from_tree_walk)
+from stringdet.treewalk import walk_between
 
 from helpers import path_in_ideal
 from tree_algebras import random_tree_algebra
@@ -65,6 +66,61 @@ def brute_force_strings(alg):
     return found
 
 
+def all_pairs_strings(alg):
+    """Reference: the trivial strings, then every vertex pair a < b through
+    walk_between and string_from_tree_walk, sorted as enumerate_strings."""
+    verts = alg.quiver.vertices
+    found = [StringWalk((v,), ()) for v in verts]
+    for i, a in enumerate(verts):
+        for b in verts[i + 1:]:
+            s = string_from_tree_walk(alg, walk_between(alg, a, b))
+            if s is not None:
+                found.append(s)
+    return _sorted_strings(found)
+
+
+def _counted_walks(monkeypatch):
+    """The (a, b) of every strings.walk_between call from now on."""
+    walks = []
+    real = strings.walk_between
+
+    def counting(algebra, a, b):
+        walks.append((a, b))
+        return real(algebra, a, b)
+
+    monkeypatch.setattr(strings, "walk_between", counting)
+    return walks
+
+
+def test_enumeration_matches_all_pairs_on_sweep(sweep_records, monkeypatch):
+    walks = _counted_walks(monkeypatch)
+    total = 0
+    for rec in sweep_records:
+        walks.clear()
+        found = enumerate_strings(rec.algebra)
+        assert found == all_pairs_strings(rec.algebra)
+        # one walk per non-trivial string, none for a pair that is not one
+        assert len(walks) == len(found) - rec.algebra.quiver.vertex_count()
+        total += len(found)
+    assert total == 5335
+
+
+@pytest.mark.parametrize("alg", [crossing_tree_algebra(1), crossing_tree_algebra(2),
+                                 crossing_tree_algebra(3), crossing_tree_algebra(4),
+                                 linear_algebra(30)])
+def test_enumeration_matches_all_pairs(alg):
+    assert enumerate_strings(alg) == all_pairs_strings(alg)
+
+
+def test_enumeration_walks_only_the_pairs_that_are_strings(monkeypatch):
+    alg = crossing_tree_algebra(3)
+    walks = _counted_walks(monkeypatch)
+    n, found = alg.quiver.vertex_count(), enumerate_strings(alg)
+    assert (n, len(found)) == (53, 171)
+    # 118 walks of the 1378 vertex pairs, each built into a string
+    assert len(walks) == len(set(walks)) == len(found) - n == 118
+
+
 def test_enumerate_line2():
     alg = linear_algebra(2)
     strings = enumerate_strings(alg)
@@ -112,7 +168,6 @@ def test_make_string_canonical():
 
 
 def test_string_from_tree_walk_none_on_relation():
-    from stringdet.treewalk import walk_between
     alg = linear_algebra(3, relations=[("a1", "a2")])
     assert string_from_tree_walk(alg, walk_between(alg, 1, 3)) is None
 
