@@ -208,6 +208,8 @@ def parse_algebra(text: str) -> BoundQuiverAlgebra:
     arrow_names: set[str] = set()
     pending_relations: list[tuple[int, list[str]]] = []
     match_arrow = _ARROW_RE.match
+    # makes an Arrow from a tuple without NamedTuple's Python-level __new__
+    new = tuple.__new__
 
     for lineno, line in enumerate(lines, start=1):
         if "#" in line:
@@ -231,7 +233,7 @@ def parse_algebra(text: str) -> BoundQuiverAlgebra:
                 v = src if src not in vertices else tgt
                 raise ParseError(f"arrow {name!r} references unknown vertex {v}", lineno)
             arrow_names.add(name)
-            arrows.append(Arrow(name, src, tgt))
+            arrows.append(new(Arrow, (name, src, tgt)))
             continue
 
         m = _VERTICES_RE.match(line)
@@ -290,18 +292,24 @@ def _parse_vertices(body: str, lineno: int, doc_lines: int) -> set[int]:
                              f"{doc_lines}: a tree on {k} vertices needs {k - 1} arrow "
                              "lines", lineno)
         return set(range(1, k + 1))
-    out = []
-    for part in body.split(","):
-        part = part.strip()
-        if len(part) > _MAX_ID_CHARS:
-            raise _long_id(part, lineno)
-        v = int(part) if part.isdecimal() else 0
-        if v < 1:
-            raise ParseError(f"bad vertex id {part!r}", lineno)
-        out.append(v)
-    if len(set(out)) != len(out):
+    parts = body.split(",")
+    # whole-list passes first; the per-id loop runs only when they fail, to
+    # name the first bad id
+    ids = (list(map(int, map(str.strip, parts))) if max(map(len, parts)) <= _MAX_ID_CHARS
+           and all(map(str.isdecimal, map(str.strip, parts))) else [0])
+    if min(ids) < 1:
+        ids = []
+        for part in map(str.strip, parts):
+            if len(part) > _MAX_ID_CHARS:
+                raise _long_id(part, lineno)
+            v = int(part) if part.isdecimal() else 0
+            if v < 1:
+                raise ParseError(f"bad vertex id {part!r}", lineno)
+            ids.append(v)
+    unique = set(ids)
+    if len(unique) != len(ids):
         raise ParseError("duplicate vertex id", lineno)
-    return set(out)
+    return unique
 
 
 def _reduce_generators(generators: list[tuple[str, ...]]) -> RelationSet:
@@ -352,19 +360,22 @@ def validate(algebra: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
             f"underlying graph is not a tree: {len(q.arrows)} arrows for "
             f"{len(q.vertices)} vertices")
 
+    # One walk over the vertices with a degree of 2 or more, the only ones
+    # either check can flag; the degree violations go first, then the
+    # branching ones.  Branching conditions are checked only where both
+    # degrees are in range: a vertex over degree 2 already carries its
+    # violation, and its pairs would grow as d(d-1)/2.  Paths are written in
+    # traversal order, so the composite "first a, then g" is the tuple (a, g).
     outs_of, ins_of = q.outgoing, q.incoming
+    branching: list[str] = []
     for v in q.vertices:
-        if len(outs_of[v]) > 2:
-            violations.append(f"vertex {v}: out-degree {len(outs_of[v])} exceeds 2")
-        if len(ins_of[v]) > 2:
-            violations.append(f"vertex {v}: in-degree {len(ins_of[v])} exceeds 2")
-
-    # Branching conditions, only where both degrees are in range: a vertex
-    # over degree 2 already carries its violation, and its pairs would grow
-    # as d(d-1)/2.  Paths are written in traversal order, so the composite
-    # "first a, then g" is the tuple (a, g).
-    for v in q.vertices:
-        ins, outs = ins_of[v], outs_of[v]
+        outs, ins = outs_of[v], ins_of[v]
+        if len(outs) < 2 and len(ins) < 2:
+            continue
+        if len(outs) > 2:
+            violations.append(f"vertex {v}: out-degree {len(outs)} exceeds 2")
+        if len(ins) > 2:
+            violations.append(f"vertex {v}: in-degree {len(ins)} exceeds 2")
         if len(ins) > 2 or len(outs) > 2:
             continue
         for side, other, pair, others in (("incoming", "outgoing", ins, outs),
@@ -376,8 +387,9 @@ def validate(algebra: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
                 ag, bg = (((a.name, g.name), (b.name, g.name)) if side == "incoming"
                           else ((g.name, a.name), (g.name, b.name)))
                 if not (rels.contains_path(ag) or rels.contains_path(bg)):
-                    violations.append(f"vertex {v}: {side} pair ({a.name}, {b.name}) with "
-                                      f"{other} {g.name} needs a zero relation")
+                    branching.append(f"vertex {v}: {side} pair ({a.name}, {b.name}) with "
+                                     f"{other} {g.name} needs a zero relation")
+    violations += branching
 
     by_first = rels._by_first
     for gen in rels.generators:

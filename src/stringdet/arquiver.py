@@ -118,10 +118,15 @@ class ARQuiver:
         return c
 
     def hom(self, a: int, b: int) -> list[ModuleMap]:
-        """Basis of Hom(a, b): none, or the identity on image(a, b)."""
+        """Basis of Hom(a, b): none, or the identity on C = image(a, b).  The
+        map carries C as its support, the vertices of its non-zero blocks,
+        so no block is scanned for it."""
         c = self.image(a, b)
-        identity = dict.fromkeys(c, Mat.identity(1))
-        return [module_map(self.nodes[a].rep, self.nodes[b].rep, identity)] if c else []
+        if not c:
+            return []
+        f = module_map(self.nodes[a].rep, self.nodes[b].rep, dict.fromkeys(c, Mat.identity(1)))
+        f.__dict__["support"] = c  # the cached_property's slot
+        return [f]
 
     def node_of(self, rep: Representation) -> int:
         """Index of the node whose module equals rep; ValueError otherwise."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import json
 import os
 import re
@@ -89,15 +90,18 @@ def _render_determiners(report: DeterminerReport, dynkin: dict) -> str:
     templates: dict[tuple, list[str]] = {}
     rows = []
     for d in report.decisions:
-        w = None if d.ideal is None else d.ideal.witness
-        shape = (d.vertex_class, None if d.ideal is None else d.ideal.kind, w is None,
-                 d.is_determiner, d.rule)
+        v, cls, ideal, is_determiner, rule = d
+        w = None if ideal is None else ideal.witness
+        # enum members by their _value_ strings: an Enum hashes, and reads
+        # .value, in Python
+        shape = (cls._value_, None if ideal is None else ideal.kind._value_, w is None,
+                 is_determiner, rule)
         cut = templates.get(shape)
         if cut is None:
             cut = templates[shape] = _CUT_ROW(_render(
                 {**rationale_row(d), VERTEX_KEY: 0, WITNESS_KEY: None if w is None else 0}, "    "))
-        rows.append(cut[0] + str(d.vertex) + cut[1] if w is None
-                    else cut[0] + str(d.vertex) + cut[1] + str(w) + cut[2])
+        rows.append(cut[0] + str(v) + cut[1] if w is None
+                    else cut[0] + str(v) + cut[1] + str(w) + cut[2])
     head, _, tail = _render({**dataclasses.replace(report, decisions=()).to_dict(),
                              "dynkin": dynkin}).rpartition('"rationale": []')
     return head + '"rationale": [\n    ' + ",\n    ".join(rows) + "\n  ]" + tail
@@ -302,6 +306,25 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _nogc(fn):
+    """fn with the cyclic garbage collector off for the call, and on again
+    afterwards only if it was on before.  The engine and the oracle build
+    acyclic records (tuples, dicts, NamedTuples and dataclasses of ints,
+    strings and enum members) that reference counting frees, so a collection
+    during a report would scan a heap that grows with the input and find
+    nothing to free."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return wrapper
+
+
 def _run(ns: argparse.Namespace) -> int:
     """Load the input of a report command and call the handler; a handler
     returns its exit code, None meaning 0."""
@@ -321,7 +344,10 @@ def _run(ns: argparse.Namespace) -> int:
     return ns.handler(ns, alg) or 0
 
 
+@_nogc
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the cyclic collector is off for the call, from the
+    argument parsing (the first call builds the parser) to the exit code."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         ns = _build_parser().parse_args(argv)

@@ -58,12 +58,16 @@ class DeterminerReport:
             "",
             "per-vertex rationale:",
         ]
-        for d in self.decisions:
-            mark = "yes" if d.is_determiner else "no "
-            ideal = f", ideal {d.ideal.kind.value}" if d.ideal is not None else ""
-            wit = (f" (witness {d.ideal.witness})"
-                   if d.ideal is not None and d.ideal.witness is not None else "")
-            lines.append(f"  P({d.vertex}): {mark}  [{d.vertex_class.value}{ideal}{wit}; {d.rule}]")
+        # _value_ is the member's value, read without Enum's Python-level
+        # property
+        for v, cls, ideal, is_determiner, rule in self.decisions:
+            mark = "yes" if is_determiner else "no "
+            if ideal is None:
+                lines.append(f"  P({v}): {mark}  [{cls._value_}; {rule}]")
+                continue
+            wit = "" if ideal.witness is None else f" (witness {ideal.witness})"
+            lines.append(f"  P({v}): {mark}  [{cls._value_}, ideal {ideal.kind._value_}{wit}; "
+                         f"{rule}]")
         return "\n".join(lines) + "\n"
 
 
@@ -83,20 +87,23 @@ def rationale_row(d: VertexDecision) -> dict:
     }
 
 
-def _decide(v: int, cls: VertexClass, ideal: VertexIdealStatus | None) -> VertexDecision:
-    """Projective-determiner criterion for one vertex: vertices with a single
-    outgoing arrow always qualify; fork sources never do; every other class
+#: The criterion's verdicts, (is_determiner, rule), at the classes that do
+#: not read their vertex ideal: vertices with a single outgoing arrow always
+#: qualify, fork sources never do.
+_SINGLE_OUT = (True, "single outgoing arrow: always a determiner")
+_NEVER = (False, "never a determiner")
+
+
+def _ideal_verdict(v: int, cls: VertexClass,
+                   ideal: VertexIdealStatus | None) -> tuple[bool, str]:
+    """(is_determiner, rule) at a vertex whose class has no fixed verdict: it
     qualifies exactly when its vertex ideal vanishes."""
-    if cls in (VertexClass.SOURCE_LEAF, VertexClass.FLOW_THROUGH, VertexClass.MEET_FLOW):
-        return VertexDecision(v, cls, ideal, True, "single outgoing arrow: always a determiner")
-    if cls is VertexClass.FORK_SOURCE:
-        return VertexDecision(v, cls, ideal, False, "never a determiner")
     if ideal is None:
         raise ValueError(f"vertex {v} ({cls.value}) reached the ideal rule without "
                          "a vertex ideal")
     if ideal.is_zero:
-        return VertexDecision(v, cls, ideal, True, "vertex ideal vanishes")
-    return VertexDecision(v, cls, ideal, False, "vertex ideal is non-zero")
+        return True, "vertex ideal vanishes"
+    return False, "vertex ideal is non-zero"
 
 
 def determiner_report(algebra: BoundQuiverAlgebra) -> DeterminerReport:
@@ -108,10 +115,19 @@ def determiner_report(algebra: BoundQuiverAlgebra) -> DeterminerReport:
         raise ValueError("the counting formula needs at least two vertices")
     classes = vertex_classes(algebra)
     ideals = _vertex_ideals(algebra, classes)
-    decisions = tuple(map(_decide, classes, classes.values(), map(ideals.get, classes)))
-    p = list(classes.values()).count(VertexClass.FORK_SOURCE)
+    source_leaf, flow = VertexClass.SOURCE_LEAF, VertexClass.FLOW_THROUGH
+    meet_flow, fork_source = VertexClass.MEET_FLOW, VertexClass.FORK_SOURCE
+    get, new = ideals.get, tuple.__new__
+    # the fixed verdicts inline, and only sinks, fork flows and crossings
+    # read their vertex ideal; tuple.__new__ makes each row a VertexDecision
+    # without a Python-level call
+    decisions = tuple([new(VertexDecision, (v, cls, get(v), *(
+        _SINGLE_OUT if cls is flow or cls is source_leaf or cls is meet_flow
+        else _NEVER if cls is fork_source
+        else _ideal_verdict(v, cls, get(v))))) for v, cls in classes.items()])
+    p = list(classes.values()).count(fork_source)
     q = sum(1 for s in ideals.values() if s.is_nonzero)
-    projective = tuple(d.vertex for d in decisions if d.is_determiner)
+    projective = tuple([v for v, _, _, is_determiner, _ in decisions if is_determiner])
     return DeterminerReport(
         n=n, p=p, q=q,
         formula_value=2 * n - p - q - 1,
@@ -222,16 +238,15 @@ def dynkin_type(algebra: BoundQuiverAlgebra) -> DynkinReport:
         raise ValueError("algebra must be validated and valid")
     q = algebra.quiver
     n = q.vertex_count()
-    ins_of = q.incoming
-    degrees = {v: len(ins_of[v]) + len(outs) for v, outs in q.outgoing.items()}
-    branches = [v for v, d in degrees.items() if d >= 3]
+    ins_of, outs_of = q.incoming, q.outgoing
+    branches = [v for v, outs in outs_of.items() if len(outs) + len(ins_of[v]) > 2]
 
-    if not branches and max(degrees.values(), default=0) <= 2:
+    if not branches:
         return DynkinReport("A", n, None, (), None)
-    if len(branches) != 1 or degrees[branches[0]] != 3:
+    branch = branches[0]
+    if len(branches) != 1 or len(ins_of[branch]) + len(outs_of[branch]) != 3:
         return DynkinReport("other", n, None, (), None)
 
-    branch = branches[0]
     limbs = tuple(_limb_lengths(algebra, branch))
     if not limbs:
         return DynkinReport("other", n, None, (), None)

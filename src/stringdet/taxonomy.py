@@ -167,30 +167,36 @@ def _vertex_ideals(algebra: BoundQuiverAlgebra,
     q = algebra.quiver
     ins_of = q.incoming
     sink_low, branch_low = _chain_lows(algebra)
-    sinks = q.sinks()
+    inf, zero = math.inf, IdealKind.ZERO
+    source_leaf, flow, fork_source, meet_flow, sink_leaf, meet_sink = (
+        VertexClass.SOURCE_LEAF, VertexClass.FLOW_THROUGH, VertexClass.FORK_SOURCE,
+        VertexClass.MEET_FLOW, VertexClass.SINK_LEAF, VertexClass.MEET_SINK)
+    if not algebra.relations.is_empty:
+        sink_otherwise = IdealKind.DEFINING_IDEAL
+    else:
+        # the whole algebra when the sink is the only one, otherwise the
+        # (empty) relation ideal
+        sink_otherwise = IdealKind.WHOLE_ALGEBRA if len(q.sinks()) == 1 else zero
     statuses: dict[int, VertexIdealStatus] = {}
     for v, cls in classes.items():
         # the classes without a vertex ideal, by identity: an Enum hashes in Python
-        if (cls is VertexClass.FLOW_THROUGH or cls is VertexClass.SOURCE_LEAF
-                or cls is VertexClass.FORK_SOURCE):
+        if cls is flow or cls is source_leaf or cls is fork_source:
             continue
-        if cls is VertexClass.MEET_FLOW:
-            statuses[v] = VertexIdealStatus(v, IdealKind.ZERO)
+        if cls is meet_flow:
+            statuses[v] = VertexIdealStatus(v, zero)
             continue
-        if cls in (VertexClass.SINK_LEAF, VertexClass.MEET_SINK):
-            low = min(sink_low[a.name] for a in ins_of[v])
-            if not algebra.relations.is_empty:
-                otherwise = IdealKind.DEFINING_IDEAL
-            else:
-                # the whole algebra when v is the only sink, otherwise the
-                # (empty) relation ideal
-                otherwise = IdealKind.WHOLE_ALGEBRA if sinks == (v,) else IdealKind.ZERO
+        if cls is sink_leaf or cls is meet_sink:
+            lows, otherwise = sink_low, sink_otherwise
         else:
             # fork flow / crossing: the witness must also see relations
             # toward both forward branches
-            low = min(branch_low.get(a.name, math.inf) for a in ins_of[v])
-            otherwise = IdealKind.NEIGHBOURHOOD_IDEAL
-        statuses[v] = (VertexIdealStatus(v, IdealKind.ZERO, witness=low) if low != math.inf
+            lows, otherwise = branch_low, IdealKind.NEIGHBOURHOOD_IDEAL
+        # the smallest low over the one or two arrows into v
+        ins = ins_of[v]
+        low = lows.get(ins[0].name, inf)
+        if len(ins) == 2 and lows.get(ins[1].name, inf) < low:
+            low = lows[ins[1].name]
+        statuses[v] = (VertexIdealStatus(v, zero, low) if low != inf
                        else VertexIdealStatus(v, otherwise))
     return statuses
 

@@ -356,6 +356,26 @@ def test_image_matches_letter_scan_on_crossing_tree(levels, counts):
     assert _image_against_letter_scan(ar_quiver(crossing_tree_algebra(levels))) == counts
 
 
+def _carried_support_against_block_scan(ar):
+    """Each arrow's map carries its support from ARQuiver.hom; it equals the
+    scan of the map's non-zero blocks that ModuleMap.support would run."""
+    for arrow in ar.arrows:
+        f = arrow.map
+        assert "support" in vars(f), arrow.index
+        assert vars(f)["support"] == type(f).support.func(f) == ar.image(arrow.source,
+                                                                         arrow.target)
+    return len(ar.arrows)
+
+
+def test_carried_support_matches_block_scan_on_sweep(sweep_records):
+    assert sum(_carried_support_against_block_scan(rec.oracle.ar)
+               for rec in sweep_records) == 6058
+
+
+def test_carried_support_matches_block_scan_on_crossing_tree():
+    assert _carried_support_against_block_scan(ar_quiver(crossing_tree_algebra(2))) == 64
+
+
 def test_identify_rejects_decomposable():
     from stringdet.modules import direct_sum, simple
     alg = linear_algebra(2)

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -51,6 +52,116 @@ def test_validate_cycle(tmp_path, capsys):
 def test_validate_parse_error(tmp_path, capsys):
     path = write(tmp_path, "bad.txt", "nonsense\n")
     assert main(["validate", path]) == 1
+
+
+# a branching violation at vertex 2 and at vertex 8, an out-degree one at 5
+# and an in-degree one at 10
+MIXED_VIOLATIONS = ("vertices: 12\narrow a: 1 -> 2\narrow b: 3 -> 2\narrow c: 2 -> 4\n"
+                    "arrow d: 4 -> 5\narrow e: 5 -> 6\narrow f: 5 -> 7\narrow g: 5 -> 8\n"
+                    "arrow h: 9 -> 8\narrow i: 8 -> 10\narrow j: 11 -> 10\narrow k: 12 -> 10\n")
+
+
+def test_validate_lists_degree_violations_before_branching_ones(tmp_path, capsys):
+    """validate walks the vertices once, and still certifies every degree
+    violation before any branching one, each group in vertex order."""
+    violations = ["vertex 5: out-degree 3 exceeds 2",
+                  "vertex 10: in-degree 3 exceeds 2",
+                  "vertex 2: incoming pair (a, b) with outgoing c needs a zero relation",
+                  "vertex 8: incoming pair (g, h) with outgoing i needs a zero relation"]
+    path = write(tmp_path, "mixed.txt", MIXED_VIOLATIONS)
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr().out == "INVALID\n" + "".join(f"  - {v}\n" for v in violations)
+    assert main(["validate", path, "--format", "json"]) == 2
+    assert capsys.readouterr().out == json.dumps(
+        {"valid": False, "violations": violations}, indent=2) + "\n"
+
+
+# --------------------------------------------------------------------------
+# the cyclic garbage collector is off for a main call, and as it was after
+
+def _gc_scope_cases(tmp_path, monkeypatch):
+    """(argv, exit code) for each exit code of main; the mismatch drops one
+    projective determiner from the engine's report."""
+    engine_report = cli.determiner_report
+
+    def flipped(alg):
+        report = engine_report(alg)
+        return dataclasses.replace(report,
+                                   projective_determiners=report.projective_determiners[1:])
+
+    monkeypatch.setattr(cli, "determiner_report", flipped)
+    good = write(tmp_path, "zigzag4.txt", generate_example("zigzag4"))
+    return [(["classify", good], 0), (["check", good], 3), (["frobnicate"], 1),
+            (["validate", write(tmp_path, "bad.txt", "nonsense\n")], 1),
+            (["validate", write(tmp_path, "cycle.txt", CYCLE3)], 2)]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(enabled, tmp_path, capsys, monkeypatch):
+    """For every exit code, and for an exception main does not handle, the
+    collector is off inside the handler and as the caller had it after."""
+    cases = _gc_scope_cases(tmp_path, monkeypatch)
+    seen = []
+    real = cli.vertex_classes
+
+    def classes(alg):
+        seen.append(gc.isenabled())
+        return real(alg)
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        monkeypatch.setattr(cli, "vertex_classes", classes)
+        for argv, code in cases:
+            assert main(argv) == code, argv
+            assert gc.isenabled() is enabled, argv
+        monkeypatch.setattr(cli, "vertex_classes", mock.Mock(side_effect=RuntimeError("planted")))
+        with pytest.raises(RuntimeError, match="planted"):
+            main(cases[0][0])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert seen == [False]
+
+
+def test_commands_leave_no_reference_cycles(tmp_path, capsys):
+    """Reference counting frees everything a command builds, which is what
+    lets main keep the collector off: after the first call has built the
+    parser, a collection after each call finds nothing to free."""
+    good = write(tmp_path, "crossing6.txt", generate_example("crossing6"))
+    cases = [[cmd, good, "--format", fmt] for fmt in ("text", "json")
+             for cmd in ("validate", "classify", "ideals", "determiners", "oracle", "check",
+                         "export-dot")]
+    cases += [["validate", write(tmp_path, "cycle.txt", CYCLE3)],
+              ["validate", write(tmp_path, "bad.txt", "nonsense\n")],
+              ["gen-example", "crossing-tree", "--levels", "2"]]
+    main(cases[0])
+    gc.collect()
+    for argv in cases:
+        main(argv)
+        assert gc.collect() == 0, argv
+    capsys.readouterr()
+
+
+def test_determiners_starts_no_collection(tmp_path, capsys):
+    """No cyclic collection starts while main reports on a line of 20,000
+    vertices: the collector is off, so the count is exact, not timed."""
+    path = write(tmp_path, "line.txt", generate_example("line", n=20000))
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        code = main(["determiners", path, "--format", "json"])
+        inside = len(starts)  # before anything else allocates
+    finally:
+        gc.callbacks.remove(count)
+    assert (code, inside) == (0, 0)
+    assert json.loads(capsys.readouterr().out)["formula_value"] == 39998
 
 
 def test_classify_and_ideals(tmp_path, capsys):
