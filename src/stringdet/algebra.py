@@ -79,8 +79,8 @@ class Quiver:
     @cached_property
     def rooted_parents(self) -> dict[int, tuple[int, Arrow] | None]:
         """Spanning structure rooted at the smallest vertex: child -> (parent,
-        connecting arrow).  It covers the root's component only, so `validate`
-        reads connectivity from its size; walks along it require a tree."""
+        connecting arrow).  It covers the root's component only; walks along
+        it require a tree.  Built on first use, by the tree walks alone."""
         root = self.vertices[0]
         parents: dict[int, tuple[int, Arrow] | None] = {root: None}
         stack = [root]
@@ -339,6 +339,28 @@ def _natural_key(s: str):
 # --------------------------------------------------------------------------
 # validation
 
+def _component_size(q: Quiver) -> int:
+    """Number of vertices the first vertex reaches along arrows taken either
+    way: a search that keeps only the set of vertices seen."""
+    root = q.vertices[0]
+    seen = {root}
+    stack = [root]
+    outs_of, ins_of = q.outgoing, q.incoming
+    while stack:
+        v = stack.pop()
+        for a in outs_of[v]:
+            w = a.target
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+        for a in ins_of[v]:
+            w = a.source
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen)
+
+
 def validate(algebra: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
     """Fill the certificate.  Checks, in order: tree shape of the underlying
     graph; in/out degree at most 2; the two zero-relation branching
@@ -353,7 +375,7 @@ def validate(algebra: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
         if a.source == a.target:
             violations.append(f"arrow {a.name!r} is a loop at vertex {a.source}")
 
-    if not (q.vertices and len(q.rooted_parents) == len(q.vertices)):
+    if not (q.vertices and _component_size(q) == len(q.vertices)):
         violations.append("underlying graph is not connected")
     if len(q.arrows) != len(q.vertices) - 1:
         violations.append(

@@ -15,8 +15,13 @@ End = k is an exact hom-space solve, and the irreducible maps into each
 non-projective node form a surjection whose exact kernel is its translate.
 That kernel is taken from the arrow's own map at one middle (Butler-Ringel:
 at most two), and at two with f2 mono from f1 followed by the projection
-onto the cokernel of f2, the pullback along a mono.  Each node is the thin module on its string's vertices, and each vertex's
-projective, injective and radical-summand nodes are found once by support.
+onto the cokernel of f2, the pullback along a mono.  These maps join thin
+modules, so their intertwining checks, kernels, cokernels and socles are
+scalar (see `modules`); only a mesh with two epi middles takes the general
+path, on their direct sum.  The kernel at one middle is kept by arrow
+index, and the oracle's epi route reads it for that arrow.  Each node is
+the thin module on its string's vertices, and each vertex's projective,
+injective and radical-summand nodes are found once by support.
 Mesh sizes, the translate bijection and the arrows into each projective
 (exactly its radical summands) are checked too; any breach, a hook, cohook
 or distinguished support that is not a node included, raises OracleError
@@ -100,6 +105,9 @@ class ARQuiver:
     _node_by_support: dict[frozenset[int], int] = field(default_factory=dict)
     _projective: dict[int, int] = field(default_factory=dict)
     _radical: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    # arrow index -> (kernel, inclusion) of the arrow's map, for the one
+    # arrow into each single-middle mesh end
+    _mesh_kernel: dict[int, tuple[Representation, ModuleMap]] = field(default_factory=dict)
 
     def image(self, a: int, b: int) -> frozenset[int]:
         """Support of the basis map of Hom(a, b), empty when Hom(a, b) = 0: the
@@ -307,7 +315,10 @@ def _build_meshes(ar: ARQuiver) -> None:
         g = _sink_kernel_map(node, [arr.map for arr in comps])
         if not is_epimorphism(g):
             raise OracleError(f"sink map candidate into node {node.label()} is not onto")
-        ker, _ = kernel(g)
+        found = kernel(g)
+        if len(comps) == 1:
+            ar._mesh_kernel[comps[0].index] = found
+        ker = found[0]
         left = ar.identify(ker)
         if left is None:
             raise OracleError(

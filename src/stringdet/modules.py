@@ -4,9 +4,19 @@ A representation assigns a rational vector space to every vertex and a matrix
 to every arrow (source space -> target space) such that the composite along
 every relation generator vanishes.  String modules are the special case with
 0/1 dimensions and identity linking maps, each built by `string_module` from
-its support alone; kernels and cokernels of maps
-between them can have arbitrary rational matrices, so everything downstream
-stays fully general.
+its support alone.
+
+A module is thin when every space on its support is a line, which
+`total_dim == len(dims)` tells in O(1).  Between thin modules every block and
+arrow map is 1 x 1, so `kernel`, `cokernel` and the intertwining check take a
+scalar path there: the kernel (cokernel) is k exactly where the block is
+missing or zero, each induced map is the module's own, the inclusion
+(projection) blocks are the shared 1 x 1 identity, and the same checks raise
+the same errors.  The socle of a thin module is the vertices where every
+arrow out of it into the support acts by zero.  Any other module or map,
+such as a sink map on the direct sum of two epi middles, takes the general
+path: the echelon routines of `linalg` at every vertex, with arbitrary
+rational matrices.
 
 A module stores only its support: the vertices with a non-zero space and
 the arrows with both ends there (whose matrix may still be zero); a map
@@ -28,7 +38,11 @@ from typing import Iterable
 
 from .algebra import BoundQuiverAlgebra
 from .linalg import Mat, kernel_inclusion, nullspace, quotient_projection
-from .strings import injective_support, projective_support, radical_supports
+from .strings import injective_support, projective_support
+
+#: The shared 1 x 1 identity: every arrow map of a string module, and every
+#: block of a thin kernel's inclusion or a thin cokernel's projection.
+_ONE = Mat.identity(1)
 
 
 @dataclass(frozen=True)
@@ -107,9 +121,16 @@ def string_module(algebra: BoundQuiverAlgebra, support: Iterable[int]) -> Repres
     """Thin module on a support: one basis vector at each of its vertices and
     the identity on every arrow with both ends there.  Over a tree the
     support of a string is a path, and those arrows are exactly its letters."""
+    outgoing = algebra.quiver.outgoing
     dims = dict.fromkeys(support, 1)
-    inside = (a.name for v in dims for a in algebra.quiver.outgoing.get(v, ()) if a.target in dims)
-    return representation(algebra, dims, dict.fromkeys(inside, Mat.identity(1)))
+    for v in dims:
+        if v not in outgoing:
+            raise ValueError(f"unknown vertex {v}")
+    # its own identity maps have the right shape: only the relations are checked
+    rep = Representation(algebra, dims, {a.name: _ONE for v in dims for a in outgoing[v]
+                                         if a.target in dims})
+    _check_relations(rep)
+    return rep
 
 
 def simple(algebra: BoundQuiverAlgebra, v: int) -> Representation:
@@ -124,12 +145,6 @@ def projective(algebra: BoundQuiverAlgebra, v: int) -> Representation:
 
 def injective(algebra: BoundQuiverAlgebra, v: int) -> Representation:
     return string_module(algebra, injective_support(algebra, v))
-
-
-def radical_summands(algebra: BoundQuiverAlgebra, v: int) -> list[Representation]:
-    """Indecomposable summands of the radical of the projective at v: none at
-    a sink, one per outgoing arrow otherwise."""
-    return [string_module(algebra, s) for s in radical_supports(algebra, v)]
 
 
 # --------------------------------------------------------------------------
@@ -186,11 +201,31 @@ def module_map(source: Representation, target: Representation,
     return f
 
 
+def _thin(f: ModuleMap) -> bool:
+    """Are both modules of f thin, every space a line?  Read in O(1) from
+    the stored fields; then every block and arrow map on the supports is
+    1 x 1."""
+    s, t = f.source, f.target
+    return s.total_dim == len(s.dims) and t.total_dim == len(t.dims)
+
+
 def _check_intertwining(f: ModuleMap) -> None:
     """Each arrow from the source's support into the target's: the squares
     with a non-empty side, a side through an empty space being zero."""
     outgoing = f.source.algebra.quiver.outgoing
     sdims, tdims, blocks = f.source.dims, f.target.dims, f.blocks
+    if _thin(f):
+        # every side is a 1 x 1 product: compare the scalars
+        smaps, tmaps = f.source.maps, f.target.maps
+        for v in sdims:
+            for a in outgoing[v]:
+                e = a.target
+                if e in tdims:
+                    lhs = blocks[e].rows[0][0] * smaps[a.name].rows[0][0] if e in sdims else 0
+                    rhs = tmaps[a.name].rows[0][0] * blocks[v].rows[0][0] if v in tdims else 0
+                    if lhs != rhs:
+                        raise ValueError(f"map does not intertwine along arrow {a.name}")
+        return
     for v, d in sdims.items():
         for a in outgoing[v]:
             e = tdims.get(a.target)
@@ -303,6 +338,22 @@ def kernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     """Vertex-wise kernel with induced arrow maps and its inclusion."""
     source, blocks = f.source, f.blocks
     quiver = source.algebra.quiver
+    if _thin(f):
+        # k at v exactly when the block there, 1 x 1 when stored, is missing
+        # or zero; each induced map is the source's own, and no arrow may
+        # carry the kernel into the rest of the source's support
+        dims = {v: 1 for v in source.dims if v not in blocks or not blocks[v].rows[0][0]}
+        maps = {}
+        for v in dims:
+            for a in quiver.outgoing[v]:
+                e = a.target
+                if e in dims:
+                    maps[a.name] = source.maps[a.name]
+                elif e in source.dims and source.maps[a.name].rows[0][0]:
+                    raise ValueError("kernel maps are not well defined")
+        ker = Representation(source.algebra, dims, maps)
+        _check_relations(ker)
+        return ker, ModuleMap(ker, source, dict.fromkeys(dims, _ONE))
     incl: dict[int, Mat] = {}
     retractions: dict[int, Mat] = {}
     for v, d in source.dims.items():
@@ -330,6 +381,22 @@ def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     """Vertex-wise cokernel with induced arrow maps and its projection."""
     target, blocks = f.target, f.blocks
     quiver = target.algebra.quiver
+    if _thin(f):
+        # k at v exactly when the block there, 1 x 1 when stored, is missing
+        # or zero; each induced map is the target's own, and no arrow may
+        # come into the cokernel from the rest of the target's support
+        dims = {v: 1 for v in target.dims if v not in blocks or not blocks[v].rows[0][0]}
+        maps = {}
+        for v in target.dims if dims else ():
+            for a in quiver.outgoing[v]:
+                if a.target in dims:
+                    if v in dims:
+                        maps[a.name] = target.maps[a.name]
+                    elif target.maps[a.name].rows[0][0]:
+                        raise ValueError("cokernel maps are not well defined")
+        cok = Representation(target.algebra, dims, maps)
+        _check_relations(cok)
+        return cok, ModuleMap(target, cok, dict.fromkeys(dims, _ONE))
     proj: dict[int, Mat] = {}
     sections: dict[int, Mat] = {}
     for v, d in target.dims.items():
@@ -360,6 +427,13 @@ def socle(rep: Representation) -> Counter:
     none), counted as its dimension less the rank of the stacked maps."""
     quiver = rep.algebra.quiver
     out: Counter = Counter()
+    if rep.total_dim == len(rep.dims):
+        # a line at each vertex: in the socle unless an arrow out of it acts
+        dims, maps = rep.dims, rep.maps
+        for v in sorted(dims):
+            if not any(maps[a.name].rows[0][0] for a in quiver.outgoing[v] if a.target in dims):
+                out[v] = 1
+        return out
     for v in sorted(rep.dims):
         stacked = [row for a in quiver.outgoing[v] if a.target in rep.dims
                    for row in rep.maps[a.name].rows]

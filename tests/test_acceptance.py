@@ -19,12 +19,12 @@ from stringdet import (brute_force_det, check_unique_sink_characterization,
 from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
                                 linear_algebra, zigzag4_algebra)
 from stringdet.linalg import Mat
-from stringdet.modules import (cokernel, is_monomorphism, module_map, projective,
-                               radical_summands, simple, socle)
+from stringdet.modules import cokernel, is_monomorphism, module_map, projective, simple, socle
 from stringdet.oracle import MapKind
 from stringdet.taxonomy import VertexClass
 
 from determination import is_right_determined
+from helpers import radical_summands
 
 
 def _verdict(label: str, ok: bool, detail: str = "") -> None:

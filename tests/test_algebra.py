@@ -149,6 +149,22 @@ def test_validate_cycle():
     assert any("tree" in v for v in alg.certificate.violations)
 
 
+def test_validate_builds_no_parent_table():
+    # connectivity is a count of the vertices reached; only the tree walks
+    # read the (parent, arrow) table
+    for doc in (ZIGZAG, CROSSING6):
+        alg = validate(parse_algebra(doc))
+        assert "rooted_parents" not in alg.quiver.__dict__
+
+
+def test_validate_finds_a_cycle_beside_an_isolated_vertex():
+    # n - 1 arrows, so the arrow count alone does not flag it
+    doc = "vertices: 4\narrow a: 1 -> 2\narrow b: 2 -> 3\narrow c: 3 -> 1\n"
+    alg = validate(parse_algebra(doc))
+    assert alg.certificate.violations == ("underlying graph is not connected",)
+    assert "rooted_parents" not in alg.quiver.__dict__
+
+
 def test_validate_missing_branch_relation():
     # two in, one out, no relation: branching condition fails
     doc = ("vertices: 4\narrow a: 1 -> 3\narrow b: 2 -> 3\narrow c: 3 -> 4\n")

@@ -6,17 +6,19 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stringdet import ar_quiver, linalg
+from stringdet import ar_quiver, linalg, oracle
+from stringdet.arquiver import _sink_kernel_map
 from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
                                 linear_algebra)
 from stringdet.linalg import Mat, kernel_inclusion, nullspace, quotient_projection
 from stringdet.modules import (ModuleMap, cokernel, compose, direct_sum, hom_space,
                                injective, is_epimorphism, is_monomorphism, kernel,
-                               module_map, projective, radical_summands, representation,
+                               module_map, projective, representation,
                                simple, socle, string_module)
 from stringdet.strings import enumerate_strings, radical_supports
 
-from helpers import SpanBuilder, identity_map, zero_map
+from helpers import (SpanBuilder, general_cokernel, general_kernel, identity_map,
+                     radical_summands, zero_map)
 from tree_algebras import random_tree_algebra
 
 
@@ -721,3 +723,146 @@ def test_pullback_translate_matches_the_direct_sum_kernel(comparison_quivers):
             assert ker.total_dim == total.total_dim - g.target.total_dim
             assert ar.identify(ker) == ar.tau[mesh.right]
     assert split == {"mono": 908, "two epis": 363, "single": 1790}
+
+
+# --------------------------------------------------------------------------
+# the scalar path for thin modules against the general echelon path
+
+def _is_thin(f):
+    return all(d == 1 for rep in (f.source, f.target) for d in rep.dims.values())
+
+
+def _outcome(op, f):
+    """What op makes of f: the module and the blocks of its map, or the
+    message of the ValueError it raises."""
+    try:
+        rep, g = op(f)
+    except ValueError as err:
+        return str(err)
+    return rep.dims, rep.maps, g.blocks
+
+
+def test_thin_kernels_and_cokernels_match_the_general_path(comparison_quivers):
+    """Every arrow map and every sink-kernel map as ar_quiver takes it: the
+    same dims, maps and inclusion or projection blocks as the general path,
+    the thin ones' blocks being the shared 1 x 1 identity, and the socle of
+    each non-zero result as the general path reads it."""
+    kinds = Counter()
+    for ar in comparison_quivers:
+        maps = [arr.map for arr in ar.arrows]
+        maps += [_sink_kernel_map(ar.nodes[mesh.right], [ar.arrows[i].map for i in mesh.arrow_indices])
+                 for mesh in ar.meshes]
+        for f in maps:
+            thin = _is_thin(f)
+            kinds["thin" if thin else "general"] += 1
+            for op, reference in ((kernel, general_kernel), (cokernel, general_cokernel)):
+                rep, g = op(f)
+                ref, ref_g = reference(f)
+                assert (rep.dims, rep.maps, g.blocks) == (ref.dims, ref.maps, ref_g.blocks)
+                assert not thin or all(b is Mat.identity(1) for b in g.blocks.values())
+                if rep.dims:
+                    _assert_socle_matches_the_general_path(rep)
+    # the general maps are the two-epi meshes' sink maps on their direct sums
+    assert kinds == {"thin": 8820, "general": 363}
+
+
+def _assert_socle_matches_the_general_path(rep):
+    """The socle of rep + rep, which is not thin where the supports overlap,
+    comes from the stacked-rank path and is twice that of rep."""
+    doubled = socle(direct_sum([rep, rep]))
+    assert doubled == socle(rep) + socle(rep)
+    assert all(d == 2 for d in direct_sum([rep, rep]).dims.values())
+
+
+SCALARS = (0, 1, -1, 2, Fraction(1, 2))
+
+
+def _scaled_thin_module(alg, support, rng):
+    """A thin module on a vertex interval of a line, each arrow inside it
+    carrying a scalar drawn from SCALARS, zero included."""
+    maps = {a.name: Mat([[rng.choice(SCALARS)]]) for a in alg.quiver.arrows
+            if a.source in support and a.target in support}
+    return representation(alg, dict.fromkeys(support, 1), maps)
+
+
+def test_thin_paths_match_the_general_path_on_scaled_maps():
+    """Random thin modules with arbitrary scalars and random blocks on the
+    overlap, on relation-free lines of every orientation: the thin kernel and
+    cokernel agree with the general path, raising the same ValueError where
+    it raises, module_map refuses exactly what the whole-quiver intertwining
+    loop refuses, and the thin socle agrees with the general one."""
+    rng = random.Random(20261020)
+    outcomes = Counter()
+    for _ in range(1500):
+        n = rng.randint(2, 5)
+        alg = linear_algebra(n, "".join(rng.choice("<>") for _ in range(n - 1)))
+        supports = []
+        for _ in range(2):
+            lo = rng.randint(1, n)
+            supports.append(range(lo, rng.randint(lo, n) + 1))
+        source, target = (_scaled_thin_module(alg, s, rng) for s in supports)
+        blocks = {v: Mat([[rng.choice(SCALARS)]]) for v in source.dims if v in target.dims}
+        f = ModuleMap(source, target, blocks)
+        for op, reference in ((kernel, general_kernel), (cokernel, general_cokernel)):
+            got = _outcome(op, f)
+            assert got == _outcome(reference, f)
+            outcomes[op.__name__, "raised" if isinstance(got, str) else "built"] += 1
+        for rep in (source, target):
+            _assert_socle_matches_the_general_path(rep)
+        intertwines = _reference_intertwines(source, target, blocks)
+        try:
+            module_map(source, target, blocks)
+        except ValueError as err:
+            assert not intertwines and str(err).startswith("map does not intertwine along arrow a")
+        else:
+            assert intertwines
+        outcomes["intertwines", intertwines] += 1
+    assert outcomes == {("kernel", "built"): 1343, ("kernel", "raised"): 157,
+                        ("cokernel", "built"): 1323, ("cokernel", "raised"): 177,
+                        ("intertwines", True): 1104, ("intertwines", False): 396}
+
+
+def test_thin_map_that_does_not_intertwine_raises_as_the_general_path_does():
+    # 1 -> 2 with the identity, mapped to itself by 0 at 1 and 1 at 2: the
+    # square along a1 fails, the kernel at 1 is not carried into the kernel,
+    # and the image at 1 is not shut off from the cokernel at 2 when the
+    # blocks are swapped
+    alg = linear_algebra(2)
+    m = string_module(alg, (1, 2))
+    zero, one = Mat([[0]]), Mat.identity(1)
+    with pytest.raises(ValueError, match="^map does not intertwine along arrow a1$"):
+        module_map(m, m, {1: zero, 2: one})
+    for op, reference, blocks, message in (
+            (kernel, general_kernel, {1: zero, 2: one}, "kernel maps are not well defined"),
+            (cokernel, general_cokernel, {1: one, 2: zero}, "cokernel maps are not well defined")):
+        f = ModuleMap(m, m, blocks)
+        for path in (op, reference):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                path(f)
+
+
+def test_epi_route_reuses_the_single_middle_kernel(comparison_quivers):
+    """ar_quiver keeps the kernel of the arrow into each single-middle mesh
+    end, keyed by arrow index; it equals a fresh kernel of the arrow's map."""
+    kept = 0
+    for ar in comparison_quivers:
+        singles = {mesh.arrow_indices[0] for mesh in ar.meshes if len(mesh.middles) == 1}
+        assert ar._mesh_kernel.keys() == singles
+        for i in singles:
+            assert ar._mesh_kernel[i] == kernel(ar.arrows[i].map)
+            kept += 1
+    assert kept == 1790
+
+
+def test_epi_route_takes_no_kernel_a_mesh_already_took(monkeypatch):
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return kernel(f)
+
+    monkeypatch.setattr(oracle, "kernel", counting)
+    res = oracle.brute_force_det(crossing6_algebra())
+    epis = [e.arrow_index for e in res.entries if e.kind is oracle.MapKind.EPI]
+    assert len(calls) == len(epis) - len(res.ar._mesh_kernel) == len(epis) - 5
+

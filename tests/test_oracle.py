@@ -9,7 +9,8 @@ from stringdet.arquiver import OracleError
 from stringdet.families import crossing6_algebra, crossing_tree_algebra, linear_algebra
 from stringdet.linalg import Mat, nullspace
 from stringdet.modules import (block_columns, cokernel, direct_sum, intertwining_rows,
-                               module_map, projective, representation, simple)
+                               is_epimorphism, is_monomorphism, module_map, projective,
+                               representation, simple)
 from stringdet.oracle import MapKind, almost_factors_through, minimal_right_determiner
 
 from determination import is_right_determined
@@ -313,3 +314,39 @@ def test_opposite_algebra_keeps_the_ar_quiver_size(seed, n):
     ar, ar_opp = ar_quiver(alg), ar_quiver(opp)
     assert ((opp.quiver.vertex_count(), len(ar_opp.nodes), len(ar_opp.arrows))
             == (n, len(ar.nodes), len(ar.arrows)))
+
+
+def _assert_dual(ar):
+    """The duality D = Hom_k(-, k) keeps supports, reverses irreducible maps,
+    swaps tau with its inverse and P(v) with I(v), and turns monos into epis:
+    compare ar with the AR quiver of the opposite algebra, built afresh, by
+    the supports of the nodes."""
+    opp = validate(parse_algebra(_opposite(serialize(ar.algebra))))
+    ar_opp = ar_quiver(opp)
+    sup = [nd.rep.support for nd in ar.nodes]
+    sup_opp = [nd.rep.support for nd in ar_opp.nodes]
+    assert len(sup_opp) == len(sup) and set(sup_opp) == set(sup)
+    arrows = {(sup[a.source], sup[a.target]): a.map for a in ar.arrows}
+    reversed_opp = {(sup_opp[a.target], sup_opp[a.source]): a.map for a in ar_opp.arrows}
+    assert len(reversed_opp) == len(ar_opp.arrows) and reversed_opp.keys() == arrows.keys()
+    assert ({sup_opp[x]: sup_opp[y] for x, y in ar_opp.tau.items()}
+            == {sup[x]: sup[y] for x, y in ar.tau_inv.items()})
+    vertices = ar.algebra.quiver.vertices
+    projectives = {v: sup[ar.projective_node(v)] for v in vertices}
+    injectives = {nd.injective_vertex: sup[nd.index] for nd in ar.nodes if nd.is_injective}
+    assert {v: sup_opp[ar_opp.projective_node(v)] for v in vertices} == injectives
+    assert {nd.injective_vertex: sup_opp[nd.index]
+            for nd in ar_opp.nodes if nd.is_injective} == projectives
+    monos = 0
+    for key, f in arrows.items():
+        assert is_monomorphism(f) == is_epimorphism(reversed_opp[key])
+        monos += is_monomorphism(f)
+    return monos
+
+
+def test_opposite_algebra_has_the_dual_ar_quiver(sweep_records):
+    """On every sweep algebra and crossing-tree levels 1-3."""
+    monos = sum(_assert_dual(rec.oracle.ar) for rec in sweep_records)
+    for levels in (1, 2, 3):
+        monos += _assert_dual(ar_quiver(crossing_tree_algebra(levels)))
+    assert monos == 3158
