@@ -4,28 +4,30 @@ Nodes are the string modules (all indecomposables, since tree quivers carry
 no band modules).  Maps come from supports, which are paths in the tree: by
 Crawley-Boevey's graph maps (1989), Hom(M, N) has at most one basis map, the
 identity on C = supp M & supp N, and it exists exactly when no arrow of M
-enters C and no arrow of N leaves C.  The irreducible maps out of a node come
-from hooks and cohooks (Butler-Ringel, 1987): at each end of its walk, add a
-hook if the walk extends there, or else delete a cohook.  Each target is
-looked up by support, so the arrows cost O(N * l) lookups, l the longest
-string; the definitional rule (a non-zero map M -> N that no third node X
-reaches through maps M -> X -> N with overlapping images) is kept as a test
-reference.  Exact linear algebra verifies: every basis map intertwines,
-End = k is an exact hom-space solve, and the irreducible maps into each
-non-projective node form a surjection whose exact kernel is its translate.
-That kernel is taken from the arrow's own map at one middle (Butler-Ringel:
-at most two), and at two with f2 mono from f1 followed by the projection
-onto the cokernel of f2, the pullback along a mono.  These maps join thin
-modules, so their intertwining checks, kernels, cokernels and socles are
-scalar (see `modules`); only a mesh with two epi middles takes the general
-path, on their direct sum.  The kernel at one middle is kept by arrow
-index, and the oracle's epi route reads it for that arrow.  Each node is
-the thin module on its string's vertices, and each vertex's projective,
-injective and radical-summand nodes are found once by support.
-Mesh sizes, the translate bijection and the arrows into each projective
-(exactly its radical summands) are checked too; any breach, a hook, cohook
-or distinguished support that is not a node included, raises OracleError
-naming the modules by their walks or supports.
+enters C and no arrow of N leaves C.  C is a run of both walks, so only the
+letters just before and just after it can cross it: Hom is read from the two
+walks on each call, and the quiver keeps nothing per pair of nodes.  The
+irreducible maps out of a node come from hooks and cohooks (Butler-Ringel,
+1987): at each end of its walk, add a hook if the walk extends there, or else
+delete a cohook.  Each target is looked up by support, and its map is built
+once, so the arrows cost O(N * l) lookups, l the longest string; the
+definitional rule (a non-zero map M -> N that no third node X reaches through
+maps M -> X -> N with overlapping images) is kept as a test reference.  Exact
+linear algebra verifies: every basis map intertwines, End = k is an exact
+hom-space solve, and the irreducible maps into each non-projective node form
+a surjection whose exact kernel is its translate.  That kernel is taken from
+the arrow's own map at one middle (Butler-Ringel: at most two), and at two
+with f2 mono from f1 followed by the projection onto the cokernel of f2, the
+pullback along a mono.  These maps join thin modules, so their intertwining
+checks, kernels, cokernels and socles are scalar (see `modules`); only a mesh
+with two epi middles takes the general path, on their direct sum.  The kernel
+at one middle is kept by arrow index, and the oracle's epi route reads it for
+that arrow.  Each node is the thin module on its string's vertices, and each
+vertex's projective, injective and radical-summand nodes are found once by
+support.  Mesh sizes, the translate bijection and the arrows into each
+projective (exactly its radical summands) are checked too; any breach, a
+hook, cohook or distinguished support that is not a node included, raises
+OracleError naming the modules by their walks or supports.
 """
 
 from __future__ import annotations
@@ -101,7 +103,6 @@ class ARQuiver:
     meshes: list[Mesh]
     tau: dict[int, int]       # right end -> left end (non-projective -> node)
     tau_inv: dict[int, int]
-    _image: dict[tuple[int, int], frozenset[int]] = field(default_factory=dict)
     _node_by_support: dict[frozenset[int], int] = field(default_factory=dict)
     _projective: dict[int, int] = field(default_factory=dict)
     _radical: dict[int, tuple[int, ...]] = field(default_factory=dict)
@@ -111,18 +112,14 @@ class ARQuiver:
 
     def image(self, a: int, b: int) -> frozenset[int]:
         """Support of the basis map of Hom(a, b), empty when Hom(a, b) = 0: the
-        overlap C of the supports, unless an arrow x -> v enters C from x in
-        supp a - C or an arrow v -> y leaves C for y in supp b - C.  On a tree
-        the arrows with both ends in a node's support are exactly its letters,
-        so the supports alone decide Hom."""
-        key = (a, b)
-        c = self._image.get(key)
-        if c is None:
-            sa, sb = self.nodes[a].rep.support, self.nodes[b].rep.support
-            c = sa & sb
-            if _shut(self.algebra.quiver, sa, sb, c):
-                c = frozenset()
-            self._image[key] = c
+        overlap C of the supports, unless an arrow enters C from supp a - C or
+        leaves C for supp b - C.  On a tree such an arrow is a letter of the
+        node's walk, and C is a run of both walks, so only the letters just
+        before and just after that run decide.  Nothing is kept per pair."""
+        na, nb = self.nodes[a], self.nodes[b]
+        c = na.rep.support & nb.rep.support
+        if c and (_crossed(na.walk, c, True) or _crossed(nb.walk, c, False)):
+            return frozenset()
         return c
 
     def hom(self, a: int, b: int) -> list[ModuleMap]:
@@ -164,23 +161,25 @@ class ARQuiver:
         quiver = self.algebra.quiver
         for v in support:
             for a in quiver.outgoing[v]:
-                if a.target in support and rep.map(a.name).is_zero():
+                # stored, as both ends lie in the support: a 1 x 1 scalar
+                if a.target in support and not rep.maps[a.name].rows[0][0]:
                     return None
         return self._node_by_support.get(support)
 
 
-def _shut(quiver, sa: frozenset[int], sb: frozenset[int], c: frozenset[int]) -> bool:
-    """Does an arrow enter C from sa - C, or leave C for sb - C?  One pass
-    over C, stopped at the first such arrow."""
-    ins, outs = quiver.incoming, quiver.outgoing
-    for v in c:
-        for x in ins[v]:
-            if x.source in sa and x.source not in sb:
-                return True
-        for y in outs[v]:
-            if y.target in sb and y.target not in sa:
-                return True
-    return False
+def _crossed(walk: StringWalk, c: frozenset[int], inward: bool) -> bool:
+    """Does the letter just before or just after C's run in the walk point
+    into C (inward) or out of it?  A direct letters[k] is vertices[k] -> [k + 1]."""
+    path = walk.vertices
+    if len(c) == len(path):
+        return False
+    for i, v in enumerate(path):
+        if v in c:
+            break
+    j = i + len(c) - 1  # the run is path[i..j]
+    letters = walk.letters
+    return (i > 0 and letters[i - 1].direct == inward
+            or j < len(letters) and letters[j].direct != inward)
 
 
 def ar_quiver(algebra: BoundQuiverAlgebra, max_nodes: int | None = None) -> ARQuiver:
@@ -258,16 +257,16 @@ def _build_arrows(ar: ARQuiver) -> None:
                 targets = [] if j is None else [frozenset(side[j + 1:])]
             for target in targets:
                 b = ar._node_by_support.get(target)
-                if b is None or not ar.image(a, b):
+                homs = [] if b is None else ar.hom(a, b)
+                if not homs:
                     raise OracleError(f"no irreducible map out of {node.walk.render_text()} "
                                       f"at its end ({side[0]}): support {sorted(target)} "
                                       f"{'is not a node' if b is None else 'gets no map'}")
-                found.append((b, a))
-    for b, a in sorted(found):
+                found.append((b, a, homs[0]))
+    for b, a, h in sorted(found, key=lambda t: t[:2]):
         if ar.nodes[a].rep.total_dim == ar.nodes[b].rep.total_dim:
             raise OracleError(f"irreducible map between equal-dimension nodes "
                               f"{ar.nodes[a].label()} -> {ar.nodes[b].label()}")
-        (h,) = ar.hom(a, b)
         ar.arrows.append(ArArrow(len(ar.arrows), a, b, h))
 
 

@@ -356,6 +356,29 @@ def test_image_matches_letter_scan_on_crossing_tree(levels, counts):
     assert _image_against_letter_scan(ar_quiver(crossing_tree_algebra(levels))) == counts
 
 
+@pytest.mark.parametrize("n, counts", [(12, (6084, 1365)), (16, (18496, 3876)),
+                                       (20, (44100, 8855)), (24, (90000, 17550))])
+def test_image_matches_letter_scan_on_mixed_lines(n, counts):
+    # long walks of both orientations put C's ends in the middle of a walk
+    rng = random.Random(n)
+    orientation = "".join(rng.choice("<>") for _ in range(n - 1))
+    assert _image_against_letter_scan(ar_quiver(linear_algebra(n, orientation))) == counts
+
+
+def test_image_keeps_nothing_per_pair():
+    ar = ar_quiver(crossing_tree_algebra(3))
+
+    def sizes():
+        return {name: len(value) for name, value in vars(ar).items()
+                if isinstance(value, (dict, list))}
+
+    before = sizes()
+    nonzero = sum(bool(ar.image(a, b)) for a in range(len(ar.nodes))
+                  for b in range(len(ar.nodes)))
+    assert nonzero == 1836
+    assert sizes() == before
+
+
 def _carried_support_against_block_scan(ar):
     """Each arrow's map carries its support from ARQuiver.hom; it equals the
     scan of the map's non-zero blocks that ModuleMap.support would run."""

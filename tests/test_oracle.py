@@ -350,3 +350,10 @@ def test_opposite_algebra_has_the_dual_ar_quiver(sweep_records):
     for levels in (1, 2, 3):
         monos += _assert_dual(ar_quiver(crossing_tree_algebra(levels)))
     assert monos == 3158
+
+
+def test_opposite_algebra_has_the_dual_ar_quiver_on_random_trees():
+    """On 40 seeded random trees with n = 6..20 (1768 nodes in all)."""
+    monos = sum(_assert_dual(ar_quiver(random_tree_algebra(random.Random(seed), 6 + seed % 15)))
+                for seed in range(40))
+    assert monos == 1275

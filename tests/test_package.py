@@ -19,6 +19,8 @@ DELETED = [
     (treewalk, "is_linear"), (treewalk, "restricted_ideal_nonzero"),
     (treewalk.TreeWalk, "reversed"), (treewalk.TreeWalk, "arrow_names"),
     (arquiver, "_check_radicals"),
+    # Hom is read from the two walks afresh, with no pairwise memo
+    (arquiver, "_shut"),
     # distinguished modules are found by support, not built as glued walks
     (strings, "out_arms"), (strings, "in_arms"), (strings, "_join_at"),
     (strings, "projective_walk"), (strings, "injective_walk"), (strings, "radical_walks"),
