@@ -13,21 +13,23 @@ delete a cohook.  Each target is looked up by support, and its map is built
 once, so the arrows cost O(N * l) lookups, l the longest string; the
 definitional rule (a non-zero map M -> N that no third node X reaches through
 maps M -> X -> N with overlapping images) is kept as a test reference.  Exact
-linear algebra verifies: every basis map intertwines, End = k is an exact
-hom-space solve, and the irreducible maps into each non-projective node form
-a surjection whose exact kernel is its translate.  That kernel is taken from
-the arrow's own map at one middle (Butler-Ringel: at most two), and at two
-with f2 mono from f1 followed by the projection onto the cokernel of f2, the
-pullback along a mono.  These maps join thin modules, so their intertwining
-checks, kernels, cokernels and socles are scalar (see `modules`); only a mesh
-with two epi middles takes the general path, on their direct sum.  The kernel
-at one middle is kept by arrow index, and the oracle's epi route reads it for
-that arrow.  Each node is the thin module on its string's vertices, and each
-vertex's projective, injective and radical-summand nodes are found once by
-support.  Mesh sizes, the translate bijection and the arrows into each
-projective (exactly its radical summands) are checked too; any breach, a
-hook, cohook or distinguished support that is not a node included, raises
-OracleError naming the modules by their walks or supports.
+linear algebra verifies: every basis map intertwines, and the irreducible
+maps into each non-projective node form a surjection whose exact kernel is
+its translate.  End = k is `identify`, the one node test: a thin module's
+endomorphisms are one scalar per support vertex, tied along each arrow with
+a non-zero scalar, so End = k exactly when those arrows connect the support.
+The sink kernel is taken from the arrow's own map at one middle
+(Butler-Ringel: at most two), and at two with f2 mono from f1 followed by
+the projection onto the cokernel of f2, the pullback along a mono.  These
+maps join thin modules, so their intertwining checks, kernels, cokernels and
+socles are scalar (see `modules`); only a mesh with two epi middles takes
+the general path, on their direct sum.  Each node is the thin module on its
+string's vertices, and each vertex's projective, injective and
+radical-summand nodes are found once by support.  Mesh sizes, the translate
+bijection and the arrows into each projective (exactly its radical summands)
+are checked too; any breach, a hook, cohook or distinguished support that is
+not a node included, raises OracleError naming the modules by their walks or
+supports.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from itertools import islice
 
 from .algebra import BoundQuiverAlgebra
 from .linalg import Mat
-from .modules import (ModuleMap, Representation, cokernel, compose, direct_sum, hom_dim,
-                      is_epimorphism, is_monomorphism, kernel, module_map, string_module)
+from .modules import (ModuleMap, Representation, cokernel, compose, direct_sum, is_epimorphism,
+                      is_monomorphism, kernel, module_map, string_module)
 from .strings import (StringWalk, _arm, _iter_strings, _sorted_strings, injective_support,
                       projective_support, radical_supports)
 
@@ -106,9 +108,6 @@ class ARQuiver:
     _node_by_support: dict[frozenset[int], int] = field(default_factory=dict)
     _projective: dict[int, int] = field(default_factory=dict)
     _radical: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    # arrow index -> (kernel, inclusion) of the arrow's map, for the one
-    # arrow into each single-middle mesh end
-    _mesh_kernel: dict[int, tuple[Representation, ModuleMap]] = field(default_factory=dict)
 
     def image(self, a: int, b: int) -> frozenset[int]:
         """Support of the basis map of Hom(a, b), empty when Hom(a, b) = 0: the
@@ -214,7 +213,7 @@ def ar_quiver(algebra: BoundQuiverAlgebra, max_nodes: int | None = None) -> ARQu
                           f"found {n_proj} and {n_inj}")
 
     for nd in nodes:
-        if hom_dim(nd.rep, nd.rep) != 1:
+        if ar.identify(nd.rep) != nd.index:
             raise OracleError(f"endomorphism ring of {nd.label()} is not trivial")
 
     _build_arrows(ar)
@@ -314,10 +313,7 @@ def _build_meshes(ar: ARQuiver) -> None:
         g = _sink_kernel_map(node, [arr.map for arr in comps])
         if not is_epimorphism(g):
             raise OracleError(f"sink map candidate into node {node.label()} is not onto")
-        found = kernel(g)
-        if len(comps) == 1:
-            ar._mesh_kernel[comps[0].index] = found
-        ker = found[0]
+        ker, _ = kernel(g)
         left = ar.identify(ker)
         if left is None:
             raise OracleError(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import gc
 import json
@@ -112,9 +113,14 @@ def _emit(ns: argparse.Namespace, doc: dict | list[str] | str,
     """Write doc, a dict as JSON, a list as text lines and a string as it is,
     to the -o file, else to stdout, and each (path, doc) of more to its path.
     The command is all or nothing: each file is written to a temporary file
-    beside its target, and stdout is written only once every target is
-    replaced."""
-    staged: list[tuple[str, str]] = []  # (temporary file, target)
+    beside the file its path resolves to, symlinks followed, and replaces
+    that file; any other existing target but a directory, such as a FIFO or
+    a device, is written in place once the replacements are done; stdout is
+    written last.  A directory, or two paths that resolve to one file, are
+    refused before anything is written."""
+    staged: list[tuple[str, str, str]] = []  # (temporary file, resolved target, path)
+    in_place: list[tuple[str, str]] = []  # (path, text)
+    resolved: dict[str, str] = {}  # resolved target -> path
     out = ""
     try:
         for path, doc in ((ns.output, doc), *more):
@@ -125,27 +131,38 @@ def _emit(ns: argparse.Namespace, doc: dict | list[str] | str,
             if path is None:
                 out = doc
                 continue
+            target = os.path.realpath(path)
+            if target in resolved:
+                raise ValueError(f"{path!r} and {resolved[target]!r} name the same file")
+            resolved[target] = path
             # the mode open(path, "w") would leave: the replaced file's, else
             # 0o666 less the umask (mkstemp's file is 0o600)
             try:
-                mode = stat.S_IMODE(os.stat(path).st_mode)
+                mode = os.stat(path).st_mode
             except FileNotFoundError:
                 umask = os.umask(0)
                 os.umask(umask)
-                mode = 0o666 & ~umask
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                       prefix=".stringdet-")
-            staged.append((tmp, path))
+                mode = stat.S_IFREG | (0o666 & ~umask)
+            if stat.S_ISDIR(mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            if not stat.S_ISREG(mode):
+                in_place.append((path, doc))
+                continue
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".stringdet-")
+            staged.append((tmp, target, path))
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(doc)
-            os.chmod(tmp, mode)
-        for tmp, path in staged:
-            os.replace(tmp, path)
+            os.chmod(tmp, stat.S_IMODE(mode))
+        for tmp, target, path in staged:
+            os.replace(tmp, target)
+        for path, doc in in_place:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(doc)
     except OSError as exc:
-        # name the path given, not the temporary file
+        # name the path given, not the temporary or resolved file
         raise OSError(exc.errno, exc.strerror, path) from None
     finally:
-        for tmp, _ in staged:
+        for tmp, _, _ in staged:
             if os.path.exists(tmp):
                 os.unlink(tmp)
     sys.stdout.write(out)

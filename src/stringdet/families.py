@@ -4,6 +4,8 @@ tree algebras live with the tests, in tests/tree_algebras.py."""
 
 from __future__ import annotations
 
+import inspect
+
 from .algebra import (Arrow, BoundQuiverAlgebra, Quiver, _reduce_generators, serialize,
                       validate)
 
@@ -168,17 +170,23 @@ def _all_length_two_paths(arrows: list[tuple[str, int, int]]) -> list[tuple[str,
 
 
 GENERATORS = {
-    "crossing6": lambda **kw: crossing6_algebra(),
-    "zigzag4": lambda **kw: zigzag4_algebra(),
-    "fan5": lambda variant="both", **kw: fan5_algebra(variant),
-    "crossing-tree": lambda levels=1, **kw: crossing_tree_algebra(int(levels)),
-    "line": lambda n=4, orientation=None, **kw: linear_algebra(int(n), orientation),
-    "fork": lambda n=5, orientation=None, **kw: fork_algebra(int(n), orientation),
+    "crossing6": crossing6_algebra,
+    "zigzag4": zigzag4_algebra,
+    "fan5": fan5_algebra,
+    "crossing-tree": lambda levels=1: crossing_tree_algebra(int(levels)),
+    "line": lambda n=4, orientation=None: linear_algebra(int(n), orientation),
+    "fork": lambda n=5, orientation=None: fork_algebra(int(n), orientation),
 }
 
 
 def generate_example(name: str, **params) -> str:
+    """The serialized example; a parameter its generator does not take is
+    refused, not ignored."""
     if name not in GENERATORS:
         raise ValueError(f"unknown example {name!r}; choose from {sorted(GENERATORS)}")
-    alg = GENERATORS[name](**params)
-    return serialize(alg)
+    generator = GENERATORS[name]
+    taken = inspect.signature(generator).parameters
+    for key in params:
+        if key not in taken:
+            raise ValueError(f"example {name!r} takes no parameter {key!r}")
+    return serialize(generator(**params))

@@ -12,11 +12,13 @@ pivots it meets and costs O(fill), not O(length), per row.  `nullspace`,
 all read its pivot rows.  The systems that come up (intertwining
 constraints, kernels, quotients) have a few non-zeros per row.
 
-Each distinct block is eliminated once.  The blocks of maps between thin
-modules are few and come back again and again (a 1 x 1 [1], a 1 x 2 sink
-map), so the kernel of a matrix (which also gives its rank) and the
-quotient by its column space are memoised by the matrix's value, in a
-bounded `functools.lru_cache` of `_MEMO_SIZE` entries each.  The key is
+Each distinct block is eliminated once.  On the oracle's path the memo
+serves the sink maps of meshes with two epi middles, on their direct sum, and
+their ranks (the onto check): thin maps take scalar kernels and cokernels,
+and End = k needs no solve.  Those blocks are few and come back again and
+again (a 1 x 2 [1 1]), so the kernel of a matrix (which also gives its rank)
+and the quotient by its column space are memoised by the matrix's value, in
+a bounded `functools.lru_cache` of `_MEMO_SIZE` entries each.  The key is
 the immutable `Mat` alone; an int matrix and an equal `Fraction` one share
 an entry, and their results are equal and exact.  Only immutable values are
 cached, and `nullspace` returns a fresh list each call.

@@ -113,8 +113,7 @@ def minimal_right_determiner(ar: ARQuiver, arrow: ArArrow) -> DeterminerEntry:
 
     if not is_epimorphism(f):
         raise OracleError(f"{_arrow_text(ar, arrow)} has larger source but is not epi")
-    # the arrow into a single-middle mesh end had its kernel taken for the mesh
-    ker, _ = ar._mesh_kernel.get(arrow.index) or kernel(f)
+    ker, _ = kernel(f)
     ker_node = ar.identify(ker)
     if ker_node is None:
         raise OracleError(f"kernel of epi {_arrow_text(ar, arrow)} is not indecomposable")

@@ -8,8 +8,9 @@ from stringdet.arquiver import GuardExceeded, OracleError, _build_arrows, _build
 from stringdet.cli import main
 from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
                                 generate_example, linear_algebra)
-from stringdet.linalg import SpanBuilder
-from stringdet.modules import compose, hom_dim, hom_space, is_epimorphism, is_monomorphism
+from stringdet.linalg import Mat, SpanBuilder
+from stringdet.modules import (Representation, compose, hom_dim, hom_space, is_epimorphism,
+                               is_monomorphism, string_module)
 from stringdet.strings import enumerate_strings
 
 from tree_algebras import random_tree_algebra
@@ -296,13 +297,20 @@ def test_hom_dim_counts_the_hom_space_basis(small_sweep_homs):
 
 def test_end_check_names_the_node_with_a_large_endomorphism_ring(monkeypatch):
     """A node whose End is not k stops ar_quiver with an OracleError naming
-    its walk, whichever node it is."""
+    its walk, whichever node it is: the node's module is faulted, a zero
+    scalar on one letter, or a doubled space on a one-vertex string."""
     alg = crossing6_algebra()
     nodes = ar_quiver(alg).nodes
     for victim in nodes:
-        def fake(source, target, victim=victim.rep.support):
-            return 2 if source.support == victim else hom_dim(source, target)
-        monkeypatch.setattr(arquiver, "hom_dim", fake)
+        def faulted(algebra, support, victim=victim.rep.support):
+            rep = string_module(algebra, support)
+            if rep.support != victim:
+                return rep
+            if not rep.maps:
+                return Representation(algebra, {v: 2 for v in rep.dims}, {})
+            letter = min(rep.maps)
+            return Representation(algebra, rep.dims, {**rep.maps, letter: Mat([[0]])})
+        monkeypatch.setattr(arquiver, "string_module", faulted)
         with pytest.raises(OracleError) as exc:
             ar_quiver(alg)
         # the label is the node's walk and its P/I tags
@@ -410,7 +418,6 @@ def test_identify_rejects_decomposable():
 
 
 def test_identify_rescaled_projective():
-    from stringdet.linalg import Mat
     from stringdet.modules import representation
     alg = linear_algebra(3)
     ar = ar_quiver(alg)

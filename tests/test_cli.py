@@ -7,6 +7,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 from unittest import mock
@@ -20,7 +21,9 @@ from stringdet.arquiver import OracleError
 from stringdet.algebra import parse_algebra, serialize, validate
 from stringdet.cli import main
 from stringdet.engine import determiner_report, dynkin_type
-from stringdet.families import crossing_tree_algebra, generate_example
+from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
+                                fork_algebra, generate_example, linear_algebra,
+                                zigzag4_algebra)
 from stringdet.taxonomy import VertexClass
 
 from tree_algebras import iter_tree_algebras
@@ -254,6 +257,21 @@ def test_export_dot_failed_ar_write_changes_no_file(tmp_path, capsys, monkeypatc
     assert sorted(os.listdir(tmp_path)) == ["q.dot", "z.txt"]
 
 
+def test_export_dot_refuses_a_directory_before_writing(tmp_path, capsys, monkeypatch):
+    """A directory as --ar-output fails the command before the -o file is
+    replaced."""
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "z.txt", generate_example("zigzag4"))
+    (tmp_path / "d").mkdir()
+    (tmp_path / "q.dot").write_bytes(b"digraph old {}\n")
+    assert main(["export-dot", "z.txt", "-o", "q.dot", "--ar-output", "d"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Is a directory: 'd'" in err, err
+    assert (tmp_path / "q.dot").read_bytes() == b"digraph old {}\n"
+    assert sorted(os.listdir(tmp_path)) == ["d", "q.dot", "z.txt"]
+    assert os.listdir(tmp_path / "d") == []
+
+
 def test_export_dot_failed_ar_write_prints_nothing(tmp_path, capsys, monkeypatch):
     """Without -o the quiver's DOT goes to stdout, and only once the
     --ar-output file is in place: a failed write leaves stdout empty."""
@@ -292,6 +310,103 @@ def test_output_error_names_the_given_path(tmp_path, capsys, monkeypatch):
     # no temporary file is left behind
     assert sorted(os.listdir(tmp_path)) == ["d", "z.txt"]
     assert os.listdir(tmp_path / "d") == []
+
+
+def test_output_writes_through_a_symlink(tmp_path, monkeypatch):
+    """-o on a symlink replaces the file it points to and keeps the link."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "real").mkdir()
+    (tmp_path / "real" / "out.txt").write_text("old\n")
+    (tmp_path / "link.txt").symlink_to("real/out.txt")
+    assert main(["gen-example", "zigzag4", "-o", "link.txt"]) == 0
+    assert (tmp_path / "link.txt").is_symlink()
+    assert (tmp_path / "real" / "out.txt").read_text() == generate_example("zigzag4")
+    # the temporary file was staged beside the target, and is gone
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "real"]
+    assert os.listdir(tmp_path / "real") == ["out.txt"]
+
+
+def test_output_writes_into_a_fifo(tmp_path):
+    """-o on a FIFO writes into it, as open(path, "w") would, and leaves it a
+    FIFO."""
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    # a daemon, so that a write that misses the FIFO fails the test, not the run
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    try:
+        assert main(["gen-example", "zigzag4", "-o", str(fifo)]) == 0
+    finally:
+        reader.join(timeout=30)
+    assert got == [generate_example("zigzag4")]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
+
+
+def test_output_to_stdout_touches_no_file(tmp_path, capsys):
+    """Without -o nothing is resolved, stat'ed or staged."""
+    path = write(tmp_path, "q.txt", generate_example("zigzag4"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("filesystem call without -o")
+
+    with mock.patch.object(os.path, "realpath", refuse), \
+            mock.patch.object(os.path, "exists", refuse), mock.patch.object(os, "stat", refuse), \
+            mock.patch.object(cli.tempfile, "mkstemp", refuse):
+        code = main(["determiners", path, "--format", "json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["formula_value"] == 6
+
+
+@pytest.mark.parametrize("ar_output", ["a.dot", "./a.dot", "sub/../a.dot", "link.dot"])
+def test_export_dot_refuses_one_file_for_both_outputs(ar_output, tmp_path, capsys, monkeypatch):
+    """-o and --ar-output naming one file, however spelled, is refused with
+    exit code 1, naming the file, and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "z.txt", generate_example("zigzag4"))
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.dot").symlink_to("a.dot")
+    before = sorted(os.listdir(tmp_path))
+    assert main(["export-dot", "z.txt", "-o", "a.dot", "--ar-output", ar_output]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and f"'{ar_output}'" in err, err
+    assert "'a.dot'" in err and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == before
+    (tmp_path / "a.dot").write_text("digraph old {}\n")
+    assert main(["export-dot", "z.txt", "-o", "a.dot", "--ar-output", ar_output]) == 1
+    assert (tmp_path / "a.dot").read_text() == "digraph old {}\n"
+    assert sorted(os.listdir(tmp_path)) == sorted(before + ["a.dot"])
+
+
+@pytest.mark.parametrize("args,name", [(["zigzag4", "--n", "5"], "n"),
+                                       (["line", "--levels", "3"], "levels"),
+                                       (["crossing6", "--variant", "one"], "variant"),
+                                       (["fan5", "--orientation", ">"], "orientation"),
+                                       (["crossing-tree", "--n", "4"], "n"),
+                                       (["fork", "--variant", "both"], "variant")])
+def test_gen_example_refuses_a_parameter_its_generator_does_not_take(args, name, capsys):
+    assert main(["gen-example", *args]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and f"parameter '{name}'" in err, err
+    assert "Traceback" not in err and "TypeError" not in err
+
+
+@pytest.mark.parametrize("args,expected", [
+    (["crossing6"], lambda: crossing6_algebra()),
+    (["zigzag4"], lambda: zigzag4_algebra()),
+    (["fan5"], lambda: fan5_algebra("both")),
+    (["fan5", "--variant", "one"], lambda: fan5_algebra("one")),
+    (["crossing-tree"], lambda: crossing_tree_algebra(1)),
+    (["crossing-tree", "--levels", "2"], lambda: crossing_tree_algebra(2)),
+    (["line"], lambda: linear_algebra(4)),
+    (["line", "--n", "5", "--orientation", "><><"], lambda: linear_algebra(5, "><><")),
+    (["fork"], lambda: fork_algebra(5)),
+    (["fork", "--n", "6", "--orientation", "<<>><"], lambda: fork_algebra(6, "<<>><")),
+])
+def test_gen_example_takes_each_generator_parameter(args, expected, capsys):
+    assert main(["gen-example", *args]) == 0
+    assert capsys.readouterr().out == serialize(expected())
 
 
 def test_gen_example_to_file(tmp_path):

@@ -11,7 +11,7 @@ from stringdet.arquiver import _sink_kernel_map
 from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
                                 linear_algebra)
 from stringdet.linalg import Mat, kernel_inclusion, nullspace, quotient_projection
-from stringdet.modules import (ModuleMap, cokernel, compose, direct_sum, hom_space,
+from stringdet.modules import (ModuleMap, cokernel, compose, direct_sum, hom_dim, hom_space,
                                injective, is_epimorphism, is_monomorphism, kernel,
                                module_map, projective, representation,
                                simple, socle, string_module)
@@ -841,20 +841,9 @@ def test_thin_map_that_does_not_intertwine_raises_as_the_general_path_does():
                 path(f)
 
 
-def test_epi_route_reuses_the_single_middle_kernel(comparison_quivers):
-    """ar_quiver keeps the kernel of the arrow into each single-middle mesh
-    end, keyed by arrow index; it equals a fresh kernel of the arrow's map."""
-    kept = 0
-    for ar in comparison_quivers:
-        singles = {mesh.arrow_indices[0] for mesh in ar.meshes if len(mesh.middles) == 1}
-        assert ar._mesh_kernel.keys() == singles
-        for i in singles:
-            assert ar._mesh_kernel[i] == kernel(ar.arrows[i].map)
-            kept += 1
-    assert kept == 1790
-
-
-def test_epi_route_takes_no_kernel_a_mesh_already_took(monkeypatch):
+def test_epi_route_takes_one_kernel_per_epi_arrow(monkeypatch):
+    """The epi route takes the kernel of each epi arrow's own map, once; the
+    quiver passes it none."""
     calls = []
 
     def counting(f):
@@ -863,6 +852,35 @@ def test_epi_route_takes_no_kernel_a_mesh_already_took(monkeypatch):
 
     monkeypatch.setattr(oracle, "kernel", counting)
     res = oracle.brute_force_det(crossing6_algebra())
-    epis = [e.arrow_index for e in res.entries if e.kind is oracle.MapKind.EPI]
-    assert len(calls) == len(epis) - len(res.ar._mesh_kernel) == len(epis) - 5
+    epis = [res.ar.arrows[e.arrow_index].map for e in res.entries
+            if e.kind is oracle.MapKind.EPI]
+    assert len(calls) == len(epis) == 10
+    assert all(c is f for c, f in zip(calls, epis))
+
+
+def test_end_check_by_identify_matches_the_hom_solve(comparison_quivers):
+    """identify(M) names a node exactly when End M = k: on every node the
+    exact solve gives 1 and identify gives the node itself, and on thin
+    modules over node supports, with seeded scalars from {0, +-1, 2, 1/2}
+    on the arrows inside, identify finds a node exactly when the solve
+    gives 1."""
+    scalars = [Mat([[x]]) for x in (0, 1, -1, 2, Fraction(1, 2))]
+    rng = random.Random(29)
+    nodes = 0
+    outcomes = Counter()
+    for ar in comparison_quivers:
+        outgoing = ar.algebra.quiver.outgoing
+        for nd in ar.nodes:
+            assert hom_dim(nd.rep, nd.rep) == 1
+            assert ar.identify(nd.rep) == nd.index
+            nodes += 1
+            inside = [a.name for v in nd.rep.support for a in outgoing[v]
+                      if a.target in nd.rep.support]
+            rep = representation(ar.algebra, nd.rep.dims,
+                                 {name: rng.choice(scalars) for name in inside})
+            found = ar.identify(rep) is not None
+            assert found == (hom_dim(rep, rep) == 1)
+            outcomes[found] += 1
+    assert nodes == sum(outcomes.values()) == 5384
+    assert outcomes[True] and outcomes[False], outcomes
 

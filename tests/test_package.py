@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 import stringdet
-from stringdet import (algebra, arquiver, engine, families, linalg, modules, strings, taxonomy,
-                       treewalk)
+from stringdet import (algebra, arquiver, engine, families, linalg, modules, oracle, strings,
+                       taxonomy, treewalk)
 from stringdet.algebra import ParseError
 
 # per-vertex duplicates of vertex_ideals / determiner_report, and the
@@ -35,6 +35,8 @@ DELETED = [
     # routines only the tests call live in tests/helpers.py
     (algebra, "path_in_ideal"), (linalg.SpanBuilder, "reduce"),
     (linalg.SpanBuilder, "contains"), (modules, "zero_map"), (modules, "identity_map"),
+    # End = k is decided by identify, and the epi route takes its own kernel
+    (arquiver, "hom_dim"), (arquiver.ar_quiver(families.crossing6_algebra()), "_mesh_kernel"),
 ]
 
 
@@ -47,6 +49,11 @@ def test_all_names_resolve(name):
 def test_deleted_names_are_gone(owner, name):
     assert not hasattr(owner, name)
     assert not hasattr(stringdet, name)
+
+
+def test_oracle_reads_no_state_the_quiver_keeps_for_it():
+    source = inspect.getsource(oracle)
+    assert "_mesh_kernel" not in source and "hom_dim" not in source
 
 
 def test_engine_needs_no_tree_walks():
