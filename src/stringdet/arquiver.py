@@ -42,7 +42,7 @@ from .linalg import Mat
 from .modules import (ModuleMap, Representation, cokernel, compose, direct_sum, is_epimorphism,
                       is_monomorphism, kernel, module_map, string_module)
 from .strings import (StringWalk, _arm, _iter_strings, _sorted_strings, injective_support,
-                      projective_support, radical_supports)
+                      radical_supports)
 
 
 class OracleError(RuntimeError):
@@ -200,9 +200,10 @@ def ar_quiver(algebra: BoundQuiverAlgebra, max_nodes: int | None = None) -> ARQu
         raise OracleError("two strings share a support")
 
     for v in algebra.quiver.vertices:
-        ar._projective[v] = _node_at(ar, "projective", v, projective_support(algebra, v))
-        ar._radical[v] = tuple(sorted(_node_at(ar, "radical summand", v, s)
-                                      for s in radical_supports(algebra, v)))
+        # P(v) is v on top of its radical summands, so each out-arm is walked once
+        radical = radical_supports(algebra, v)
+        ar._projective[v] = _node_at(ar, "projective", v, frozenset({v}).union(*radical))
+        ar._radical[v] = tuple(sorted(_node_at(ar, "radical summand", v, s) for s in radical))
         nodes[ar._projective[v]].projective_vertex = v
         nodes[_node_at(ar, "injective", v, injective_support(algebra, v))].injective_vertex = v
     n_proj = sum(1 for nd in nodes if nd.is_projective)

@@ -116,8 +116,10 @@ def _emit(ns: argparse.Namespace, doc: dict | list[str] | str,
     beside the file its path resolves to, symlinks followed, and replaces
     that file; any other existing target but a directory, such as a FIFO or
     a device, is written in place once the replacements are done; stdout is
-    written last.  A directory, or two paths that resolve to one file, are
-    refused before anything is written."""
+    written last.  An empty path, a directory, or two paths that resolve to
+    one file, are refused before anything is written."""
+    if "" in (ns.output, *(path for path, _ in more)):
+        raise ValueError("output path is empty")
     staged: list[tuple[str, str, str]] = []  # (temporary file, resolved target, path)
     in_place: list[tuple[str, str]] = []  # (path, text)
     resolved: dict[str, str] = {}  # resolved target -> path
@@ -259,7 +261,7 @@ def _cmd_check(ns, alg: BoundQuiverAlgebra) -> int:
 
 def _cmd_export_dot(ns, alg: BoundQuiverAlgebra) -> None:
     more = ([(ns.ar_output, ar_quiver_dot(ar_quiver(alg, max_nodes=ns.max_nodes)))]
-            if ns.ar_output else [])
+            if ns.ar_output is not None else [])
     _emit(ns, quiver_dot(alg), *more)
 
 

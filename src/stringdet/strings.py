@@ -5,20 +5,21 @@ A walk alternates arrows traversed forwards (direct letters) and backwards
 a simple path, so the walks here are exactly the simple paths whose maximal
 same-direction runs avoid the relation ideal.  A walk and its reverse present
 the same module; the lexicographically smaller rendering is the canonical
-representative.  Each string keeps its vertex path, built once by make_string;
-on a tree its letters are exactly the arrows with both ends in that path.
-Enumeration walks only the vertex pairs that are strings: a depth-first
-search from each vertex stops a branch at the first run holding a relation.
+representative.  Each string keeps its vertex path; on a tree its letters are
+exactly the arrows with both ends in that path.  Enumeration walks only the
+vertex pairs that are strings: a depth-first search from each vertex stops a
+branch at the first run holding a relation, and builds each string it
+reaches with no second test.  make_string validates walks from outside the
+search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator
 
 from .algebra import BoundQuiverAlgebra
-from .treewalk import TreeWalk, walk_between
+from .treewalk import walk_between
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,13 @@ def _inverse(walk: StringWalk) -> StringWalk:
     return StringWalk(walk.vertices[::-1], inv)
 
 
+def _canonical(vertices: tuple[int, ...], letters: tuple[Letter, ...]) -> StringWalk:
+    """The walk along vertices by letters, or its inverse, whichever renders
+    smaller."""
+    walk = StringWalk(vertices, letters)
+    return min(walk, _inverse(walk), key=StringWalk.rendering)
+
+
 def make_string(algebra: BoundQuiverAlgebra, start: int,
                 letters: tuple[Letter, ...] | list[Letter]) -> StringWalk:
     """Validate and canonicalize a walk, building its vertex path.  Raises
@@ -85,8 +93,7 @@ def make_string(algebra: BoundQuiverAlgebra, start: int,
     for run in _direction_runs(letters):
         if algebra.relations.contains_path(run):
             raise InvalidStringError(f"run {run} lies in the relation ideal")
-    walk = StringWalk(tuple(verts), letters)
-    return min(walk, _inverse(walk), key=StringWalk.rendering)
+    return _canonical(tuple(verts), letters)
 
 
 def _direction_runs(letters: tuple[Letter, ...]) -> list[tuple[str, ...]]:
@@ -104,17 +111,6 @@ def _direction_runs(letters: tuple[Letter, ...]) -> list[tuple[str, ...]]:
     return runs
 
 
-def string_from_tree_walk(algebra: BoundQuiverAlgebra,
-                          walk: TreeWalk) -> StringWalk | None:
-    """The canonical string along a tree walk, or None when a same-direction
-    run hits the relation ideal."""
-    letters = tuple(Letter(s.arrow.name, s.forward) for s in walk.steps)
-    try:
-        return make_string(algebra, walk.start, letters)
-    except InvalidStringError:
-        return None
-
-
 def enumerate_strings(algebra: BoundQuiverAlgebra) -> tuple[StringWalk, ...]:
     """All strings up to inversion: one trivial string per vertex plus every
     surviving simple path.  Finite because the quiver is a tree."""
@@ -126,16 +122,14 @@ def _iter_strings(algebra: BoundQuiverAlgebra) -> Iterator[StringWalk]:
     the trivial strings, then for each vertex a in vertex order the string
     to every later vertex b that the search from a reaches.  Any walk longer
     than a pruned branch keeps its relation, so the pairs never reached are
-    exactly those whose walk is not a string.  A step that reaches a vertex
-    before a meets a string already built: O(N + n) steps for N strings."""
+    exactly those whose walk is not a string, and a reached pair's walk
+    needs no second test.  A step that reaches a vertex before a meets a
+    string already built: O(N + n) steps for N strings."""
     if not algebra.is_valid:
         raise ValueError("algebra must be validated and valid")
-    verts = algebra.quiver.vertices
-    return chain((StringWalk((v,), ()) for v in verts), _walked_strings(algebra))
-
-
-def _walked_strings(algebra: BoundQuiverAlgebra) -> Iterator[StringWalk]:
     q, rels = algebra.quiver, algebra.relations
+    for v in q.vertices:
+        yield StringWalk((v,), ())
     order = {v: i for i, v in enumerate(q.vertices)}
     # a relation a new arrow completes lies in the last `keep` + 1 arrows of its run
     keep = max(map(len, rels.generators), default=1) - 1
@@ -146,7 +140,9 @@ def _walked_strings(algebra: BoundQuiverAlgebra) -> Iterator[StringWalk]:
         while stack:
             v, before, run, forward = stack.pop()
             if order[v] > order[a]:
-                yield string_from_tree_walk(algebra, walk_between(algebra, a, v))
+                walk = walk_between(algebra, a, v)
+                yield _canonical(walk.vertices(),
+                                 tuple(Letter(s.arrow.name, s.forward) for s in walk.steps))
             for x in q.outgoing[v] + q.incoming[v]:
                 fwd = x.source == v
                 w = x.target if fwd else x.source
@@ -170,38 +166,27 @@ def _sorted_strings(found: Iterable[StringWalk]) -> tuple[StringWalk, ...]:
 # distinguished supports: projectives, injectives and radical summands are thin
 # and fixed by their supports, read off the vertex sets of the arms at a vertex
 
-def _grow_path(algebra: BoundQuiverAlgebra, first: str, outgoing: bool) -> list[str]:
-    """Maximal surviving directed path starting (outgoing) or ending
-    (incoming) with the given arrow, in traversal order."""
-    q = algebra.quiver
-    path = [first]
-    while True:
-        if outgoing:
-            tip = q.arrow_map[path[-1]].target
-            ext = [a.name for a in q.outgoing[tip]
-                   if not algebra.relations.contains_path(tuple(path) + (a.name,))]
-            if not ext:
-                return path
-            if len(ext) != 1:
-                raise InvalidStringError("branching continuation survived both relations")
-            path.append(ext[0])
-        else:
-            tip = q.arrow_map[path[0]].source
-            ext = [a.name for a in q.incoming[tip]
-                   if not algebra.relations.contains_path((a.name,) + tuple(path))]
-            if not ext:
-                return path
-            if len(ext) != 1:
-                raise InvalidStringError("branching continuation survived both relations")
-            path.insert(0, ext[0])
-
-
 def _arm(algebra: BoundQuiverAlgebra, first: str, outgoing: bool) -> frozenset[int]:
     """Vertices of the maximal surviving directed path starting (outgoing) or
-    ending (incoming) with the given arrow, both ends included."""
-    amap = algebra.quiver.arrow_map
-    return frozenset(v for name in _grow_path(algebra, first, outgoing)
-                     for v in (amap[name].source, amap[name].target))
+    ending (incoming) with the given arrow, both ends included.  Raises
+    InvalidStringError when two continuations survive."""
+    q, rels = algebra.quiver, algebra.relations
+    step = q.outgoing if outgoing else q.incoming
+    a = q.arrow_map[first]
+    run, tip = (first,), a.target if outgoing else a.source
+    found = [a.source, a.target]
+    while True:
+        ext = []
+        for x in step[tip]:
+            grown = run + (x.name,) if outgoing else (x.name,) + run
+            if not rels.contains_path(grown):
+                ext.append((grown, x.target if outgoing else x.source))
+        if not ext:
+            return frozenset(found)
+        if len(ext) != 1:
+            raise InvalidStringError("branching continuation survived both relations")
+        (run, tip), = ext
+        found.append(tip)
 
 
 def projective_support(algebra: BoundQuiverAlgebra, v: int) -> frozenset[int]:

@@ -123,13 +123,13 @@ def test_guard():
 @pytest.mark.parametrize("max_nodes", [10, 70])
 def test_guard_stops_enumeration_early(monkeypatch, max_nodes):
     walks = []
-    real = strings.string_from_tree_walk
+    real = strings.walk_between
 
-    def counting(algebra, walk):
-        walks.append(walk)
-        return real(algebra, walk)
+    def counting(algebra, a, b):
+        walks.append((a, b))
+        return real(algebra, a, b)
 
-    monkeypatch.setattr(strings, "string_from_tree_walk", counting)
+    monkeypatch.setattr(strings, "walk_between", counting)
     with pytest.raises(GuardExceeded, match=f"more than {max_nodes} indecomposables"):
         ar_quiver(linear_algebra(60), max_nodes=max_nodes)
     # the 60 trivial strings come first; every later string is one tree walk,
@@ -153,9 +153,10 @@ def test_missing_projective_names_the_vertex(monkeypatch, tmp_path, capsys):
     alg = crossing6_algebra()
     everything = frozenset(alg.quiver.vertices)  # branches, so no string's support
     assert everything not in {nd.rep.support for nd in ar_quiver(alg).nodes}
-    real = arquiver.projective_support
-    monkeypatch.setattr(arquiver, "projective_support",
-                        lambda algebra, v: everything if v == 3 else real(algebra, v))
+    real = arquiver.radical_supports
+    # P(v)'s support is v and its radical summands' supports
+    monkeypatch.setattr(arquiver, "radical_supports",
+                        lambda algebra, v: [everything] if v == 3 else real(algebra, v))
     with pytest.raises(OracleError) as exc:
         ar_quiver(alg)
     assert str(exc.value) == (f"support {sorted(everything)} of the projective at vertex 3 "

@@ -379,6 +379,25 @@ def test_export_dot_refuses_one_file_for_both_outputs(ar_output, tmp_path, capsy
     assert sorted(os.listdir(tmp_path)) == sorted(before + ["a.dot"])
 
 
+@pytest.mark.parametrize("argv", [["export-dot", "z.txt", "--ar-output", ""],
+                                  ["export-dot", "z.txt", "-o", "q.dot", "--ar-output", ""],
+                                  ["determiners", "z.txt", "-o", ""]],
+                         ids=["ar-output", "both", "output"])
+def test_empty_output_path_is_refused(argv, tmp_path, capsys, monkeypatch):
+    """An empty path is not taken for an absent one, nor resolved to the
+    working directory: the command exits 1 saying so, and writes nothing,
+    here or in the parent directory."""
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    write(work, "z.txt", generate_example("zigzag4"))
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: output path is empty\n")
+    assert os.listdir(work) == ["z.txt"]
+    assert os.listdir(tmp_path) == ["work"]
+
+
 @pytest.mark.parametrize("args,name", [(["zigzag4", "--n", "5"], "n"),
                                        (["line", "--levels", "3"], "levels"),
                                        (["crossing6", "--variant", "one"], "variant"),

@@ -37,6 +37,9 @@ DELETED = [
     (linalg.SpanBuilder, "contains"), (modules, "zero_map"), (modules, "identity_map"),
     # End = k is decided by identify, and the epi route takes its own kernel
     (arquiver, "hom_dim"), (arquiver.ar_quiver(families.crossing6_algebra()), "_mesh_kernel"),
+    # the search builds each string, and one loop walks an arm either way
+    (strings, "string_from_tree_walk"), (strings, "_grow_path"), (strings, "_walked_strings"),
+    (arquiver, "projective_support"),
 ]
 
 

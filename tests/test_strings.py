@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from stringdet import ar_quiver, parse_algebra, strings
 from stringdet.families import crossing_tree_algebra, fan5_algebra, linear_algebra
-from stringdet.modules import projective
+from stringdet.modules import injective, projective
 from stringdet.strings import (InvalidStringError, Letter, StringWalk, _sorted_strings,
                                enumerate_strings, injective_support, make_string,
-                               projective_support, radical_supports, string_from_tree_walk)
+                               projective_support, radical_supports)
 from stringdet.treewalk import walk_between
 
 from helpers import path_in_ideal
@@ -67,15 +67,18 @@ def brute_force_strings(alg):
 
 
 def all_pairs_strings(alg):
-    """Reference: the trivial strings, then every vertex pair a < b through
-    walk_between and string_from_tree_walk, sorted as enumerate_strings."""
+    """Reference: the trivial strings, then every vertex pair a < b whose
+    walk_between make_string accepts, sorted as enumerate_strings."""
     verts = alg.quiver.vertices
     found = [StringWalk((v,), ()) for v in verts]
     for i, a in enumerate(verts):
         for b in verts[i + 1:]:
-            s = string_from_tree_walk(alg, walk_between(alg, a, b))
-            if s is not None:
-                found.append(s)
+            steps = walk_between(alg, a, b).steps
+            try:
+                found.append(make_string(alg, a, [Letter(s.arrow.name, s.forward)
+                                                  for s in steps]))
+            except InvalidStringError:
+                pass
     return _sorted_strings(found)
 
 
@@ -108,8 +111,15 @@ def test_enumeration_matches_all_pairs_on_sweep(sweep_records, monkeypatch):
 @pytest.mark.parametrize("alg", [crossing_tree_algebra(1), crossing_tree_algebra(2),
                                  crossing_tree_algebra(3), crossing_tree_algebra(4),
                                  linear_algebra(30)])
-def test_enumeration_matches_all_pairs(alg):
-    assert enumerate_strings(alg) == all_pairs_strings(alg)
+def test_enumeration_matches_all_pairs(alg, monkeypatch):
+    expected = all_pairs_strings(alg)
+
+    def refuse(*args):
+        raise AssertionError("the search tests each string against the relations alone")
+
+    # no string the search reaches is checked against the relations a second time
+    monkeypatch.setattr(strings, "make_string", refuse)
+    assert enumerate_strings(alg) == expected
 
 
 def test_enumeration_walks_only_the_pairs_that_are_strings(monkeypatch):
@@ -167,11 +177,6 @@ def test_make_string_canonical():
     assert fwd == bwd
 
 
-def test_string_from_tree_walk_none_on_relation():
-    alg = linear_algebra(3, relations=[("a1", "a2")])
-    assert string_from_tree_walk(alg, walk_between(alg, 1, 3)) is None
-
-
 def test_projective_walks():
     alg = fan5_algebra("both")
     assert projective_support(alg, 4) == {4, 3, 5}
@@ -190,12 +195,18 @@ def test_radical_walks():
     assert radical_supports(alg, 1) == []
 
 
-def test_grow_path_rejects_unbroken_branching():
+@pytest.mark.parametrize("arrows,build,v", [
     # vertex 2 has two outgoing arrows and no relation kills either
     # continuation of a, so the arm out of 1 is not a path
-    alg = parse_algebra("vertices: 4\narrow a: 1 -> 2\narrow b: 2 -> 3\narrow c: 2 -> 4\n")
+    ("arrow a: 1 -> 2\narrow b: 2 -> 3\narrow c: 2 -> 4\n", projective, 1),
+    # vertex 2 has two incoming arrows and no relation kills either
+    # continuation of a, so the arm into 3 is not a path
+    ("arrow a: 2 -> 3\narrow b: 1 -> 2\narrow c: 4 -> 2\n", injective, 3),
+], ids=["outgoing", "incoming"])
+def test_arm_rejects_unbroken_branching(arrows, build, v):
+    alg = parse_algebra("vertices: 4\n" + arrows)
     with pytest.raises(InvalidStringError):
-        projective(alg, 1)
+        build(alg, v)
 
 
 @settings(max_examples=25, deadline=None)
