@@ -19,11 +19,14 @@ its translate.  End = k is `identify`, the one node test: a thin module's
 endomorphisms are one scalar per support vertex, tied along each arrow with
 a non-zero scalar, so End = k exactly when those arrows connect the support.
 The sink kernel is taken from the arrow's own map at one middle
-(Butler-Ringel: at most two), and at two with f2 mono from f1 followed by
-the projection onto the cokernel of f2, the pullback along a mono.  These
-maps join thin modules, so their intertwining checks, kernels, cokernels and
-socles are scalar (see `modules`); only a mesh with two epi middles takes
-the general path, on their direct sum.  Each node is the thin module on its
+(Butler-Ringel: at most two), at two with f2 mono from f1 followed by the
+projection onto the cokernel of f2, the pullback along a mono, and at two
+epis from the two maps' scalars, with no direct sum built: their supports
+must overlap on the node's alone, each block there being a non-zero scalar,
+and two middles that are neither one mono nor two epis are refused.  Every
+module and map here joins thin modules, so every intertwining check,
+kernel, cokernel and socle is scalar (see `modules`), and no elimination
+runs.  Each node is the thin module on its
 string's vertices, and each vertex's projective, injective and
 radical-summand nodes are found once by support.  Mesh sizes, the translate
 bijection and the arrows into each projective (exactly its radical summands)
@@ -39,8 +42,8 @@ from itertools import islice
 
 from .algebra import BoundQuiverAlgebra
 from .linalg import Mat
-from .modules import (ModuleMap, Representation, cokernel, compose, direct_sum, is_epimorphism,
-                      is_monomorphism, kernel, module_map, string_module)
+from .modules import (ModuleMap, Representation, cokernel, compose, is_epimorphism,
+                      is_monomorphism, kernel, kernel_of_sum, module_map, string_module)
 from .strings import (StringWalk, _arm, _iter_strings, _sorted_strings, injective_support,
                       radical_supports)
 
@@ -311,10 +314,7 @@ def _build_meshes(ar: ARQuiver) -> None:
         if len(comps) > 2:
             raise OracleError(
                 f"node {node.label()} has {len(comps)} middle summands, expected 1 or 2")
-        g = _sink_kernel_map(node, [arr.map for arr in comps])
-        if not is_epimorphism(g):
-            raise OracleError(f"sink map candidate into node {node.label()} is not onto")
-        ker, _ = kernel(g)
+        ker = _sink_kernel(node, [arr.map for arr in comps])
         left = ar.identify(ker)
         if left is None:
             raise OracleError(
@@ -327,23 +327,31 @@ def _build_meshes(ar: ARQuiver) -> None:
         ar.tau[node.index] = left
 
 
-def _sink_kernel_map(node: ArNode, maps: list[ModuleMap]) -> ModuleMap:
-    """A map g whose kernel is that of the sink map [f1 f2] into node, up to
-    isomorphism, and which is onto exactly when the sink map is.  One
-    middle: the arrow's own map.  Two, f2 mono: g = pi f1, pi the projection
-    onto the cokernel of f2, since (x1, x2) -> x1 maps ker [f1 f2] onto
-    ker(pi f1) (the pullback along a mono).  Two epis: the sink map itself,
-    on the direct sum."""
+def _sink_kernel(node: ArNode, maps: list[ModuleMap]) -> Representation:
+    """The kernel of the sink map [f1 f2] into node, up to isomorphism.  One
+    middle: the kernel of the arrow's own map, checked onto.  Two, f2 mono:
+    the kernel of pi f1, pi the projection onto the cokernel of f2, checked
+    onto, since (x1, x2) -> x1 maps ker [f1 f2] onto ker(pi f1) (the
+    pullback along a mono).  Two epis, which make the sink map onto: the
+    kernel of [f1 f2] read off the scalars of f1 and f2 (`kernel_of_sum`),
+    which is thin exactly when the middles overlap on the support of node
+    alone.  Any other pair of middles is refused."""
     if len(maps) == 1:
-        return maps[0]
-    mono = next((i for i in (1, 0) if is_monomorphism(maps[i])), None)
-    if mono is not None:
-        return compose(cokernel(maps[mono])[1], maps[1 - mono])
-    total = direct_sum([f.source for f in maps])
-    # concatenation order matches the summands' order in the direct sum;
-    # blocks are kept on both supports only
-    return ModuleMap(total, node.rep, {v: maps[0].block(v).hstack(maps[1].block(v))
-                                       for v in total.dims if v in node.rep.dims})
+        g = maps[0]
+    else:
+        mono = next((i for i in (1, 0) if is_monomorphism(maps[i])), None)
+        if mono is None:
+            if not all(map(is_epimorphism, maps)):
+                raise OracleError(f"middle maps into node {node.label()} are neither "
+                                  "one mono nor two epis")
+            if maps[0].source.support & maps[1].source.support != node.rep.support:
+                raise OracleError(
+                    f"kernel of the sink map into node {node.label()} is not indecomposable")
+            return kernel_of_sum(*maps)[0]
+        g = compose(cokernel(maps[mono])[1], maps[1 - mono])
+    if not is_epimorphism(g):
+        raise OracleError(f"sink map candidate into node {node.label()} is not onto")
+    return kernel(g)[0]
 
 
 def _check_translate(ar: ARQuiver) -> None:

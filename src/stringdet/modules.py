@@ -7,16 +7,21 @@ every relation generator vanishes.  String modules are the special case with
 its support alone.
 
 A module is thin when every space on its support is a line, which
-`total_dim == len(dims)` tells in O(1).  Between thin modules every block and
-arrow map is 1 x 1, so `kernel`, `cokernel` and the intertwining check take a
-scalar path there: the kernel (cokernel) is k exactly where the block is
-missing or zero, each induced map is the module's own, the inclusion
-(projection) blocks are the shared 1 x 1 identity, and the same checks raise
-the same errors.  The socle of a thin module is the vertices where every
-arrow out of it into the support acts by zero.  Any other module or map,
-such as a sink map on the direct sum of two epi middles, takes the general
-path: the echelon routines of `linalg` at every vertex, with arbitrary
-rational matrices.
+`total_dim == len(dims)` tells in O(1).  Over a tree every indecomposable is
+a thin string module, and so is every kernel and cokernel the oracle takes.
+Between thin modules every block and arrow map is 1 x 1, so `kernel`,
+`cokernel`, `socle`, `is_monomorphism` and `is_epimorphism` read scalars and
+take no elimination: the kernel (cokernel) is k exactly where the block is
+missing or zero, each induced map is the module's own, and the inclusion
+(projection) blocks are the shared 1 x 1 identity.  The socle of a thin
+module is the vertices where every arrow out of it into the support acts by
+zero.  Each of them refuses a module that is not thin with a ValueError
+naming the operation; none computes a general answer.  `kernel_of_sum`
+takes the kernel of a sink map [f1 f2] on two thin middles without building
+their direct sum: a line of k^2 at each vertex, read off the two blocks
+there, or a plane, which it refuses.  The general linear algebra
+(hom spaces, direct sums, echelon kernels and cokernels) lives in the tests,
+as the reference these paths are checked against.
 
 A module stores only its support: the vertices with a non-zero space and
 the arrows with both ends there (whose matrix may still be zero); a map
@@ -24,20 +29,21 @@ stores only its blocks on both supports.  `dim`, `map` and `block` read 0 or
 the shared empty zero matrix elsewhere.  Every operation visits only support
 vertices, the arrows out of them and the relations starting there, so its
 cost follows the supports, not the quiver.  Checked: the shape of every
-given map and block (an unknown vertex or arrow is refused), every relation
-inside the support, every intertwining square with a non-empty side, and
-every induced kernel and cokernel map.
+given block (an unknown vertex is refused), every relation inside the
+support, every intertwining square with a non-empty side, and every induced
+kernel and cokernel map.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
 from .algebra import BoundQuiverAlgebra
-from .linalg import Mat, kernel_inclusion, nullspace, quotient_projection
+from .linalg import Mat
 from .strings import injective_support, projective_support
 
 #: The shared 1 x 1 identity: every arrow map of a string module, and every
@@ -89,34 +95,6 @@ def _check_relations(rep: Representation) -> None:
                     raise ValueError(f"relation {' '.join(gen)} does not vanish")
 
 
-def representation(algebra: BoundQuiverAlgebra, dims: dict[int, int],
-                   maps: dict[str, Mat]) -> Representation:
-    """The module with the given spaces and maps, missing ones zero; zero
-    spaces and (shape-checked) maps off the support are not stored."""
-    quiver = algebra.quiver
-    outgoing, arrow_map = quiver.outgoing, quiver.arrow_map
-    for v in dims:
-        if v not in outgoing:
-            raise ValueError(f"unknown vertex {v}")
-    support = {v: d for v, d in dims.items() if d}
-    for name, m in maps.items():
-        a = arrow_map.get(name)
-        if a is None:
-            raise ValueError(f"unknown arrow {name}")
-        expected = (support.get(a.target, 0), support.get(a.source, 0))
-        if m.shape != expected:
-            raise ValueError(f"map for {name} has shape {m.shape}, expected {expected}")
-    inside = {}
-    for v, d in support.items():
-        for a in outgoing[v]:
-            if a.target in support:
-                m = maps.get(a.name)
-                inside[a.name] = Mat.zeros(support[a.target], d) if m is None else m
-    rep = Representation(algebra, support, inside)
-    _check_relations(rep)
-    return rep
-
-
 def string_module(algebra: BoundQuiverAlgebra, support: Iterable[int]) -> Representation:
     """Thin module on a support: one basis vector at each of its vertices and
     the identity on every arrow with both ends there.  Over a tree the
@@ -161,21 +139,10 @@ class ModuleMap:
         b = self.blocks.get(v)
         return Mat.zeros(self.target.dim(v), self.source.dim(v)) if b is None else b
 
-    def is_zero(self) -> bool:
-        return all(b.is_zero() for b in self.blocks.values())
-
     @cached_property
     def support(self) -> frozenset[int]:
         """Vertices with a non-zero block, computed once per map."""
         return frozenset(v for v, b in self.blocks.items() if not b.is_zero())
-
-    def vec(self) -> tuple:
-        """Flatten block entries in fixed (sorted vertex, row-major) order."""
-        out = []
-        for v in sorted(self.blocks):
-            for row in self.blocks[v].rows:
-                out.extend(row)
-        return tuple(out)
 
 
 def module_map(source: Representation, target: Representation,
@@ -245,224 +212,139 @@ def compose(g: ModuleMap, f: ModuleMap) -> ModuleMap:
     return ModuleMap(f.source, g.target, blocks)
 
 
+def _require_thin(f: ModuleMap, op: str) -> None:
+    if not _thin(f):
+        raise ValueError(f"{op} takes maps between thin modules only")
+
+
 def is_monomorphism(f: ModuleMap) -> bool:
+    """Is every block on the source's support there and non-zero?"""
+    _require_thin(f, "is_monomorphism")
     blocks = f.blocks
-    return all(v in blocks and blocks[v].rank() == d for v, d in f.source.dims.items())
+    return all(v in blocks and blocks[v].rank() for v in f.source.dims)
 
 
 def is_epimorphism(f: ModuleMap) -> bool:
+    """Is every block on the target's support there and non-zero?"""
+    _require_thin(f, "is_epimorphism")
     blocks = f.blocks
-    return all(v in blocks and blocks[v].rank() == d for v, d in f.target.dims.items())
+    return all(v in blocks and blocks[v].rank() for v in f.target.dims)
 
 
 # --------------------------------------------------------------------------
-# hom spaces
-
-def intertwining_rows(x_at: int | None, m: Mat, n: Mat, y_at: int | None,
-                      nvars: int) -> list[list]:
-    """Rows, over nvars unknowns, of the linear system X @ m - n @ Y = 0.  The
-    unknown blocks X (n.nrows x m.nrows) and Y (n.ncols x m.ncols) are stored
-    row-major from columns x_at and y_at; identically zero rows are skipped.
-    The start of an empty block is never read and may be None."""
-    rows = []
-    for i in range(n.nrows):
-        for j in range(m.ncols):
-            row = [0] * nvars
-            hit = False
-            for k in range(m.nrows):
-                if m.rows[k][j]:
-                    row[x_at + i * m.nrows + k] += m.rows[k][j]
-                    hit = True
-            for k in range(n.ncols):
-                if n.rows[i][k]:
-                    row[y_at + k * m.ncols + j] -= n.rows[i][k]
-                    hit = True
-            if hit:
-                rows.append(row)
-    return rows
-
-
-def block_columns(rows: dict[int, int], cols: dict[int, int],
-                  start: int) -> tuple[dict[int, int], int]:
-    """First column of each vertex's unknown rows[v] x cols[v] block, with the
-    blocks stored row-major in sorted vertex order from column start, and the
-    column after the last block.  A vertex missing from either dict has an
-    empty block and gets no column."""
-    at = {}
-    for v in sorted(rows.keys() & cols.keys()):
-        at[v] = start
-        start += rows[v] * cols[v]
-    return at, start
-
-
-def _hom_system(source: Representation, target: Representation) -> tuple[dict, list]:
-    """First column of each vertex's unknown block (see block_columns) and the
-    exact nullspace of the intertwining constraints on those unknowns."""
-    if source.algebra is not target.algebra and source.algebra != target.algebra:
-        raise ValueError("representations live over different algebras")
-    at, nvars = block_columns(target.dims, source.dims, 0)
-    if nvars == 0:
-        return at, []
-
-    quiver = source.algebra.quiver
-    rows = []
-    for v in source.dims:
-        for a in quiver.outgoing[v]:
-            if a.target in target.dims:
-                # block[target] @ source map == target map @ block[source]
-                rows += intertwining_rows(at.get(a.target), source.map(a.name),
-                                          target.map(a.name), at.get(v), nvars)
-    return at, nullspace(Mat(rows, ncols=nvars))
-
-
-def hom_space(source: Representation, target: Representation) -> list[ModuleMap]:
-    """Basis of the space of module maps source -> target, from the exact
-    nullspace of the intertwining constraints."""
-    at, basis = _hom_system(source, target)
-    return [ModuleMap(source, target,
-                      {v: Mat.row_major(vec, at[v], target.dims[v], source.dims[v])
-                       for v in at})
-            for vec in basis]
-
-
-def hom_dim(source: Representation, target: Representation) -> int:
-    """Dimension of the space of module maps source -> target: the same exact
-    solve as hom_space, without building the basis maps."""
-    return len(_hom_system(source, target)[1])
-
-
-# --------------------------------------------------------------------------
-# kernels, cokernels, socle, direct sums
+# kernels, cokernels and socles of thin modules
 
 def kernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
-    """Vertex-wise kernel with induced arrow maps and its inclusion."""
+    """Vertex-wise kernel with induced arrow maps and its inclusion: k at v
+    exactly when the block there, 1 x 1 when stored, is missing or zero;
+    each induced map is the source's own, and no arrow may carry the kernel
+    into the rest of the source's support."""
+    _require_thin(f, "kernel")
     source, blocks = f.source, f.blocks
-    quiver = source.algebra.quiver
-    if _thin(f):
-        # k at v exactly when the block there, 1 x 1 when stored, is missing
-        # or zero; each induced map is the source's own, and no arrow may
-        # carry the kernel into the rest of the source's support
-        dims = {v: 1 for v in source.dims if v not in blocks or not blocks[v].rows[0][0]}
-        maps = {}
-        for v in dims:
-            for a in quiver.outgoing[v]:
-                e = a.target
-                if e in dims:
-                    maps[a.name] = source.maps[a.name]
-                elif e in source.dims and source.maps[a.name].rows[0][0]:
-                    raise ValueError("kernel maps are not well defined")
-        ker = Representation(source.algebra, dims, maps)
-        _check_relations(ker)
-        return ker, ModuleMap(ker, source, dict.fromkeys(dims, _ONE))
-    incl: dict[int, Mat] = {}
-    retractions: dict[int, Mat] = {}
-    for v, d in source.dims.items():
-        incl[v], retractions[v] = kernel_inclusion(blocks.get(v) or Mat.zeros(0, d))
-    dims = {v: b.ncols for v, b in incl.items() if b.ncols}
+    outgoing = source.algebra.quiver.outgoing
+    dims = {v: 1 for v in source.dims if v not in blocks or not blocks[v].rows[0][0]}
     maps = {}
     for v in dims:
-        for a in quiver.outgoing[v]:
+        for a in outgoing[v]:
             e = a.target
-            if e not in source.dims:
-                continue  # nothing is carried: the induced map is zero
-            # induced map: carry the kernel along the arrow, read it back
-            # through the target's retraction
-            carried = source.maps[a.name] @ incl[v]
-            induced = retractions[e] @ carried
-            if incl[e] @ induced != carried:
-                raise ValueError("kernel maps are not well defined")
             if e in dims:
-                maps[a.name] = induced
-    ker = representation(source.algebra, dims, maps)
-    return ker, ModuleMap(ker, source, {v: incl[v] for v in dims})
+                maps[a.name] = source.maps[a.name]
+            elif e in source.dims and source.maps[a.name].rows[0][0]:
+                raise ValueError("kernel maps are not well defined")
+    ker = Representation(source.algebra, dims, maps)
+    _check_relations(ker)
+    return ker, ModuleMap(ker, source, dict.fromkeys(dims, _ONE))
+
+
+def kernel_of_sum(f1: ModuleMap, f2: ModuleMap) -> tuple[Representation, ModuleMap, ModuleMap]:
+    """Kernel K of [f1 f2]: M1 + M2 -> N for thin maps into one target, read
+    off their blocks without building the direct sum, with the two
+    components K -> M1 and K -> M2 of its inclusion.  At each vertex v of
+    supp M1 | supp M2 it is the (x1, x2) with a x1 + b x2 = 0, a and b the
+    blocks of f1 and f2 at v (0 where missing) and x_i = 0 off supp M_i: the
+    line of e1 - (a / b) e2 where both live and b is not zero, of e2 where
+    both live and only a is not, of e_i where only M_i lives and its block is
+    zero, and nothing where it is not.  Where both live and a = b = 0 the
+    kernel is a plane, which is refused.  Each arrow carries the line at its
+    source onto a multiple of the line at its target, that multiple being
+    the induced scalar, or to zero where the kernel vanishes."""
+    if f1.target is not f2.target and f1.target != f2.target:
+        raise ValueError("kernel_of_sum takes two maps into one target")
+    _require_thin(f1, "kernel_of_sum")
+    _require_thin(f2, "kernel_of_sum")
+    m1, m2 = f1.source, f2.source
+    lines = {}
+    for v in {**m1.dims, **m2.dims}:
+        a, b = _scalar(f1, v), _scalar(f2, v)
+        if v in m1.dims and v in m2.dims:
+            if not (a or b):
+                raise ValueError(f"kernel_of_sum has a plane at vertex {v}, not a line")
+            lines[v] = (1, _over(-a, b)) if b else (0, 1)
+        elif not (a or b):
+            lines[v] = (1, 0) if v in m1.dims else (0, 1)
+    outgoing = m1.algebra.quiver.outgoing
+    maps = {}
+    for v, (x1, x2) in lines.items():
+        for arrow in outgoing[v]:
+            s1, s2 = m1.maps.get(arrow.name), m2.maps.get(arrow.name)
+            carried = (0 if s1 is None else s1.rows[0][0] * x1,
+                       0 if s2 is None else s2.rows[0][0] * x2)
+            line = lines.get(arrow.target)
+            if line is None:
+                if any(carried):
+                    raise ValueError("kernel maps are not well defined")
+                continue
+            i = 0 if line[0] else 1
+            scalar = _over(carried[i], line[i])
+            if carried != (scalar * line[0], scalar * line[1]):
+                raise ValueError("kernel maps are not well defined")
+            maps[arrow.name] = Mat(((scalar,),))
+    ker = Representation(m1.algebra, dict.fromkeys(lines, 1), maps)
+    _check_relations(ker)
+    return ker, *(ModuleMap(ker, m, {v: Mat(((line[i],),)) for v, line in lines.items()
+                                     if v in m.dims})
+                  for i, m in enumerate((m1, m2)))
+
+
+def _scalar(f: ModuleMap, v: int):
+    """The entry of a thin map's block at v, 0 where none is stored."""
+    b = f.blocks.get(v)
+    return 0 if b is None else b.rows[0][0]
+
+
+def _over(x, y):
+    """x / y, exact; an int stays an int when y is 1 or -1."""
+    return x * y if y == 1 or y == -1 else Fraction(x) / y
 
 
 def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
-    """Vertex-wise cokernel with induced arrow maps and its projection."""
+    """Vertex-wise cokernel with induced arrow maps and its projection: k at
+    v exactly when the block there, 1 x 1 when stored, is missing or zero;
+    each induced map is the target's own, and no arrow may come into the
+    cokernel from the rest of the target's support."""
+    _require_thin(f, "cokernel")
     target, blocks = f.target, f.blocks
-    quiver = target.algebra.quiver
-    if _thin(f):
-        # k at v exactly when the block there, 1 x 1 when stored, is missing
-        # or zero; each induced map is the target's own, and no arrow may
-        # come into the cokernel from the rest of the target's support
-        dims = {v: 1 for v in target.dims if v not in blocks or not blocks[v].rows[0][0]}
-        maps = {}
-        for v in target.dims if dims else ():
-            for a in quiver.outgoing[v]:
-                if a.target in dims:
-                    if v in dims:
-                        maps[a.name] = target.maps[a.name]
-                    elif target.maps[a.name].rows[0][0]:
-                        raise ValueError("cokernel maps are not well defined")
-        cok = Representation(target.algebra, dims, maps)
-        _check_relations(cok)
-        return cok, ModuleMap(target, cok, dict.fromkeys(dims, _ONE))
-    proj: dict[int, Mat] = {}
-    sections: dict[int, Mat] = {}
-    for v, d in target.dims.items():
-        proj[v], sections[v] = quotient_projection(blocks.get(v) or Mat.zeros(d, 0))
-    dims = {v: p.nrows for v, p in proj.items() if p.nrows}
+    outgoing = target.algebra.quiver.outgoing
+    dims = {v: 1 for v in target.dims if v not in blocks or not blocks[v].rows[0][0]}
     maps = {}
-    # a zero quotient carries nothing along any arrow
     for v in target.dims if dims else ():
-        for a in quiver.outgoing[v]:
-            e = a.target
-            if e not in dims:
-                continue  # nothing is carried: the induced map is zero
-            # induced map: factor proj_e @ target_map through proj_v via its
-            # section
-            carried = proj[e] @ target.maps[a.name]
-            induced = carried @ sections[v]
-            if induced @ proj[v] != carried:
-                raise ValueError("cokernel maps are not well defined")
-            if v in dims:
-                maps[a.name] = induced
-    cok = representation(target.algebra, dims, maps)
-    return cok, ModuleMap(target, cok, {v: proj[v] for v in dims})
+        for a in outgoing[v]:
+            if a.target in dims:
+                if v in dims:
+                    maps[a.name] = target.maps[a.name]
+                elif target.maps[a.name].rows[0][0]:
+                    raise ValueError("cokernel maps are not well defined")
+    cok = Representation(target.algebra, dims, maps)
+    _check_relations(cok)
+    return cok, ModuleMap(target, cok, dict.fromkeys(dims, _ONE))
 
 
 def socle(rep: Representation) -> Counter:
-    """Multiset of simples in the socle: at each vertex, the joint kernel of
-    the maps of the arrows into the support (the whole space when there are
-    none), counted as its dimension less the rank of the stacked maps."""
-    quiver = rep.algebra.quiver
-    out: Counter = Counter()
-    if rep.total_dim == len(rep.dims):
-        # a line at each vertex: in the socle unless an arrow out of it acts
-        dims, maps = rep.dims, rep.maps
-        for v in sorted(dims):
-            if not any(maps[a.name].rows[0][0] for a in quiver.outgoing[v] if a.target in dims):
-                out[v] = 1
-        return out
-    for v in sorted(rep.dims):
-        stacked = [row for a in quiver.outgoing[v] if a.target in rep.dims
-                   for row in rep.maps[a.name].rows]
-        dim = rep.dims[v] - Mat(stacked, ncols=rep.dims[v]).rank()
-        if dim:
-            out[v] = dim
-    return out
-
-
-def direct_sum(reps: list[Representation]) -> Representation:
-    """Direct sum, the summands' bases concatenated in order: each arrow map
-    is block diagonal in the summands' maps (some of them empty)."""
-    if not reps:
-        raise ValueError("empty direct sum")
-    algebra = reps[0].algebra
-    dims: dict[int, int] = {}
-    for r in reps:
-        for v, d in r.dims.items():
-            dims[v] = dims.get(v, 0) + d
-    maps = {}
-    for s, width in dims.items():
-        for a in algebra.quiver.outgoing[s]:
-            if a.target in dims:
-                rows, left = [], 0
-                for r in reps:
-                    block = (r.maps.get(a.name)
-                             or Mat.zeros(r.dims.get(a.target, 0), r.dims.get(s, 0)))
-                    right = width - left - block.ncols
-                    rows += [[0] * left + list(row) + [0] * right for row in block.rows]
-                    left += block.ncols
-                maps[a.name] = Mat(rows, ncols=width)
-    return representation(algebra, dims, maps)
+    """Multiset of simples in the socle of a thin module: the vertices where
+    no arrow out of it into the support acts, once each."""
+    if rep.total_dim != len(rep.dims):
+        raise ValueError("socle takes thin modules only")
+    dims, maps = rep.dims, rep.maps
+    outgoing = rep.algebra.quiver.outgoing
+    return Counter(v for v in sorted(dims)
+                   if not any(maps[a.name].rows[0][0] for a in outgoing[v] if a.target in dims))

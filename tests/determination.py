@@ -6,10 +6,10 @@ instances only."""
 from __future__ import annotations
 
 from stringdet.arquiver import ARQuiver
-from stringdet.linalg import Mat, nullspace
+from stringdet.linalg import Mat
 from stringdet.modules import ModuleMap, compose
 
-from helpers import SpanBuilder
+from helpers import SpanBuilder, nullspace, vec
 
 
 def is_right_determined(ar: ARQuiver, f: ModuleMap, src_node: int, tgt_node: int,
@@ -23,30 +23,30 @@ def is_right_determined(ar: ARQuiver, f: ModuleMap, src_node: int, tgt_node: int
         hom_xn = ar.hom(x, tgt_node)
         if not hom_xn:
             continue
-        veclen = len(hom_xn[0].vec())
+        veclen = len(vec(hom_xn[0]))
 
         factorable = SpanBuilder(veclen)
         for u in ar.hom(x, src_node):
-            factorable.add(compose(f, u).vec())
+            factorable.add(vec(compose(f, u)))
 
         if det_node is None:
-            candidate_vecs = [h.vec() for h in hom_xn]
+            candidate_vecs = [vec(h) for h in hom_xn]
         else:
             phis = ar.hom(det_node, x)
             homs_det_tgt = ar.hom(det_node, tgt_node)
             if not phis or not homs_det_tgt:
                 # no precompositions, or every composite lands in the zero
                 # space: the hypothesis is vacuous
-                candidate_vecs = [h.vec() for h in hom_xn]
+                candidate_vecs = [vec(h) for h in hom_xn]
             else:
-                through = SpanBuilder(len(homs_det_tgt[0].vec()))
+                through = SpanBuilder(len(vec(homs_det_tgt[0])))
                 for u in ar.hom(det_node, src_node):
-                    through.add(compose(f, u).vec())
+                    through.add(vec(compose(f, u)))
                 rows = []
                 for h in hom_xn:
                     residuals = []
                     for phi in phis:
-                        residuals.extend(through.reduce(compose(h, phi).vec()))
+                        residuals.extend(through.reduce(vec(compose(h, phi))))
                     rows.append(residuals)
                 cols = list(zip(*rows))
                 sol = nullspace(Mat(cols, ncols=len(hom_xn)))
@@ -55,10 +55,10 @@ def is_right_determined(ar: ARQuiver, f: ModuleMap, src_node: int, tgt_node: int
                     acc = [0] * veclen
                     for c, h in zip(lam, hom_xn):
                         if c:
-                            acc = [x2 + c * y for x2, y in zip(acc, h.vec())]
+                            acc = [x2 + c * y for x2, y in zip(acc, vec(h))]
                     candidate_vecs.append(tuple(acc))
 
-        for vec in candidate_vecs:
-            if not factorable.contains(vec):
+        for candidate in candidate_vecs:
+            if not factorable.contains(candidate):
                 return False
     return True

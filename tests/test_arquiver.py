@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,11 +9,12 @@ from stringdet.arquiver import GuardExceeded, OracleError, _build_arrows, _build
 from stringdet.cli import main
 from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
                                 generate_example, linear_algebra)
-from stringdet.linalg import Mat, SpanBuilder
-from stringdet.modules import (Representation, compose, hom_dim, hom_space, is_epimorphism,
-                               is_monomorphism, string_module)
+from stringdet.linalg import Mat
+from stringdet.modules import (Representation, compose, is_epimorphism, is_monomorphism,
+                               string_module)
 from stringdet.strings import enumerate_strings
 
+from helpers import SpanBuilder, direct_sum, hom_dim, hom_space, representation, vec
 from tree_algebras import random_tree_algebra
 
 
@@ -265,13 +267,13 @@ def _radical_square_arrows(ar, homs):
         for a in range(len(ar.nodes)):
             if a == b or not homs[a, b]:
                 continue
-            square = SpanBuilder(len(homs[a, b][0].vec()))
+            square = SpanBuilder(len(vec(homs[a, b][0])))
             for c in range(len(ar.nodes)):
                 if c not in (a, b):
                     for f in homs[a, c]:
                         for g in homs[c, b]:
-                            square.add(compose(g, f).vec())
-            arrows += [(a, b, h.blocks) for h in homs[a, b] if square.add(h.vec())]
+                            square.add(vec(compose(g, f)))
+            arrows += [(a, b, h.blocks) for h in homs[a, b] if square.add(vec(h))]
     return arrows
 
 
@@ -409,7 +411,7 @@ def test_carried_support_matches_block_scan_on_crossing_tree():
 
 
 def test_identify_rejects_decomposable():
-    from stringdet.modules import direct_sum, simple
+    from stringdet.modules import simple
     alg = linear_algebra(2)
     ar = ar_quiver(alg)
     # S(1) + S(2) has the same dimension vector as the projective cover but
@@ -419,7 +421,6 @@ def test_identify_rejects_decomposable():
 
 
 def test_identify_rescaled_projective():
-    from stringdet.modules import representation
     alg = linear_algebra(3)
     ar = ar_quiver(alg)
     p1 = ar.projective_node(1)
@@ -428,11 +429,38 @@ def test_identify_rescaled_projective():
 
 
 def test_identify_rejects_non_thin():
-    from stringdet.modules import direct_sum, simple
+    from stringdet.modules import simple
     alg = linear_algebra(2)
     ar = ar_quiver(alg)
     total = direct_sum([simple(alg, 1), simple(alg, 1)])
     assert ar.identify(total) is None
+
+
+def _line3_node(ar, support):
+    return ar.nodes[ar._node_by_support[frozenset(support)]]
+
+
+def test_sink_kernel_refuses_middles_neither_mono_nor_both_epi():
+    # on 1 -> 2 -> 3, [2 3] -> [1 2] is the identity at 2 alone: neither mono
+    # nor epi, so two copies of it cannot be the middle maps of a mesh
+    ar = ar_quiver(linear_algebra(3))
+    node = _line3_node(ar, (1, 2))
+    f = ar.hom(_line3_node(ar, (2, 3)).index, node.index)[0]
+    assert not is_monomorphism(f) and not is_epimorphism(f)
+    with pytest.raises(OracleError, match=rf"^middle maps into node {re.escape(node.label())} "
+                                          r"are neither one mono nor two epis$"):
+        arquiver._sink_kernel(node, [f, f])
+
+
+def test_sink_kernel_refuses_two_epis_that_overlap_off_the_node():
+    # [1 2] and [1 2 3] both map onto S(1), and they overlap at 2 as well
+    ar = ar_quiver(linear_algebra(3))
+    node = _line3_node(ar, (1,))
+    maps = [ar.hom(_line3_node(ar, s).index, node.index)[0] for s in ((1, 2), (1, 2, 3))]
+    assert all(map(is_epimorphism, maps)) and not any(map(is_monomorphism, maps))
+    with pytest.raises(OracleError, match=rf"^kernel of the sink map into node "
+                                          rf"{re.escape(node.label())} is not indecomposable$"):
+        arquiver._sink_kernel(node, maps)
 
 
 def test_requires_valid_algebra():

@@ -6,19 +6,20 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stringdet import ar_quiver, linalg, oracle
-from stringdet.arquiver import _sink_kernel_map
+from stringdet import ar_quiver, oracle
 from stringdet.families import (crossing6_algebra, crossing_tree_algebra, fan5_algebra,
                                 linear_algebra)
-from stringdet.linalg import Mat, kernel_inclusion, nullspace, quotient_projection
-from stringdet.modules import (ModuleMap, cokernel, compose, direct_sum, hom_dim, hom_space,
-                               injective, is_epimorphism, is_monomorphism, kernel,
-                               module_map, projective, representation,
+from stringdet.linalg import Mat
+from stringdet.modules import (ModuleMap, cokernel, compose, injective, is_epimorphism,
+                               is_monomorphism, kernel, kernel_of_sum, module_map, projective,
                                simple, socle, string_module)
 from stringdet.strings import enumerate_strings, radical_supports
 
-from helpers import (SpanBuilder, general_cokernel, general_kernel, identity_map,
-                     radical_summands, zero_map)
+import helpers
+from helpers import (SpanBuilder, direct_sum, from_columns, general_cokernel, general_kernel,
+                     general_socle, hom_dim, hom_space, hstack, identity_map, kernel_inclusion,
+                     nullspace, quotient_projection, radical_summands, rank, representation,
+                     row_major, transpose, vec, zero_map)
 from tree_algebras import random_tree_algebra
 
 
@@ -26,8 +27,8 @@ def test_mat_basics():
     a = Mat([[1, 2], [3, 4]])
     b = Mat([[0, 1], [1, 0]])
     assert (a @ b).rows == ((Fraction(2), Fraction(1)), (Fraction(4), Fraction(3)))
-    assert a.rank() == 2
-    assert Mat([[1, 2], [2, 4]]).rank() == 1
+    assert rank(a) == 2
+    assert rank(Mat([[1, 2], [2, 4]])) == 1
     assert Mat.zeros(0, 3).shape == (0, 3)
     assert (Mat.zeros(2, 0) @ Mat.zeros(0, 3)).shape == (2, 3)
 
@@ -48,10 +49,10 @@ def test_empty_and_inner_zero_products_are_zero_matrices():
     # one shared instance per empty shape
     assert Mat.zeros(0, 3) is Mat.zeros(0, 3)
     assert Mat.zeros(0, 3).shape == (0, 3) and Mat.zeros(3, 0).shape == (3, 0)
-    assert Mat.from_columns([], nrows=2) == Mat.zeros(2, 0)
-    assert Mat.row_major((7, 8), 1, 0, 5) == Mat.zeros(0, 5)
-    assert Mat.zeros(0, 2).hstack(Mat.zeros(0, 1)) == Mat.zeros(0, 3)
-    assert Mat([[1], [2]]).hstack(Mat.zeros(2, 0)) == Mat([[1], [2]])
+    assert from_columns([], nrows=2) == Mat.zeros(2, 0)
+    assert row_major((7, 8), 1, 0, 5) == Mat.zeros(0, 5)
+    assert hstack(Mat.zeros(0, 2), Mat.zeros(0, 1)) == Mat.zeros(0, 3)
+    assert hstack(Mat([[1], [2]]), Mat.zeros(2, 0)) == Mat([[1], [2]])
 
 
 def test_rank_of_empty_shapes_is_zero():
@@ -65,7 +66,7 @@ def test_nullspace_basis():
     basis = nullspace(m)
     assert len(basis) == 2
     for v in basis:
-        col = Mat.from_columns([v], nrows=3)
+        col = from_columns([v], nrows=3)
         assert (m @ col).is_zero()
 
 
@@ -80,15 +81,15 @@ def test_echelon_properties(m, data):
     """nullspace, rank and the kernel retraction all read one echelon form."""
     basis = nullspace(m)
     for v in basis:
-        assert (m @ Mat.from_columns([v], nrows=m.ncols)).is_zero()
-    assert len(basis) + m.rank() == m.ncols
+        assert (m @ from_columns([v], nrows=m.ncols)).is_zero()
+    assert len(basis) + rank(m) == m.ncols
     # the reduced echelon form, hence the basis, depends on the row space only
     order = data.draw(st.permutations(range(m.nrows)))
     extra = data.draw(st.lists(st.integers(0, m.nrows - 1), max_size=3))
     reordered = Mat([m.rows[i] for i in list(order) + extra], ncols=m.ncols)
     assert nullspace(reordered) == basis
     inclusion, retraction = kernel_inclusion(m)
-    assert list(inclusion.transpose().rows) == basis
+    assert list(transpose(inclusion).rows) == basis
     assert retraction @ inclusion == Mat.identity(len(basis))
 
 
@@ -150,8 +151,8 @@ def _dense_quotient_projection(sub_basis, n):
     free = span.free_columns()
     units = [[Fraction(int(i == c)) for i in range(n)] for c in range(n)]
     cols = [[span.reduce(unit)[c] for c in free] for unit in units]
-    section = Mat.from_columns([units[c] for c in free], nrows=n)
-    return Mat.from_columns(cols, nrows=len(free)), section
+    section = from_columns([units[c] for c in free], nrows=n)
+    return from_columns(cols, nrows=len(free)), section
 
 
 def _exact(values):
@@ -188,19 +189,19 @@ def test_sparse_echelon_matches_dense_reference(m, data):
     assert nullspace(m) == basis
     assert all(_exact(v) for v in nullspace(m))
     inclusion, retraction = kernel_inclusion(m)
-    assert inclusion == Mat.from_columns(basis, nrows=m.ncols)
+    assert inclusion == from_columns(basis, nrows=m.ncols)
     assert retraction == Mat([[int(i == c) for i in range(m.ncols)] for c in free],
                              ncols=m.ncols)
     proj, section = quotient_projection(m)
-    assert (proj, section) == _dense_quotient_projection(m.transpose().rows, m.nrows)
+    assert (proj, section) == _dense_quotient_projection(transpose(m).rows, m.nrows)
     assert _exact(_entries(inclusion, retraction, proj, section))
 
 
 def test_quotient_projection():
     proj, section = quotient_projection(Mat([[Fraction(1)], [Fraction(1)], [Fraction(0)]]))
     assert proj.shape == (2, 3)
-    assert (proj @ Mat.from_columns([(1, 1, 0)], nrows=3)).is_zero()
-    assert proj.rank() == 2
+    assert (proj @ from_columns([(1, 1, 0)], nrows=3)).is_zero()
+    assert rank(proj) == 2
     assert proj @ section == Mat.identity(2)
 
 
@@ -229,17 +230,17 @@ def _fresh(m):
     span = SpanBuilder(m.ncols)
     for row in m.rows:
         span.add(row)
-    basis, inclusion, retraction = linalg._kernel.__wrapped__(m)
-    return span.dim, list(basis), (inclusion, retraction), linalg._quotient.__wrapped__(m)
+    basis, inclusion, retraction = helpers._kernel.__wrapped__(m)
+    return span.dim, list(basis), (inclusion, retraction), helpers._quotient.__wrapped__(m)
 
 
 def _memoised(m):
-    return m.rank(), nullspace(m), kernel_inclusion(m), quotient_projection(m)
+    return rank(m), nullspace(m), kernel_inclusion(m), quotient_projection(m)
 
 
 def _clear_memo():
-    linalg._kernel.cache_clear()
-    linalg._quotient.cache_clear()
+    helpers._kernel.cache_clear()
+    helpers._quotient.cache_clear()
 
 
 _memo_matrices = st.integers(0, 4).flatmap(lambda r: st.integers(0, 4).flatmap(
@@ -256,8 +257,8 @@ def test_memo_matches_fresh_and_dense_computations(m):
         basis, free = _dense_kernel(m)
         assert got[0] == m.ncols - len(free)
         assert got[1] == basis
-        assert got[2][0] == Mat.from_columns(basis, nrows=m.ncols)
-        assert got[3] == _dense_quotient_projection(m.transpose().rows, m.nrows)
+        assert got[2][0] == from_columns(basis, nrows=m.ncols)
+        assert got[3] == _dense_quotient_projection(transpose(m).rows, m.nrows)
         assert _exact(_entries(*got[2], *got[3])) and all(_exact(v) for v in got[1])
 
 
@@ -294,10 +295,10 @@ def test_memo_is_bounded_and_stays_exact_past_its_bound():
     seen = {m: _fresh(m) for m in first}
     for m in first:
         assert _memoised(m) == seen[m]
-    for i in range(linalg._MEMO_SIZE + 50):
+    for i in range(helpers._MEMO_SIZE + 50):
         _memoised(Mat([[i + 5, 1, 0]]))
-    assert linalg._kernel.cache_info().currsize <= linalg._MEMO_SIZE
-    assert linalg._quotient.cache_info().currsize <= linalg._MEMO_SIZE
+    assert helpers._kernel.cache_info().currsize <= helpers._MEMO_SIZE
+    assert helpers._quotient.cache_info().currsize <= helpers._MEMO_SIZE
     for m in first:
         assert _memoised(m) == seen[m]
 
@@ -332,21 +333,21 @@ def test_built_matrices_match_the_checked_constructor(a, data):
     product = a @ b
     _assert_as_checked(product)
     assert [list(row) for row in product.rows] == _dense_product(a, b)
-    _assert_as_checked(a.transpose())
-    assert a.transpose().transpose() == a
+    _assert_as_checked(transpose(a))
+    assert transpose(transpose(a)) == a
     w = data.draw(st.integers(0, 4))
     right = data.draw(st.lists(st.lists(_scalars, min_size=w, max_size=w),
                                min_size=a.nrows, max_size=a.nrows).map(lambda rows: Mat(rows, w)))
-    stacked = a.hstack(right)
+    stacked = hstack(a, right)
     _assert_as_checked(stacked)
     assert stacked.rows == tuple(ra + rb for ra, rb in zip(a.rows, right.rows))
     values = _entries(a)
     start = data.draw(st.integers(0, 3))
     padded = tuple([0] * start + values)
-    _assert_as_checked(Mat.row_major(padded, start, a.nrows, a.ncols))
-    assert Mat.row_major(padded, start, a.nrows, a.ncols) == a
-    _assert_as_checked(Mat.from_columns(a.transpose().rows, nrows=a.nrows))
-    assert Mat.from_columns(a.transpose().rows, nrows=a.nrows) == a
+    _assert_as_checked(row_major(padded, start, a.nrows, a.ncols))
+    assert row_major(padded, start, a.nrows, a.ncols) == a
+    _assert_as_checked(from_columns(transpose(a).rows, nrows=a.nrows))
+    assert from_columns(transpose(a).rows, nrows=a.nrows) == a
     for m in (Mat.zeros(a.nrows, a.ncols), Mat.identity(a.nrows)):
         _assert_as_checked(m)
     assert Mat.identity(a.nrows) == Mat([[int(i == j) for j in range(a.nrows)]
@@ -369,7 +370,7 @@ def test_checked_constructor_still_refuses_bad_rows():
     with pytest.raises(ValueError, match="ncols"):
         Mat([])
     with pytest.raises(ValueError, match="too short"):
-        Mat.row_major((1, 2, 3), 1, 2, 2)
+        row_major((1, 2, 3), 1, 2, 2)
 
 
 def test_shared_one_is_immutable_and_kept_by_products():
@@ -530,8 +531,8 @@ def test_compose_and_vec():
     s1 = simple(alg, 1)
     top = module_map(p, s1, {1: Mat([[1]])})
     ident = identity_map(p)
-    assert compose(top, ident).vec() == top.vec()
-    assert len(top.vec()) == sum(s1.dim(v) * p.dim(v) for v in alg.quiver.vertices)
+    assert vec(compose(top, ident)) == vec(top)
+    assert len(vec(top)) == sum(s1.dim(v) * p.dim(v) for v in alg.quiver.vertices)
 
 
 def test_representation_relation_check():
@@ -650,7 +651,7 @@ def _sweep_maps(ar):
     for mesh in ar.meshes:
         comps = [ar.arrows[i] for i in mesh.arrow_indices]
         total = direct_sum([ar.nodes[c.source].rep for c in comps])
-        blocks = {v: reduce(Mat.hstack, [c.map.block(v) for c in comps]) for v in vertices}
+        blocks = {v: reduce(hstack, [c.map.block(v) for c in comps]) for v in vertices}
         maps.append(module_map(total, ar.nodes[mesh.right].rep, blocks))
     return maps
 
@@ -663,12 +664,16 @@ def comparison_quivers(sweep_records):
 
 
 def test_support_local_kernels_and_cokernels_match_whole_quiver(comparison_quivers):
+    """The thin kernel and cokernel on the irreducible maps, and the general
+    ones of the tests' reference on the sink maps of two-middle meshes, whose
+    direct sums are not thin."""
     assert len(comparison_quivers) == 533
     checked = 0
     for ar in comparison_quivers:
         quiver = ar.algebra.quiver
         for f in _sweep_maps(ar):
-            for op, reference in ((kernel, _reference_kernel), (cokernel, _reference_cokernel)):
+            ops = (kernel, cokernel) if _is_thin(f) else (general_kernel, general_cokernel)
+            for op, reference in zip(ops, (_reference_kernel, _reference_cokernel)):
                 rep, g = op(f)
                 _assert_support_only(g)
                 assert ({v: rep.dim(v) for v in quiver.vertices},
@@ -715,11 +720,11 @@ def test_pullback_translate_matches_the_direct_sum_kernel(comparison_quivers):
                 continue
             split["mono" if any(map(is_monomorphism, comps)) else "two epis"] += 1
             total = direct_sum([f.source for f in comps])
-            blocks = {v: reduce(Mat.hstack, [f.block(v) for f in comps])
+            blocks = {v: reduce(hstack, [f.block(v) for f in comps])
                       for v in ar.algebra.quiver.vertices}
             g = module_map(total, ar.nodes[mesh.right].rep, blocks)
-            assert is_epimorphism(g)
-            ker, _ = kernel(g)
+            assert all(rank(g.block(v)) == d for v, d in g.target.dims.items())
+            ker, _ = general_kernel(g)
             assert ker.total_dim == total.total_dim - g.target.total_dim
             assert ar.identify(ker) == ar.tau[mesh.right]
     assert split == {"mono": 908, "two epis": 363, "single": 1790}
@@ -742,24 +747,49 @@ def _outcome(op, f):
     return rep.dims, rep.maps, g.blocks
 
 
+def _sink_kernel_map(ar, mesh):
+    """The map whose kernel is that of the mesh's sink map: the arrow's own
+    at one middle, pi f1 with pi the cokernel projection of a mono f2, or
+    [f1 f2] on the direct sum of two epi middles, built by the reference."""
+    comps = [ar.arrows[i].map for i in mesh.arrow_indices]
+    if len(comps) == 1:
+        return comps[0]
+    mono = next((i for i in (1, 0) if is_monomorphism(comps[i])), None)
+    if mono is not None:
+        return compose(cokernel(comps[mono])[1], comps[1 - mono])
+    return _sum_map(*comps)
+
+
+def _sum_map(f1, f2):
+    """[f1 f2] on the direct sum of the sources, built by the reference."""
+    total = direct_sum([f1.source, f2.source])
+    return ModuleMap(total, f1.target, {v: hstack(f1.block(v), f2.block(v))
+                                        for v in total.dims if v in f1.target.dims})
+
+
 def test_thin_kernels_and_cokernels_match_the_general_path(comparison_quivers):
-    """Every arrow map and every sink-kernel map as ar_quiver takes it: the
-    same dims, maps and inclusion or projection blocks as the general path,
-    the thin ones' blocks being the shared 1 x 1 identity, and the socle of
-    each non-zero result as the general path reads it."""
+    """Every arrow map and every sink-kernel map: on a thin one the same
+    dims, maps and inclusion or projection blocks as the general path, the
+    blocks being the shared 1 x 1 identity, and the socle of each non-zero
+    result as the general path reads it.  The maps that are not thin, [f1 f2]
+    on the direct sum of two epi middles, are refused by name."""
     kinds = Counter()
     for ar in comparison_quivers:
         maps = [arr.map for arr in ar.arrows]
-        maps += [_sink_kernel_map(ar.nodes[mesh.right], [ar.arrows[i].map for i in mesh.arrow_indices])
-                 for mesh in ar.meshes]
+        maps += [_sink_kernel_map(ar, mesh) for mesh in ar.meshes]
         for f in maps:
             thin = _is_thin(f)
             kinds["thin" if thin else "general"] += 1
             for op, reference in ((kernel, general_kernel), (cokernel, general_cokernel)):
+                if not thin:
+                    with pytest.raises(ValueError, match=f"^{op.__name__} takes maps between "
+                                                         "thin modules only$"):
+                        op(f)
+                    continue
                 rep, g = op(f)
                 ref, ref_g = reference(f)
                 assert (rep.dims, rep.maps, g.blocks) == (ref.dims, ref.maps, ref_g.blocks)
-                assert not thin or all(b is Mat.identity(1) for b in g.blocks.values())
+                assert all(b is Mat.identity(1) for b in g.blocks.values())
                 if rep.dims:
                     _assert_socle_matches_the_general_path(rep)
     # the general maps are the two-epi meshes' sink maps on their direct sums
@@ -767,9 +797,11 @@ def test_thin_kernels_and_cokernels_match_the_general_path(comparison_quivers):
 
 
 def _assert_socle_matches_the_general_path(rep):
-    """The socle of rep + rep, which is not thin where the supports overlap,
-    comes from the stacked-rank path and is twice that of rep."""
-    doubled = socle(direct_sum([rep, rep]))
+    """The thin socle of rep is the general one, and the socle of rep + rep,
+    which is not thin where the supports overlap, comes from the
+    stacked-rank path and is twice that of rep."""
+    assert socle(rep) == general_socle(rep)
+    doubled = general_socle(direct_sum([rep, rep]))
     assert doubled == socle(rep) + socle(rep)
     assert all(d == 2 for d in direct_sum([rep, rep]).dims.values())
 
@@ -884,3 +916,153 @@ def test_end_check_by_identify_matches_the_hom_solve(comparison_quivers):
     assert nodes == sum(outcomes.values()) == 5384
     assert outcomes[True] and outcomes[False], outcomes
 
+
+
+# --------------------------------------------------------------------------
+# the two-epi sink kernel on scalars against the direct-sum reference
+
+def _two_epi_pairs(ar):
+    """(right end, f1, f2) for every mesh of ar with two epi middle maps."""
+    for mesh in ar.meshes:
+        comps = [ar.arrows[i].map for i in mesh.arrow_indices]
+        if len(comps) == 2 and not any(map(is_monomorphism, comps)):
+            yield mesh.right, comps[0], comps[1]
+
+
+def _scaled(f, c):
+    """c f, a thin map scaled block by block."""
+    return ModuleMap(f.source, f.target, {v: Mat([[c * b.rows[0][0]]])
+                                          for v, b in f.blocks.items()})
+
+
+def _checked_kernel_of_sum(f1, f2):
+    """kernel_of_sum(f1, f2) with its inclusion checked: each component
+    intertwines, f1 i1 + f2 i2 = 0, and (i1, i2) is not zero at any vertex."""
+    ker, i1, i2 = kernel_of_sum(f1, f2)
+    for f, i in ((f1, i1), (f2, i2)):
+        assert i.source is ker and module_map(ker, f.source, i.blocks) == i
+    c1, c2 = compose(f1, i1), compose(f2, i2)
+    for v in ker.dims:
+        assert v not in f1.target.dims or c1.block(v).rows[0][0] + c2.block(v).rows[0][0] == 0
+        assert any(v in i.blocks and i.blocks[v].rows[0][0] for i in (i1, i2))
+    return ker
+
+
+def _assert_sum_kernel_matches_the_direct_sum(ar, f1, f2):
+    """kernel_of_sum(f1, f2) is the node, and has the dimension, of the
+    general kernel of [f1 f2] on the direct sum M1 + M2."""
+    g = _sum_map(f1, f2)
+    ref, _ = general_kernel(g)
+    got = _checked_kernel_of_sum(f1, f2)
+    assert got.total_dim == ref.total_dim == g.source.total_dim - g.target.total_dim
+    assert ar.identify(got) == ar.identify(ref) is not None
+    return ar.identify(got)
+
+
+def test_sum_kernel_matches_the_direct_sum_kernel(comparison_quivers):
+    """Every two-epi mesh of the comparison quivers, crossing-tree level 3 and
+    a zigzag line n = 30: the scalar kernel is the translate the general
+    kernel names, and so it stays when f1 and f2 are each scaled by a seeded
+    non-zero Fraction."""
+    rng = random.Random(31)
+    factors = [Fraction(p, q) for p in (-3, -2, -1, 1, 2, 5) for q in (1, 2, 3)]
+    counts = Counter()
+    quivers = [("comparison", ar) for ar in comparison_quivers]
+    quivers += [("crossing-tree 3", ar_quiver(crossing_tree_algebra(3))),
+                ("zigzag 30", ar_quiver(linear_algebra(30, ("><" * 15)[:29])))]
+    for name, ar in quivers:
+        for right, f1, f2 in _two_epi_pairs(ar):
+            assert _assert_sum_kernel_matches_the_direct_sum(ar, f1, f2) == ar.tau[right]
+            c1, c2 = rng.choice(factors), rng.choice(factors)
+            scaled = _assert_sum_kernel_matches_the_direct_sum(ar, _scaled(f1, c1), _scaled(f2, c2))
+            assert scaled == ar.tau[right]
+            counts[name] += 1
+    assert counts == {"comparison": 363, "crossing-tree 3": 23, "zigzag 30": 105}
+
+
+def _outcome_of_sum(op, f1, f2):
+    """The dims of the kernel of [f1 f2] and which of its arrows act by a
+    non-zero scalar (a thin module over a tree up to isomorphism), or the
+    message of the ValueError raised."""
+    try:
+        ker = op(f1, f2)
+    except ValueError as err:
+        return str(err)
+    return ker.dims, {name: bool(m.rows[0][0]) for name, m in ker.maps.items()}
+
+
+def _general_kernel_of_sum(f1, f2):
+    return general_kernel(_sum_map(f1, f2))[0]
+
+
+def test_sum_kernel_matches_the_general_path_on_scaled_maps():
+    """Random thin modules with arbitrary scalars, zero included, and random
+    blocks into one target, on relation-free lines of every orientation:
+    where the general kernel of [f1 f2] is a line at every vertex, the scalar
+    one is the same module up to isomorphism, or raises the same ValueError;
+    where it has a plane, the scalar one refuses it by vertex."""
+    rng = random.Random(20261021)
+    outcomes = Counter()
+    for _ in range(1500):
+        n = rng.randint(2, 5)
+        alg = linear_algebra(n, "".join(rng.choice("<>") for _ in range(n - 1)))
+        supports = []
+        for _ in range(3):
+            lo = rng.randint(1, n)
+            supports.append(range(lo, rng.randint(lo, n) + 1))
+        m1, m2, target = (_scaled_thin_module(alg, s, rng) for s in supports)
+        f1, f2 = (ModuleMap(m, target, {v: Mat([[rng.choice(SCALARS)]])
+                                        for v in m.dims if v in target.dims})
+                  for m in (m1, m2))
+        planes = [v for v in m1.dims if v in m2.dims
+                  and not (f1.block(v).rank() or f2.block(v).rank())]
+        got = _outcome_of_sum(_checked_kernel_of_sum, f1, f2)
+        ref = _outcome_of_sum(_general_kernel_of_sum, f1, f2)
+        if planes:
+            assert got == f"kernel_of_sum has a plane at vertex {min(planes)}, not a line"
+            assert ref == "kernel maps are not well defined" or 2 in ref[0].values()
+            outcomes["plane"] += 1
+            continue
+        assert got == ref
+        outcomes["raised" if isinstance(got, str) else "built"] += 1
+    assert outcomes == {"built": 820, "raised": 203, "plane": 477}
+
+
+def test_thin_only_operations_refuse_a_module_that_is_not_thin():
+    alg = linear_algebra(2)
+    doubled = direct_sum([simple(alg, 1), simple(alg, 1)])
+    f = identity_map(doubled)
+    for op in (kernel, cokernel, is_monomorphism, is_epimorphism):
+        with pytest.raises(ValueError, match=f"^{op.__name__} takes maps between thin "
+                                             "modules only$"):
+            op(f)
+    with pytest.raises(ValueError, match="^socle takes thin modules only$"):
+        socle(doubled)
+    thin = identity_map(simple(alg, 1))
+    into = module_map(doubled, simple(alg, 1), {1: Mat([[1, 0]])})
+    with pytest.raises(ValueError, match="^kernel_of_sum takes maps between thin modules only$"):
+        kernel_of_sum(into, thin)
+    with pytest.raises(ValueError, match="^kernel_of_sum takes two maps into one target$"):
+        kernel_of_sum(thin, identity_map(simple(alg, 2)))
+    with pytest.raises(ValueError, match="^rank of a 2 x 2 matrix$"):
+        Mat([[1, 0], [0, 1]]).rank()
+
+
+def test_sum_kernel_refuses_a_plane_and_an_arrow_leaving_its_line():
+    # 1 -> 2 -> 3: [1 2] and [1 2 3] onto S(1) overlap at 2 outside the
+    # target, where both blocks are missing; onto P(2) = [2 3] by the
+    # identity and by its negative, the line e1 + e2 at 2 and 3 is carried
+    # along a2 by 1 and by -2, off the line
+    alg = linear_algebra(3)
+    s1, m12, m123 = (string_module(alg, s) for s in ((1,), (1, 2), (1, 2, 3)))
+    one = Mat.identity(1)
+    with pytest.raises(ValueError, match="^kernel_of_sum has a plane at vertex 2, not a line$"):
+        kernel_of_sum(module_map(m12, s1, {1: one}), module_map(m123, s1, {1: one}))
+    p2 = string_module(alg, (2, 3))
+    twisted = representation(alg, {2: 1, 3: 1}, {"a2": Mat([[-2]])})
+    f1 = module_map(p2, p2, {2: one, 3: one})
+    f2 = ModuleMap(twisted, p2, {2: Mat([[-1]]), 3: Mat([[-1]])})
+    with pytest.raises(ValueError, match="^kernel maps are not well defined$"):
+        kernel_of_sum(f1, f2)
+    with pytest.raises(ValueError, match="^kernel maps are not well defined$"):
+        _general_kernel_of_sum(f1, f2)

@@ -7,14 +7,14 @@ from stringdet import ar_quiver, brute_force_det, determiner_report, oracle, par
 from stringdet.algebra import serialize
 from stringdet.arquiver import OracleError
 from stringdet.families import crossing6_algebra, crossing_tree_algebra, linear_algebra
-from stringdet.linalg import Mat, nullspace
-from stringdet.modules import (block_columns, cokernel, direct_sum, intertwining_rows,
-                               is_epimorphism, is_monomorphism, module_map, projective,
-                               representation, simple)
+from stringdet.linalg import Mat
+from stringdet.modules import (cokernel, is_epimorphism, is_monomorphism, module_map,
+                               projective, simple)
 from stringdet.oracle import MapKind, almost_factors_through, minimal_right_determiner
 
 from determination import is_right_determined
-from helpers import identity_map, zero_map
+from helpers import (block_columns, direct_sum, identity_map, intertwining_rows, nullspace,
+                     representation, row_major, zero_map)
 from tree_algebras import random_tree_algebra
 
 
@@ -89,7 +89,7 @@ def _joint_solve_almost_factors(ar, v, f, quotient):
         rows += intertwining_rows(h_at[u], incl.block(u), f.block(u), g_at[u], nvars)
     for sol in nullspace(Mat(rows, ncols=nvars)):
         for u in h_at:
-            h_block = Mat.row_major(sol, h_at[u], tgt.dim(u), proj.dim(u))
+            h_block = row_major(sol, h_at[u], tgt.dim(u), proj.dim(u))
             if not (quotient.block(u) @ h_block).is_zero():
                 return True
     return False
