@@ -42,7 +42,9 @@ DELETED = [
     # general linear algebra lives in the tests, as the reference for the
     # scalar paths of thin modules: every module over a tree is thin, and a
     # two-epi mesh's sink kernel is read off the two maps' scalars
-    (linalg, "SpanBuilder"), (linalg, "_eliminate"), (linalg, "_kernel"), (linalg, "_quotient"),
+    # (the span's reduce and contains went with SpanBuilder)
+    (linalg, "SpanBuilder"), (linalg, "reduce"), (linalg, "contains"), (linalg, "_eliminate"),
+    (linalg, "_kernel"), (linalg, "_quotient"),
     (linalg, "nullspace"), (linalg, "kernel_inclusion"), (linalg, "quotient_projection"),
     (linalg, "_MEMO_SIZE"), (linalg, "_unit_rows"), (linalg, "Vector"),
     (linalg.Mat, "hstack"), (linalg.Mat, "transpose"), (linalg.Mat, "from_columns"),
